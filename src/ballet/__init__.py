@@ -62,8 +62,6 @@ from .levels import (
 )
 from .levelset import (
     AdaptiveDeltaConfig,
-    GridIndex,
-    NeighborhoodGraph,
     PointSet,
     active_set_components,
     adaptive_delta,
@@ -72,7 +70,6 @@ from .levelset import (
     default_k_dbscan,
     default_k_levelset,
     knn_distance,
-    neighborhood_graph,
     surrogate_cluster,
     unit_ball_volume,
 )

@@ -4,8 +4,9 @@ The radius is an order statistic of the losses from the center to the draw
 clusterings. The bounds walk the activity lattice greedily: the upper bound
 activates inactive points by decreasing posterior activity probability, the
 lower bound deactivates active points by increasing activity probability,
-recomputing delta-graph components after each toggle and stopping just before
-the state would leave the ball.
+relabelling the delta-graph components after each toggle and stopping just
+before the state would leave the ball. Each walk builds its graph's pair list
+once; a toggle only changes which points the labelling masks in.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .levelset import GridIndex, PointSet, _component_labels, _find
+from .levelset import PointSet, _component_labels, _delta_pairs
 from .risk import CoClusteringStats, precompute_stats
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, ia_binder_loss
 from .util import canonical_json, order_statistic_ceil
@@ -41,14 +42,6 @@ class BoundStep:
     accepted: bool
 
 
-def _center_distances(
-    center: SubPartition,
-    clusterings: Sequence[SubPartition],
-    p: LossParams,
-) -> np.ndarray:
-    return np.asarray([ia_binder_loss(center, c, p) for c in clusterings])
-
-
 def credible_radius(
     center: SubPartition,
     clusterings: Sequence[SubPartition],
@@ -60,12 +53,22 @@ def credible_radius(
     This is the ceil((1 - alpha) * S)-th smallest loss from the center to the
     draw clusterings.
     """
+    return _radius_and_losses(center, clusterings, p, alpha)[0]
+
+
+def _radius_and_losses(
+    center: SubPartition,
+    clusterings: Sequence[SubPartition],
+    p: LossParams,
+    alpha: float,
+) -> tuple[float, np.ndarray]:
+    """The credible radius and the losses from the center to each draw."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if len(clusterings) == 0:
         raise ValueError("need at least one draw clustering")
-    dists = _center_distances(center, clusterings, p)
-    return float(order_statistic_ceil(dists, 1.0 - alpha))
+    dists = np.asarray([ia_binder_loss(center, c, p) for c in clusterings])
+    return float(order_statistic_ceil(dists, 1.0 - alpha)), dists
 
 
 def _activation_order(alpha_hat: np.ndarray, candidates: np.ndarray, largest_first: bool) -> np.ndarray:
@@ -86,39 +89,20 @@ def greedy_upper_bound(
 ) -> SubPartition:
     """Last in-ball state of the greedy activation walk from the center.
 
-    Activates the inactive point with the largest alpha-hat, recomputes the
+    Activates the inactive point with the largest alpha-hat, relabels the
     delta-graph components of the enlarged active set, and stops as soon as a
-    state falls outside the ball. Activation only merges components, so the
-    walk maintains a union-find incrementally.
+    state falls outside the ball.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     _check_bound_inputs(center, ps, stats)
-    n = ps.n
-    active = np.zeros(n, dtype=bool)
-    active[center.active_indices] = True
+    active = center.labels_array != 0
     order = _activation_order(stats.alpha, np.flatnonzero(~active), largest_first=True)
-    grid = GridIndex(ps.points, delta)
-    parent = np.arange(n)
-    for i in center.active_indices.tolist():
-        for j in grid.query_ball(ps.points[i], delta, closed=closed_edges).tolist():
-            if j != i and active[j]:
-                ri, rj = _find(parent, i), _find(parent, j)
-                if ri != rj:
-                    parent[rj] = ri
+    pairs = _delta_pairs(ps.points, delta, closed_edges)
     best = center
     for idx in order.tolist():
         active[idx] = True
-        for j in grid.query_ball(ps.points[idx], delta, closed=closed_edges).tolist():
-            if j != idx and active[j]:
-                ri, rj = _find(parent, idx), _find(parent, j)
-                if ri != rj:
-                    parent[rj] = ri
-        labels = np.zeros(n, dtype=np.int64)
-        act_idx = np.flatnonzero(active)
-        roots = np.asarray([_find(parent, int(i)) for i in act_idx])
-        labels[act_idx] = roots + 1  # SubPartition renumbers by first occurrence
-        cand = SubPartition(labels)
+        cand = SubPartition(_component_labels(ps.n, pairs, active))
         dist = ia_binder_loss(center, cand, p)
         accepted = dist <= radius
         if trace is not None:
@@ -142,29 +126,20 @@ def greedy_lower_bound(
     """Last in-ball state of the greedy deactivation walk from the center.
 
     Symmetric to the upper bound: removes the active point with the smallest
-    alpha-hat. Removal can split only the component the point belonged to, so
-    just that component is rebuilt.
+    alpha-hat. The states stay inside the center's active set, so the walk's
+    graph is built over that set only.
     """
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     _check_bound_inputs(center, ps, stats)
-    n = ps.n
-    # start from the components of the center's own active set so the split
-    # bookkeeping matches the graph, not the center's (possibly coarser) cells
-    labels = _component_labels(ps.points, center.active_indices, delta, closed_edges)
-    order = _activation_order(stats.alpha, center.active_indices, largest_first=False)
+    act = center.active_indices
+    active = center.labels_array != 0
+    pairs = act[_delta_pairs(ps.points[act], delta, closed_edges)]
+    order = _activation_order(stats.alpha, act, largest_first=False)
     best = center
-    next_id = int(labels.max()) + 1
     for idx in order.tolist():
-        comp = int(labels[idx])
-        labels[idx] = 0
-        members = np.flatnonzero(labels == comp)
-        if members.size:
-            rebuilt = _component_labels(ps.points, members, delta, closed_edges)
-            piece = rebuilt[members]
-            labels[members] = piece + next_id
-            next_id += int(piece.max())
-        cand = SubPartition(labels)
+        active[idx] = False
+        cand = SubPartition(_component_labels(ps.n, pairs, active))
         dist = ia_binder_loss(center, cand, p)
         accepted = dist <= radius
         if trace is not None:
@@ -217,10 +192,9 @@ def compute_credible_ball(
     closed_edges: bool = False,
 ) -> CredibleBall:
     """Radius, coverage, and both greedy bounds in one pass."""
-    radius = credible_radius(center, clusterings, p, alpha)
+    radius, dists = _radius_and_losses(center, clusterings, p, alpha)
     if stats is None:
         stats = precompute_stats(clusterings)
-    dists = _center_distances(center, clusterings, p)
     coverage = float(np.count_nonzero(dists <= radius)) / len(clusterings)
     lower = greedy_lower_bound(center, ps, delta, stats, radius, p, closed_edges)
     upper = greedy_upper_bound(center, ps, delta, stats, radius, p, closed_edges)

@@ -1,35 +1,37 @@
-"""Point sets, fixed-radius queries, level-set surrogate clustering, and DBSCAN.
+"""Point sets, the delta-neighborhood graph, level-set surrogate clustering, and DBSCAN.
 
 The surrogate clustering of a density at level lambda activates the points with
 density >= lambda and groups them by connected components of the delta-
 neighborhood graph. Edges are strictly below delta by default; DBSCAN and the
 density-equivalence results use closed (<= eps) neighborhoods, so the closed
 convention is available behind a flag.
+
+Every component computation goes through one engine: a kd-tree pair list of
+the graph's edges, masked to the active points and labelled by
+scipy.sparse.csgraph.connected_components.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .subpartition import SubPartition
 
 __all__ = [
     "PointSet",
-    "GridIndex",
-    "NeighborhoodGraph",
     "AdaptiveDeltaConfig",
     "unit_ball_volume",
     "default_k_levelset",
     "default_k_dbscan",
     "knn_distance",
     "adaptive_delta",
-    "neighborhood_graph",
     "active_set_components",
     "surrogate_cluster",
     "dbscan_star",
@@ -110,85 +112,32 @@ class PointSet:
         return cls(np.asarray(rows, dtype=np.float64))
 
 
-class GridIndex:
-    """Uniform grid of cell width w over a point set, for radius <= w queries.
+def _delta_pairs(points: np.ndarray, delta: float, closed: bool) -> np.ndarray:
+    """Edges (i < j) of the delta graph on the rows of `points`, as an (E, 2) array.
 
-    Candidates come from the 3^d adjacent cells; any pair within w of each
-    other is at most one cell apart per axis, so the candidate set is complete
-    for query radii up to w. Dimensions above 3 fall back to brute force.
+    The kd-tree proposes pairs within a slightly enlarged radius; each is kept
+    by its squared difference, d2 < delta^2 (or <= when closed), so boundary
+    pairs are decided by one exact rule in every dimension.
     """
-
-    def __init__(self, points: np.ndarray, cell_width: float, force_brute: bool = False):
-        if cell_width <= 0 or not math.isfinite(cell_width):
-            raise ValueError(f"cell width must be a positive finite real, got {cell_width}")
-        self.points = np.asarray(points, dtype=np.float64)
-        self.cell_width = float(cell_width)
-        self.d = self.points.shape[1]
-        self.brute = bool(force_brute or self.d > 3)
-        if not self.brute:
-            coords = np.floor(self.points / self.cell_width).astype(np.int64)
-            cells: dict[tuple, list[int]] = {}
-            for i, key in enumerate(map(tuple, coords)):
-                cells.setdefault(key, []).append(i)
-            self._cells = {k: np.asarray(v, dtype=np.int64) for k, v in cells.items()}
-            self._coords = coords
-            self._offsets = list(itertools.product((-1, 0, 1), repeat=self.d))
-
-    def _candidates(self, x: np.ndarray) -> np.ndarray:
-        base = tuple(np.floor(x / self.cell_width).astype(np.int64))
-        found = [self._cells[key] for off in self._offsets
-                 if (key := tuple(b + o for b, o in zip(base, off))) in self._cells]
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(found)
-
-    def query_ball(self, x: np.ndarray, radius: float, closed: bool = True) -> np.ndarray:
-        """Indices of stored points within radius of x (closed or open ball)."""
-        if radius > self.cell_width * (1 + 1e-12):
-            raise ValueError(f"query radius {radius} exceeds grid cell width {self.cell_width}")
-        cand = np.arange(self.points.shape[0]) if self.brute else self._candidates(np.asarray(x, dtype=np.float64))
-        if cand.size == 0:
-            return cand
-        diff = self.points[cand] - x
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        r2 = radius * radius
-        mask = d2 <= r2 if closed else d2 < r2
-        return cand[mask]
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    if points.shape[0] < 2:
+        return np.empty((0, 2), dtype=np.int64)
+    pairs = cKDTree(points).query_pairs(delta * (1 + 1e-9), output_type="ndarray").astype(np.int64)
+    diff = points[pairs[:, 1]] - points[pairs[:, 0]]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    r2 = delta * delta
+    return pairs[d2 <= r2 if closed else d2 < r2]
 
 
-def _find(parent: np.ndarray, x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = int(parent[x])
-    return x
-
-
-def _component_labels(points: np.ndarray, active: np.ndarray, delta: float, closed: bool) -> np.ndarray:
-    """Full-length labels: 0 for inactive, components of the delta graph on active."""
-    n = points.shape[0]
-    labels = np.zeros(n, dtype=np.int64)
-    active = np.asarray(active, dtype=np.int64)
-    m = active.size
-    if m == 0:
-        return labels
-    sub = points[active]
-    grid = GridIndex(sub, delta)
-    parent = np.arange(m)
-    for i in range(m):
-        for j in grid.query_ball(sub[i], delta, closed=closed).tolist():
-            if j > i:
-                ri, rj = _find(parent, i), _find(parent, j)
-                if ri != rj:
-                    parent[rj] = ri
-    comp = np.fromiter((_find(parent, i) for i in range(m)), dtype=np.int64, count=m)
-    # first-occurrence numbering; SubPartition would redo this, but callers
-    # also use the raw labels directly
-    order: dict[int, int] = {}
-    for r in comp.tolist():
-        if r not in order:
-            order[r] = len(order) + 1
-    labels[active] = np.asarray([order[r] for r in comp.tolist()], dtype=np.int64)
-    return labels
+def _component_labels(n: int, pairs: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Full-length labels: 0 for inactive points, else 1 + the component id of
+    the point in the graph of the pairs whose two ends are both active."""
+    keep = active[pairs[:, 0]] & active[pairs[:, 1]]
+    edges = pairs[keep]
+    graph = coo_matrix((np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    return np.where(active, comp + 1, 0)
 
 
 def active_set_components(
@@ -198,53 +147,13 @@ def active_set_components(
     closed_edges: bool = False,
 ) -> SubPartition:
     """Sub-partition whose clusters are the delta-graph components of `active`."""
-    if delta <= 0 or not math.isfinite(delta):
-        raise ValueError(f"delta must be positive and finite, got {delta}")
-    act = np.asarray(sorted(int(i) for i in active), dtype=np.int64)
+    act = np.unique(np.asarray(active, dtype=np.int64))
     if act.size and (act[0] < 0 or act[-1] >= ps.n):
         raise ValueError("active indices out of range")
-    return SubPartition(_component_labels(ps.points, act, delta, closed_edges))
-
-
-@dataclass(frozen=True)
-class NeighborhoodGraph:
-    """Open delta-neighborhood graph on the active points (strict edges)."""
-
-    delta: float
-    vertex_ids: np.ndarray
-    edges: tuple[tuple[int, int], ...]
-
-    def component_labels(self, n: int) -> np.ndarray:
-        """Full-length component labels (0 = not a vertex)."""
-        pos = {int(v): i for i, v in enumerate(self.vertex_ids)}
-        parent = np.arange(len(pos))
-        for u, v in self.edges:
-            ru, rv = _find(parent, pos[u]), _find(parent, pos[v])
-            if ru != rv:
-                parent[rv] = ru
-        labels = np.zeros(n, dtype=np.int64)
-        order: dict[int, int] = {}
-        for i, v in enumerate(self.vertex_ids.tolist()):
-            r = _find(parent, i)
-            if r not in order:
-                order[r] = len(order) + 1
-            labels[v] = order[r]
-        return labels
-
-
-def neighborhood_graph(ps: PointSet, active: Sequence[int], delta: float) -> NeighborhoodGraph:
-    """Materialized strict-edge graph over the active points."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    act = np.asarray(sorted(int(i) for i in active), dtype=np.int64)
-    sub = ps.points[act]
-    grid = GridIndex(sub, delta)
-    edges: list[tuple[int, int]] = []
-    for i in range(act.size):
-        for j in grid.query_ball(sub[i], delta, closed=False).tolist():
-            if j > i:
-                edges.append((int(act[i]), int(act[j])))
-    return NeighborhoodGraph(delta=float(delta), vertex_ids=act, edges=tuple(edges))
+    mask = np.zeros(ps.n, dtype=bool)
+    mask[act] = True
+    pairs = act[_delta_pairs(ps.points[act], delta, closed_edges)]
+    return SubPartition(_component_labels(ps.n, pairs, mask))
 
 
 @dataclass(frozen=True)
@@ -309,10 +218,7 @@ def surrogate_cluster(
         raise ValueError(f"density vector has shape {dens.shape}, expected ({ps.n},)")
     if np.isnan(dens).any():
         raise ValueError("density values must not be NaN")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    active = np.flatnonzero(dens >= lam)
-    return SubPartition(_component_labels(ps.points, active, delta, closed_edges))
+    return active_set_components(ps, np.flatnonzero(dens >= lam), delta, closed_edges)
 
 
 def dbscan_star(ps: PointSet, eps: float, min_pts: int, include_self: bool = True) -> SubPartition:
@@ -322,35 +228,36 @@ def dbscan_star(ps: PointSet, eps: float, min_pts: int, include_self: bool = Tru
     the ball includes the point itself unless include_self=False (parity flag
     for implementations that count only other points).
     """
+    return SubPartition(_dbscan_star_labels(ps, eps, min_pts, include_self)[1])
+
+
+def _dbscan_star_labels(
+    ps: PointSet, eps: float, min_pts: int, include_self: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closed eps-graph's pairs and the DBSCAN* labels they give."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be a positive int, got {min_pts}")
-    grid = GridIndex(ps.points, eps)
-    counts = np.empty(ps.n, dtype=np.int64)
-    for i in range(ps.n):
-        nbrs = grid.query_ball(ps.points[i], eps, closed=True)
-        counts[i] = nbrs.size if include_self else nbrs.size - 1
-    core = np.flatnonzero(counts >= min_pts)
-    return SubPartition(_component_labels(ps.points, core, eps, closed=True))
+    pairs = _delta_pairs(ps.points, eps, closed=True)
+    counts = np.bincount(pairs.ravel(), minlength=ps.n) + int(include_self)
+    return pairs, _component_labels(ps.n, pairs, counts >= min_pts)
 
 
 def dbscan_classic(ps: PointSet, eps: float, min_pts: int, include_self: bool = True) -> SubPartition:
     """DBSCAN with border points: each non-core point within eps of a core point
     joins the cluster of its nearest core point (ties: smallest core index)."""
-    star = dbscan_star(ps, eps, min_pts, include_self=include_self)
-    labels = star.labels_array.copy()
-    core_mask = labels != 0
-    grid = GridIndex(ps.points, eps)
-    for i in np.flatnonzero(~core_mask).tolist():
-        nbrs = grid.query_ball(ps.points[i], eps, closed=True)
-        core_nbrs = nbrs[core_mask[nbrs]]
-        if core_nbrs.size == 0:
-            continue
-        diff = ps.points[core_nbrs] - ps.points[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        best = core_nbrs[np.lexsort((core_nbrs, d2))[0]]
-        labels[i] = labels[best]
+    pairs, labels = _dbscan_star_labels(ps, eps, min_pts, include_self)
+    # each edge in both directions, kept where it runs from a non-core point to a core point
+    point = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    core = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    keep = (labels[point] == 0) & (labels[core] != 0)
+    point, core = point[keep], core[keep]
+    diff = ps.points[core] - ps.points[point]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    order = np.lexsort((core, d2, point))
+    border, first = np.unique(point[order], return_index=True)
+    labels[border] = labels[core[order][first]]
     return SubPartition(labels)
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataIOError, InfeasibleError, NumericError
-from .levelset import PointSet, surrogate_cluster
+from .levelset import PointSet, _component_labels, _delta_pairs, surrogate_cluster
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition
 from .util import canonical_json, spawn_rngs
 
@@ -102,7 +102,16 @@ class DensityDrawEnsemble:
                 header_line = fh.readline()
                 payload = fh.read()
             header = json.loads(header_line.decode("ascii"))
-            S, n = int(header["S"]), int(header["n"])
+            if not isinstance(header, dict):
+                raise DataIOError(f"ensemble header is not a JSON object: {header!r}")
+            if header.get("schema") != ENSEMBLE_SCHEMA or header.get("dtype") != "<f8":
+                raise DataIOError(
+                    f"ensemble header needs schema {ENSEMBLE_SCHEMA!r} and dtype '<f8', "
+                    f"got {header.get('schema')!r} and {header.get('dtype')!r}"
+                )
+            S, n = header.get("S"), header.get("n")
+            if not all(type(v) is int and v >= 1 for v in (S, n)):
+                raise DataIOError(f"ensemble header needs integers S, n >= 1, got S={S!r}, n={n!r}")
             expected = S * n * 8
             if len(payload) != expected:
                 raise DataIOError(
@@ -110,7 +119,7 @@ class DensityDrawEnsemble:
                 )
             vals = np.frombuffer(payload, dtype="<f8").reshape(S, n)
             return cls(vals)
-        except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise DataIOError(f"cannot read ensemble from {path}: {exc}") from exc
 
 
@@ -121,13 +130,17 @@ def draw_clusterings(
     delta: float,
     closed_edges: bool = False,
 ) -> list[SubPartition]:
-    """Per-draw level-lambda surrogate clusterings of the ensemble."""
+    """Per-draw level-lambda surrogate clusterings of the ensemble.
+
+    Every draw's delta graph is a subgraph of the one on the union of the
+    draws' active sets, so that pair list is built once and masked per draw.
+    """
     if ensemble.n != ps.n:
         raise InfeasibleError(f"ensemble has n={ensemble.n} but point set has n={ps.n}")
-    return [
-        surrogate_cluster(ps, ensemble.values[s], lam, delta, closed_edges=closed_edges)
-        for s in range(ensemble.S)
-    ]
+    active = ensemble.values >= lam
+    union = np.flatnonzero(active.any(axis=0))
+    pairs = union[_delta_pairs(ps.points[union], delta, closed_edges)]
+    return [SubPartition(_component_labels(ps.n, pairs, mask)) for mask in active]
 
 
 def _tri_row_starts(u: int) -> np.ndarray:

@@ -74,22 +74,28 @@ class LossParams:
 DEFAULT_LOSS_PARAMS = LossParams()
 
 
-def _canonical_labels(labels: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
-    remap: dict[int, int] = {}
-    for raw in labels:
-        v = int(raw)
-        if v != raw:
-            raise ValueError(f"labels must be integers, got {raw!r}")
-        if v < 0:
-            raise ValueError(f"labels must be >= 0 (0 = noise), got {v}")
-        if v == 0:
-            out.append(0)
-        else:
-            if v not in remap:
-                remap[v] = len(remap) + 1
-            out.append(remap[v])
-    return tuple(out)
+def _canonical_labels(labels: Iterable[int]) -> np.ndarray:
+    """Labels renumbered 1, 2, ... by first occurrence, 0 kept as noise."""
+    raw = labels if isinstance(labels, np.ndarray) else list(labels)
+    arr = np.asarray(raw)
+    if arr.ndim != 1 or arr.dtype.kind not in "biuf":
+        raise ValueError(f"labels must be a flat sequence of integers, got {arr.dtype} of shape {arr.shape}")
+    bad = arr < 0
+    if arr.dtype.kind == "f":
+        bad |= ~np.isfinite(arr) | (arr != np.floor(arr))
+    if bad.any():
+        # report the first offending label as a per-element int() check would
+        v = raw[int(np.argmax(bad))]
+        if int(v) != v:
+            raise ValueError(f"labels must be integers, got {v!r}")
+        raise ValueError(f"labels must be >= 0 (0 = noise), got {int(v)}")
+    out = np.zeros(arr.shape, dtype=np.int64)
+    active = np.flatnonzero(arr)
+    values, first, inverse = np.unique(arr[active], return_index=True, return_inverse=True)
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(1, values.size + 1)
+    out[active] = rank[inverse]
+    return out
 
 
 class SubPartition:
@@ -98,10 +104,10 @@ class SubPartition:
     __slots__ = ("_labels", "_array", "_hash")
 
     def __init__(self, labels: Iterable[int]):
-        canon = _canonical_labels(labels)
-        object.__setattr__(self, "_labels", canon)
-        arr = np.asarray(canon, dtype=np.int64)
+        arr = _canonical_labels(labels)
         arr.setflags(write=False)
+        canon = tuple(arr.tolist())
+        object.__setattr__(self, "_labels", canon)
         object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "_hash", hash(canon))
 

@@ -75,6 +75,82 @@ def oracle_components(points: np.ndarray, active: np.ndarray, delta: float, clos
     return labels
 
 
+def oracle_dbscan(points: np.ndarray, eps: float, min_pts: int, include_self: bool = True, classic: bool = False):
+    """DBSCAN* (or DBSCAN with borders) from the full pairwise squared-distance matrix.
+
+    Core: at least min_pts points within the closed eps-ball (self counted
+    when include_self). Clusters: closed-eps components of the core points.
+    With classic=True each non-core point within eps of a core point joins
+    the nearest core's cluster, ties to the smallest core index.
+    """
+    n = len(points)
+    d2 = np.array([[float(((points[j] - points[i]) ** 2).sum()) for j in range(n)] for i in range(n)])
+    within = d2 <= eps * eps
+    counts = within.sum(axis=1) - (0 if include_self else 1)
+    core = [i for i in range(n) if counts[i] >= min_pts]
+    labels = oracle_components(points, np.asarray(core, dtype=int), eps, closed=True)
+    if classic:
+        star = labels.copy()
+        for i in range(n):
+            if star[i] != 0:
+                continue
+            near = [(d2[i, j], j) for j in core if within[i, j]]
+            if near:
+                labels[i] = star[min(near)[1]]
+    return labels
+
+
+def oracle_greedy_walk(points, center_labels, alpha, delta, radius, upper: bool, closed: bool = False):
+    """Greedy credible-bound walk, recomputing every state from first definitions.
+
+    upper=True activates inactive points by decreasing alpha, upper=False
+    deactivates active points by increasing alpha, ties to the smallest index.
+    Each state is the delta-graph components of its active set; the walk stops
+    at the first state whose loss from the center exceeds radius. Returns the
+    last in-ball labels and the trace as (index, alpha, distance, accepted).
+    """
+    n = len(center_labels)
+    active = {i for i in range(n) if center_labels[i] != 0}
+    if upper:
+        order = sorted((i for i in range(n) if i not in active), key=lambda i: (-alpha[i], i))
+    else:
+        order = sorted(active, key=lambda i: (alpha[i], i))
+    best = list(center_labels)
+    trace = []
+    for idx in order:
+        if upper:
+            active.add(idx)
+        else:
+            active.discard(idx)
+        labels = oracle_components(points, np.asarray(sorted(active), dtype=int), delta, closed=closed)
+        dist = oracle_ia_binder_loss(center_labels, labels)
+        accepted = dist <= radius
+        trace.append((idx, float(alpha[idx]), float(dist), accepted))
+        if not accepted:
+            break
+        best = labels
+    return best, trace
+
+
+def oracle_canonical_labels(labels) -> tuple:
+    """Labels renumbered by first occurrence, one element at a time."""
+    out = []
+    remap = {}
+    for raw in labels:
+        v = int(raw)
+        if v != raw:
+            raise ValueError(f"labels must be integers, got {raw!r}")
+        if v < 0:
+            raise ValueError(f"labels must be >= 0 (0 = noise), got {v}")
+        if v == 0:
+            out.append(0)
+        else:
+            if v not in remap:
+                remap[v] = len(remap) + 1
+            out.append(remap[v])
+    return tuple(out)
+
+
 def oracle_quantile_ceil(values, q: float) -> float:
     """ceil(q * N)-th smallest value, N = len(values); q in (0, 1]."""
     import math

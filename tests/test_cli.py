@@ -140,6 +140,12 @@ def test_io_errors_exit_3(moons_cfg, tmp_path):
     assert main(["cluster", "--config", str(moons_cfg), "--ensemble", str(tmp_path / "nope.ens")]) == 3
 
 
+def test_bad_ensemble_header_exit_3(moons_cfg, tmp_path):
+    ens = tmp_path / "header.ens"
+    ens.write_bytes(b"[1,2]\n" + np.ones(4, dtype="<f8").tobytes())
+    assert main(["cluster", "--config", str(moons_cfg), "--ensemble", str(ens)]) == 3
+
+
 def test_numeric_ensemble_exit_4(moons_dir, moons_cfg, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(",".join(["nan"] * 300) + "\n")
@@ -281,6 +287,14 @@ def test_simulate_deterministic(tmp_path):
                    "--seed", "3", "--out", str(tmp_path / sub)])
         assert rc == 0
     assert (tmp_path / "a/points.csv").read_bytes() == (tmp_path / "b/points.csv").read_bytes()
+
+
+def test_simulate_points_load_as_in_readme(tmp_path):
+    rc = main(["simulate", "--generator", "moons", "--n", "50", "--seed", "2", "--out", str(tmp_path)])
+    assert rc == 0
+    # the README's library example reads the file exactly like this
+    pts = np.loadtxt(tmp_path / "points.csv", delimiter=",")
+    assert pts.shape == (50, 2)
 
 
 def test_benchmark_csv_shape(tmp_path):

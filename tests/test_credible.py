@@ -16,7 +16,7 @@ from ballet.risk import precompute_stats
 from ballet.subpartition import LossParams, SubPartition, ia_binder_loss
 from ballet.util import order_statistic_ceil
 
-from oracles import random_subpartition
+from oracles import oracle_components, oracle_greedy_walk, random_subpartition
 
 
 def make_stats(activity_counts, S, cluster_together=True):
@@ -197,6 +197,37 @@ def test_bound_active_set_containment_random():
         assert ia_binder_loss(center, up) <= radius
 
 
+def test_bounds_and_traces_match_oracle_walk():
+    rng = np.random.default_rng(4)
+    for trial in range(24):
+        n = int(rng.integers(6, 22))
+        if trial % 3 == 0:
+            # lattice points at delta = 1: exact-delta ties and duplicates
+            pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+            delta = 1.0
+        else:
+            pts = rng.random((n, 2)) * 4
+            delta = float(rng.uniform(0.5, 1.5))
+        ps = PointSet(pts)
+        draws = [random_subpartition(rng, n, max_k=3) for _ in range(int(rng.integers(2, 7)))]
+        stats = precompute_stats(draws)
+        if trial % 2:
+            center = random_subpartition(rng, n, max_k=3)
+        else:
+            active = np.flatnonzero(rng.random(n) < 0.5)
+            center = SubPartition(oracle_components(pts, active, delta))
+        radius = float(rng.uniform(0.0, 4.0 * n))
+        for closed in (False, True):
+            for upper, walk in ((True, greedy_upper_bound), (False, greedy_lower_bound)):
+                trace = []
+                got = walk(center, ps, delta, stats, radius, closed_edges=closed, trace=trace)
+                expect, expect_trace = oracle_greedy_walk(
+                    pts, center.labels, stats.alpha, delta, radius, upper=upper, closed=closed
+                )
+                assert got == SubPartition(expect)
+                assert [(s.index, s.alpha, s.distance, s.accepted) for s in trace] == expect_trace
+
+
 def test_bound_input_validation():
     ps = line_points(0.0, 1.0)
     stats, _ = make_stats([2, 1], S=2)
@@ -221,6 +252,9 @@ def test_compute_credible_ball_invariants_and_json():
     center = active_set_components(ps, np.arange(30), 1.0)
     ball = compute_credible_ball(center, ps, 1.0, draws, alpha=0.25)
     assert isinstance(ball, CredibleBall)
+    assert ball.radius == credible_radius(center, draws, alpha=0.25)
+    dists = np.array([ia_binder_loss(center, c) for c in draws])
+    assert ball.coverage == np.count_nonzero(dists <= ball.radius) / len(draws)
     assert ball.coverage >= 0.75
     assert ia_binder_loss(center, ball.lower) <= ball.radius
     assert ia_binder_loss(center, ball.upper) <= ball.radius

@@ -9,21 +9,21 @@ import pytest
 
 from ballet.levelset import (
     AdaptiveDeltaConfig,
-    GridIndex,
     PointSet,
+    _delta_pairs,
+    active_set_components,
     adaptive_delta,
     dbscan_classic,
     dbscan_star,
     default_k_dbscan,
     default_k_levelset,
     knn_distance,
-    neighborhood_graph,
     surrogate_cluster,
     theory_min_delta,
     unit_ball_volume,
 )
 from ballet.subpartition import SubPartition
-from oracles import oracle_components, oracle_knn_distance
+from oracles import oracle_components, oracle_dbscan, oracle_knn_distance
 
 
 def pts1d(*xs):
@@ -57,35 +57,53 @@ def test_pointset_csv_roundtrip(tmp_path):
     assert np.array_equal(back2.points, ps.points)
 
 
-# -- grid index --------------------------------------------------------------
+# -- delta-graph pairs ---------------------------------------------------------
+
+
+def brute_pairs(pts, r, closed):
+    n = len(pts)
+    out = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            d2 = float(((pts[j] - pts[i]) ** 2).sum())
+            if (d2 <= r * r) if closed else (d2 < r * r):
+                out.add((i, j))
+    return out
+
+
+def lattice_points(rng, d, side, n_dup):
+    """Distinct integer-lattice points plus n_dup exact duplicates of some of them."""
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    base = grid[rng.random(len(grid)) < 0.7].astype(float)
+    pts = np.concatenate([base, base[rng.integers(0, len(base), n_dup)]])
+    return pts[rng.permutation(len(pts))]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_grid_matches_brute_force(d):
+def test_delta_pairs_match_brute_force(d):
     rng = np.random.default_rng(d)
     pts = rng.uniform(size=(80, d))
-    r = 0.2
-    grid = GridIndex(pts, r)  # d=5 falls back to brute internally
-    for i in range(0, 80, 7):
-        x = pts[i]
-        d2 = ((pts - x) ** 2).sum(axis=1)
+    for r in (0.2, 0.5):
         for closed in (True, False):
-            expect = np.flatnonzero(d2 <= r * r) if closed else np.flatnonzero(d2 < r * r)
-            got = np.sort(grid.query_ball(x, r, closed=closed))
-            assert np.array_equal(got, expect)
+            got = _delta_pairs(pts, r, closed)
+            assert got.shape[1] == 2 and np.all(got[:, 0] < got[:, 1])
+            assert set(map(tuple, got.tolist())) == brute_pairs(pts, r, closed)
+    lattice = lattice_points(rng, d, 3 if d == 5 else 4, 6)
+    for closed in (True, False):
+        got = _delta_pairs(lattice, 1.0, closed)
+        assert set(map(tuple, got.tolist())) == brute_pairs(lattice, 1.0, closed)
 
 
-def test_grid_rejects_oversized_radius():
-    grid = GridIndex(np.zeros((3, 2)), 0.5)
-    with pytest.raises(ValueError):
-        grid.query_ball(np.zeros(2), 0.6)
+def test_delta_pairs_exact_boundary_closed_vs_open():
+    pts = np.array([[0.0], [1.0], [1.0]])
+    assert _delta_pairs(pts, 1.0, closed=True).tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert _delta_pairs(pts, 1.0, closed=False).tolist() == [[1, 2]]  # only the duplicate pair
 
 
-def test_grid_exact_boundary_closed_vs_open():
-    ps = np.array([[0.0], [1.0]])
-    grid = GridIndex(ps, 1.0)
-    assert set(grid.query_ball(np.array([0.0]), 1.0, closed=True).tolist()) == {0, 1}
-    assert set(grid.query_ball(np.array([0.0]), 1.0, closed=False).tolist()) == {0}
+def test_delta_pairs_rejects_bad_delta():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            _delta_pairs(np.zeros((3, 2)), bad, closed=True)
 
 
 # -- kNN and adaptive delta ---------------------------------------------------
@@ -184,18 +202,37 @@ def test_surrogate_strict_edges_at_exact_delta():
 
 def test_surrogate_matches_closure_oracle():
     rng = np.random.default_rng(100)
-    for trial in range(12):
-        n = int(rng.integers(20, 200))
-        pts = rng.uniform(size=(n, 2))
-        ps = PointSet(pts)
-        dens = rng.uniform(size=n)
-        lam = float(rng.uniform(0.2, 0.8))
-        delta = float(rng.uniform(0.05, 0.2))
-        for closed in (False, True):
-            got = surrogate_cluster(ps, dens, lam, delta, closed_edges=closed)
-            active = np.flatnonzero(dens >= lam)
-            expect = oracle_components(pts, active, delta, closed=closed)
-            assert got == SubPartition(expect)
+    for d in (1, 2, 3, 5):
+        for trial in range(6):
+            n = int(rng.integers(20, 200))
+            pts = rng.uniform(size=(n, d))
+            ps = PointSet(pts)
+            dens = rng.uniform(size=n)
+            lam = float(rng.uniform(0.2, 0.8))
+            delta = float(rng.uniform(0.5, 2.0)) * n ** (-1.0 / d)
+            for closed in (False, True):
+                got = surrogate_cluster(ps, dens, lam, delta, closed_edges=closed)
+                active = np.flatnonzero(dens >= lam)
+                expect = oracle_components(pts, active, delta, closed=closed)
+                assert got == SubPartition(expect)
+
+
+def test_components_at_exact_delta_ties():
+    # integer lattice with delta = 1: every axis neighbour sits exactly on the
+    # boundary, so open and closed edges give different graphs; duplicates
+    # are at distance 0 and joined under both conventions
+    rng = np.random.default_rng(103)
+    for d in (1, 2, 3):
+        for trial in range(4):
+            pts = lattice_points(rng, d, {1: 12, 2: 6, 3: 4}[d], 5)
+            ps = PointSet(pts)
+            dens = rng.uniform(size=len(pts))
+            for closed in (False, True):
+                expect = oracle_components(pts, np.flatnonzero(dens >= 0.3), 1.0, closed=closed)
+                assert surrogate_cluster(ps, dens, 0.3, 1.0, closed_edges=closed) == SubPartition(expect)
+                active = rng.permutation(np.flatnonzero(dens >= 0.5))
+                expect = oracle_components(pts, np.sort(active), 1.0, closed=closed)
+                assert active_set_components(ps, active, 1.0, closed_edges=closed) == SubPartition(expect)
 
 
 def test_surrogate_monotone_in_lambda_active_sets():
@@ -232,10 +269,9 @@ def test_surrogate_input_validation():
 
 def test_neighborhood_graph_strict_and_components():
     ps = pts1d(0.0, 0.1, 0.2, 1.0)
-    g = neighborhood_graph(ps, [0, 1, 2, 3], delta=0.15)
-    assert g.edges == ((0, 1), (1, 2))
-    labels = g.component_labels(4)
-    assert SubPartition(labels) == SubPartition([1, 1, 1, 2])
+    assert _delta_pairs(ps.points, 0.15, closed=False).tolist() == [[0, 1], [1, 2]]
+    assert active_set_components(ps, [0, 1, 2, 3], delta=0.15) == SubPartition([1, 1, 1, 2])
+    assert active_set_components(ps, [0, 2, 3], delta=0.15) == SubPartition([1, 0, 2, 3])
 
 
 # -- DBSCAN -------------------------------------------------------------------
@@ -289,6 +325,35 @@ def test_dbscan_star_clusters_contained_in_classic():
         for cluster in star.clusters():
             targets = {classic.labels[i] for i in cluster}
             assert len(targets) == 1 and 0 not in targets
+
+
+def test_dbscan_matches_pairwise_oracle():
+    rng = np.random.default_rng(10)
+    for trial in range(12):
+        if trial % 2:
+            pts = lattice_points(rng, 2, 7, 6)
+            eps = 1.0
+        else:
+            pts = rng.uniform(size=(int(rng.integers(30, 120)), 2))
+            eps = float(rng.uniform(0.05, 0.2))
+        ps = PointSet(pts)
+        min_pts = int(rng.integers(1, 7))
+        for include_self in (True, False):
+            star = dbscan_star(ps, eps, min_pts, include_self=include_self)
+            assert star == SubPartition(oracle_dbscan(pts, eps, min_pts, include_self))
+            classic = dbscan_classic(ps, eps, min_pts, include_self=include_self)
+            assert classic == SubPartition(oracle_dbscan(pts, eps, min_pts, include_self, classic=True))
+
+
+def test_dbscan_classic_equidistant_border_joins_smallest_core_index():
+    left = [0.0, 0.125, 0.25, 0.375, 0.5]
+    right = [1.5, 1.625, 1.75, 1.875, 2.0]
+    # the point at 1.0 is a border point exactly 0.5 from the cores at 0.5 and 1.5
+    for xs, expect in ((left + [1.0] + right, [1] * 6 + [2] * 5), (right + [1.0] + left, [1] * 6 + [2] * 5)):
+        ps = pts1d(*xs)
+        assert dbscan_star(ps, 0.5, 4) == SubPartition([1] * 5 + [0] + [2] * 5)
+        assert dbscan_classic(ps, 0.5, 4) == SubPartition(expect)
+        assert dbscan_classic(ps, 0.5, 4) == SubPartition(oracle_dbscan(ps.points, 0.5, 4, classic=True))
 
 
 def test_dbscan_param_validation():

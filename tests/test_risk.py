@@ -27,7 +27,7 @@ from ballet.subpartition import (
     ia_binder_loss,
 )
 
-from oracles import oracle_ia_binder_loss, random_subpartition
+from oracles import oracle_components, oracle_ia_binder_loss, random_subpartition
 
 
 def random_draws(rng, n, S, max_k=3):
@@ -109,6 +109,28 @@ def test_ensemble_load_errors(tmp_path):
         DensityDrawEnsemble.load(empty_csv)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"[1,2]",
+        b"null",
+        b'{"S":2,"dtype":"<f8","n":2,"schema":"other/v1"}',
+        b'{"S":2,"dtype":">f8","n":2,"schema":"ballet/ensemble/v1"}',
+        b'{"S":2,"n":2,"schema":"ballet/ensemble/v1"}',
+        b'{"S":0,"dtype":"<f8","n":0,"schema":"ballet/ensemble/v1"}',
+        b'{"S":-2,"dtype":"<f8","n":-2,"schema":"ballet/ensemble/v1"}',
+        b'{"S":null,"dtype":"<f8","n":2,"schema":"ballet/ensemble/v1"}',
+        b'{"S":2.5,"dtype":"<f8","n":2,"schema":"ballet/ensemble/v1"}',
+    ],
+    ids=["list", "null", "schema", "big_endian", "no_dtype", "zero", "negative", "null_S", "float_S"],
+)
+def test_ensemble_load_rejects_bad_header(tmp_path, header):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(header + b"\n" + np.ones(4, dtype="<f8").tobytes())
+    with pytest.raises(DataIOError):
+        DensityDrawEnsemble.load(path)
+
+
 # -- draw clusterings ----------------------------------------------------------
 
 
@@ -122,6 +144,33 @@ def test_draw_clusterings_matches_per_draw_surrogate():
     cs = draw_clusterings(ps, e, lam=0.5, delta=1.5)
     assert cs[0].labels == (1, 1, 2, 2)
     assert cs[1].labels == (1, 0, 0, 2)
+
+
+def test_draw_clusterings_match_oracle_draw_by_draw():
+    rng = np.random.default_rng(12)
+    for trial in range(8):
+        if trial % 2:
+            # lattice with duplicates at delta = 1: exact-delta ties
+            pts = rng.integers(0, 6, size=(60, 2)).astype(float)
+            delta = 1.0
+        else:
+            pts = rng.uniform(size=(int(rng.integers(20, 120)), 3))
+            delta = float(rng.uniform(0.1, 0.3))
+        ps = PointSet(pts)
+        e = DensityDrawEnsemble(rng.uniform(size=(6, len(pts))))
+        lam = float(rng.uniform(0.2, 0.8))
+        for closed in (False, True):
+            cs = draw_clusterings(ps, e, lam, delta, closed_edges=closed)
+            assert len(cs) == e.S
+            for s, c in enumerate(cs):
+                expect = oracle_components(pts, np.flatnonzero(e.values[s] >= lam), delta, closed=closed)
+                assert c == SubPartition(expect)
+    # no point active in any draw: all noise, and delta is still validated
+    e = DensityDrawEnsemble(np.zeros((2, 4)))
+    ps = PointSet(np.zeros((4, 1)))
+    assert all(c.is_all_noise for c in draw_clusterings(ps, e, 0.5, 1.0))
+    with pytest.raises(ValueError):
+        draw_clusterings(ps, e, 0.5, 0.0)
 
 
 def test_draw_clusterings_alignment_error():

@@ -25,7 +25,8 @@ from ballet.subpartition import (
     precedes,
     rescaled_distance,
 )
-from oracles import oracle_ia_binder_loss, random_subpartition
+from ballet.subpartition import _canonical_labels
+from oracles import oracle_canonical_labels, oracle_ia_binder_loss, random_subpartition
 
 labels_strategy = st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=14)
 
@@ -64,6 +65,31 @@ def test_active_noise_indices():
 def test_canonicalization_idempotent(labels):
     sp = SubPartition(labels)
     assert SubPartition(sp.labels) == sp
+
+
+raw_label_strategy = st.one_of(
+    st.integers(min_value=-3, max_value=2**40),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 7.0, 1.5, -1.0, -2.5, math.nan, math.inf, -math.inf]),
+)
+
+
+@given(st.lists(raw_label_strategy, max_size=14), st.booleans())
+def test_canonical_labels_match_loop_oracle(labels, as_array):
+    raw = np.asarray(labels) if as_array else labels
+
+    def outcome(canonical):
+        try:
+            return tuple(int(v) for v in canonical(raw))
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+
+    assert outcome(_canonical_labels) == outcome(oracle_canonical_labels)
+
+
+def test_non_numeric_labels_rejected():
+    for bad in (["1", "2"], [None, 1], [[1, 2], [3, 4]], [1 + 2j]):
+        with pytest.raises(ValueError):
+            SubPartition(bad)
 
 
 @given(labels_strategy)
