@@ -31,6 +31,7 @@ from .credible import (
     greedy_upper_bound,
 )
 from .density import (
+    DensityDrawEnsemble,
     HistogramBins,
     HistogramDensity,
     HistogramMixtureConfig,
@@ -76,7 +77,6 @@ from .levelset import (
 from .risk import (
     BalletResult,
     CoClusteringStats,
-    DensityDrawEnsemble,
     SearchConfig,
     ballet_estimate,
     draw_clusterings,

@@ -35,7 +35,7 @@ from .bench import (
     run_simulation_study,
 )
 from .credible import compute_credible_ball
-from .density import HistogramMixtureConfig, build_ensemble, default_domain
+from .density import DensityDrawEnsemble, HistogramMixtureConfig, build_ensemble, default_domain
 from .errors import BalletError, ConfigError, DataIOError, InfeasibleError
 from .levels import LevelSpec, build_cluster_tree, persistent_clusters, resolve_level
 from .levelset import (
@@ -45,12 +45,7 @@ from .levelset import (
     dbscan_star,
     default_k_dbscan,
 )
-from .risk import (
-    DensityDrawEnsemble,
-    SearchConfig,
-    ballet_estimate,
-    plugin_estimate,
-)
+from .risk import SearchConfig, ballet_estimate, plugin_estimate
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition
 from .util import config_hash
 
@@ -288,21 +283,25 @@ def _resolve_one_level(cfg: RunConfig, key: str, value: float, fbar: np.ndarray,
     return resolve_level(spec, density_at_points=fbar, domain_volume=vol)
 
 
-def _resolve_delta(cfg: RunConfig, ps: PointSet, active: np.ndarray) -> float:
-    spec = cfg.delta if cfg.delta is not None else {"adaptive": {}}
-    if "fixed" in spec:
-        v = float(spec["fixed"])
-        if not (v > 0 and np.isfinite(v)):
-            raise ConfigError(f"fixed delta must be positive and finite, got {v}")
-        return v
-    d = dict(spec["adaptive"] or {})
+def _adaptive_config(cfg: RunConfig) -> AdaptiveDeltaConfig:
+    """The adaptive-delta settings of cfg; defaults when it gives none."""
+    d = dict((cfg.delta or {}).get("adaptive") or {})
     unknown = set(d) - {"k", "gamma"}
     if unknown:
         raise ConfigError(f"unknown adaptive-delta keys: {sorted(unknown)}")
-    acfg = AdaptiveDeltaConfig(
+    return AdaptiveDeltaConfig(
         k=None if d.get("k") is None else int(d["k"]),
         gamma=float(d.get("gamma", 0.01)),
     )
+
+
+def _resolve_delta(cfg: RunConfig, ps: PointSet, active: np.ndarray) -> float:
+    if cfg.delta is not None and "fixed" in cfg.delta:
+        v = float(cfg.delta["fixed"])
+        if not (v > 0 and np.isfinite(v)):
+            raise ConfigError(f"fixed delta must be positive and finite, got {v}")
+        return v
+    acfg = _adaptive_config(cfg)
     if active.size == 0:
         raise InfeasibleError("no active points at the resolved level; cannot adapt delta")
     return adaptive_delta(ps, active, acfg)
@@ -577,11 +576,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         nu = value
     if cfg.delta is not None and "fixed" in cfg.delta:
         raise ConfigError("the study always adapts delta; remove the fixed delta")
-    adaptive = dict((cfg.delta or {}).get("adaptive") or {})
-    delta_cfg = AdaptiveDeltaConfig(
-        k=None if adaptive.get("k") is None else int(adaptive["k"]),
-        gamma=float(adaptive.get("gamma", 0.01)),
-    )
+    delta_cfg = _adaptive_config(cfg)
     hist, S = _hist_config(cfg.model)
     spec = SkySurveySpec(
         n=args.n,

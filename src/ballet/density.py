@@ -4,23 +4,25 @@ Three evaluators: a mixture of random histograms with a fast modular
 posterior sampler (bin layouts drawn once from the prior, per-component bin
 masses drawn conjugately), a uniform-kernel KDE, and a k-NN density. The
 latter two exist mainly for the DBSCAN correspondences; the histogram mixture
-is the workhorse posterior model.
+is the workhorse posterior model. Posterior draws evaluated at the points are
+held in a DensityDrawEnsemble, the input of every downstream stage.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataIOError, NumericError
 from .levelset import PointSet, unit_ball_volume
-from .risk import DensityDrawEnsemble
-from .util import spawn_rngs
+from .util import canonical_json, spawn_rngs
 
 __all__ = [
+    "DensityDrawEnsemble",
     "HistogramMixtureConfig",
     "HistogramBins",
     "HistogramDensity",
@@ -37,6 +39,89 @@ __all__ = [
 ]
 
 _MAX_AXES = 3
+
+
+ENSEMBLE_SCHEMA = "ballet/ensemble/v1"
+
+
+class DensityDrawEnsemble:
+    """S posterior density draws evaluated at the n observation points."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: np.ndarray):
+        vals = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+        if vals.ndim != 2 or vals.shape[0] < 1 or vals.shape[1] < 1:
+            raise ValueError(f"ensemble must be a nonempty S x n matrix, got shape {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("ensemble values must be finite")
+        if (vals < 0).any():
+            raise NumericError("ensemble values must be nonnegative")
+        vals.setflags(write=False)
+        self.values = vals
+
+    @property
+    def S(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[1]
+
+    def posterior_mean(self) -> np.ndarray:
+        return self.values.mean(axis=0)
+
+    def save(self, path) -> None:
+        """Binary: one JSON header line, then S*n row-major little-endian doubles.
+
+        A .csv extension writes the plain-text alternative (one draw per row).
+        """
+        if str(path).endswith(".csv"):
+            with open(path, "w", encoding="ascii") as fh:
+                for row in self.values:
+                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            return
+        header = canonical_json({"S": self.S, "dtype": "<f8", "n": self.n, "schema": ENSEMBLE_SCHEMA})
+        with open(path, "wb") as fh:
+            fh.write(header.encode("ascii") + b"\n")
+            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
+
+    @classmethod
+    def load(cls, path) -> "DensityDrawEnsemble":
+        try:
+            if str(path).endswith(".csv"):
+                rows = []
+                with open(path, "r", encoding="ascii") as fh:
+                    for line in fh:
+                        line = line.strip()
+                        if line:
+                            rows.append([float(tok) for tok in line.split(",")])
+                if not rows:
+                    raise DataIOError(f"no rows in ensemble CSV {path}")
+                return cls(np.asarray(rows, dtype=np.float64))
+            with open(path, "rb") as fh:
+                header_line = fh.readline()
+                payload = fh.read()
+            header = json.loads(header_line.decode("ascii"))
+            if not isinstance(header, dict):
+                raise DataIOError(f"ensemble header is not a JSON object: {header!r}")
+            if header.get("schema") != ENSEMBLE_SCHEMA or header.get("dtype") != "<f8":
+                raise DataIOError(
+                    f"ensemble header needs schema {ENSEMBLE_SCHEMA!r} and dtype '<f8', "
+                    f"got {header.get('schema')!r} and {header.get('dtype')!r}"
+                )
+            S, n = header.get("S"), header.get("n")
+            if not all(type(v) is int and v >= 1 for v in (S, n)):
+                raise DataIOError(f"ensemble header needs integers S, n >= 1, got S={S!r}, n={n!r}")
+            expected = S * n * 8
+            if len(payload) != expected:
+                raise DataIOError(
+                    f"ensemble payload is {len(payload)} bytes, expected {expected} for S={S}, n={n}"
+                )
+            vals = np.frombuffer(payload, dtype="<f8").reshape(S, n)
+            return cls(vals)
+        except (OSError, ValueError) as exc:
+            raise DataIOError(f"cannot read ensemble from {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

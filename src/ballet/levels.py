@@ -14,9 +14,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .density import DensityDrawEnsemble
 from .errors import ConfigError, InfeasibleError
 from .levelset import PointSet, surrogate_cluster
-from .risk import DensityDrawEnsemble, SearchConfig, ballet_estimate, plugin_estimate
+from .risk import SearchConfig, ballet_estimate, plugin_estimate
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition
 from .util import _ceil_count, canonical_json, order_statistic_upper
 

@@ -31,6 +31,32 @@ def oracle_ia_binder_loss(labels1, labels2, a=1.0, b=1.0, m_ai=0.5, m_ia=0.5) ->
     return loss
 
 
+def oracle_pair_frequencies(draws):
+    """Active frequency alpha_i and pair frequencies of S draw clusterings.
+
+    pi1[i, j]: draws where i and j are both active and together; pi2[i, j]:
+    both active and apart. All are exact fractions of S (object arrays of
+    Fraction), with a zero diagonal. Draws are label sequences or objects
+    with a .labels sequence.
+    """
+    from fractions import Fraction
+
+    labels = [list(getattr(d, "labels", d)) for d in draws]
+    S, n = len(labels), len(labels[0])
+    alpha = np.array([Fraction(sum(lab[i] != 0 for lab in labels), S) for i in range(n)], dtype=object)
+    pi1 = np.full((n, n), Fraction(0), dtype=object)
+    pi2 = np.full((n, n), Fraction(0), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            together = sum(lab[i] != 0 and lab[j] != 0 and lab[i] == lab[j] for lab in labels)
+            apart = sum(lab[i] != 0 and lab[j] != 0 and lab[i] != lab[j] for lab in labels)
+            pi1[i, j] = Fraction(together, S)
+            pi2[i, j] = Fraction(apart, S)
+    return alpha, pi1, pi2
+
+
 def oracle_knn_distance(points: np.ndarray, k: int) -> np.ndarray:
     """kth nearest OTHER point by full sorted distance matrix."""
     n = len(points)

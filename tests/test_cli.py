@@ -134,6 +134,19 @@ def test_config_errors_exit_2(moons_dir, moons_cfg, tmp_path):
     assert main(["bounds", "--config", str(moons_cfg), "--alpha", "1.5"]) == 2
 
 
+def test_unknown_adaptive_delta_keys_exit_2(moons_dir, tmp_path):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({
+        "data": str(moons_dir / "points.csv"),
+        "model": {"K": 10, "M_prime": 12, "S": 20},
+        "level": {"nu": 0.85},
+        "delta": {"adaptive": {"kk": 3}},
+    }))
+    assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "b"), "--reps", "1",
+                 "--n", "300", "--components", "3"]) == 2
+
+
 def test_io_errors_exit_3(moons_cfg, tmp_path):
     assert main(["cluster", "--config", str(tmp_path / "nope.json")]) == 3
     assert main(["cluster", "--config", str(moons_cfg), "--data", str(tmp_path / "nope.csv")]) == 3

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from ballet.risk import (
     ballet_estimate,
     draw_clusterings,
     empirical_risk,
-    incremental_best_assignment,
     plugin_estimate,
     precompute_stats,
     search,
@@ -27,7 +27,12 @@ from ballet.subpartition import (
     ia_binder_loss,
 )
 
-from oracles import oracle_components, oracle_ia_binder_loss, random_subpartition
+from oracles import (
+    oracle_components,
+    oracle_ia_binder_loss,
+    oracle_pair_frequencies,
+    random_subpartition,
+)
 
 
 def random_draws(rng, n, S, max_k=3):
@@ -187,29 +192,35 @@ def two_draw_fixture():
     return [SubPartition([1, 1]), SubPartition([1, 0])]
 
 
+def as_float(x):
+    return np.asarray(x, dtype=float)
+
+
 def test_stats_two_draw_fixture():
     stats = precompute_stats(two_draw_fixture())
     assert stats.S == 2 and stats.n == 2
     assert np.array_equal(stats.alpha, [1.0, 0.5])
-    assert stats.pi1(0, 1) == 0.5
-    assert stats.pi1(1, 0) == 0.5
-    assert stats.pi2(0, 1) == 0.0
-
-
-def test_stats_diagonal_rejected():
-    stats = precompute_stats(two_draw_fixture())
-    with pytest.raises(ValueError):
-        stats.pi1(1, 1)
-    with pytest.raises(ValueError):
-        stats.pi2(0, 0)
+    assert np.array_equal(stats.support, [0, 1])
+    assert np.array_equal(stats.draw_labels, [[1, 1], [1, 0]])
+    alpha, pi1, pi2 = oracle_pair_frequencies(two_draw_fixture())
+    assert np.array_equal(as_float(alpha), stats.alpha)
+    assert pi1[0, 1] == pi1[1, 0] == Fraction(1, 2)
+    assert pi2[0, 1] == 0
 
 
 def test_stats_off_support_pairs_are_zero():
     draws = [SubPartition([1, 0, 1]), SubPartition([1, 0, 0])]
     stats = precompute_stats(draws)
     assert stats.alpha[1] == 0.0
-    assert stats.pi1(0, 1) == 0.0
-    assert stats.pi2(1, 2) == 0.0
+    assert np.array_equal(stats.support, [0, 2])
+    assert stats.draw_labels.shape == (2, 2)
+    freqs = oracle_pair_frequencies(draws)
+    _, pi1, pi2 = freqs
+    assert not pi1[1].any() and not pi1[:, 1].any() and not pi2[1].any() and not pi2[:, 1].any()
+    # an active off-support point costs m_ia (n - 1) and pairs with nothing
+    for labels in ([1, 1, 1], [0, 2, 1], [1, 2, 0]):
+        c = SubPartition(labels)
+        assert empirical_risk(c, stats) == float(restricted_risk(labels, freqs, LossParams()))
 
 
 def test_stats_input_validation():
@@ -226,21 +237,24 @@ def test_stats_matrices_match_accessors_and_invariants():
         S = int(rng.integers(1, 7))
         draws = random_draws(rng, n, S)
         stats = precompute_stats(draws)
-        m1 = stats.pi1_matrix()
-        m2 = stats.pi2_matrix()
-        assert np.array_equal(m1, m1.T) and np.array_equal(m2, m2.T)
-        assert np.all(np.diag(m1) == 0) and np.all(np.diag(m2) == 0)
+        alpha, pi1, pi2 = oracle_pair_frequencies(draws)
+        assert np.array_equal(as_float(alpha), stats.alpha)
         for i in range(n):
+            assert pi1[i, i] == pi2[i, i] == 0
             for j in range(n):
-                if i == j:
-                    continue
-                assert m1[i, j] == stats.pi1(i, j)
-                assert m2[i, j] == stats.pi2(i, j)
-                cap = min(stats.alpha[i], stats.alpha[j])
-                assert m1[i, j] + m2[i, j] <= cap + 1e-15
-        # frequencies are exact multiples of 1/S
-        assert np.allclose((m1 * S) % 1.0, 0.0, atol=1e-12)
-        assert np.allclose((m2 * S) % 1.0, 0.0, atol=1e-12)
+                assert pi1[i, j] == pi1[j, i] and pi2[i, j] == pi2[j, i]
+                assert pi1[i, j] + pi2[i, j] <= min(alpha[i], alpha[j])
+                # frequencies are exact multiples of 1/S
+                assert S % pi1[i, j].denominator == 0 and S % pi2[i, j].denominator == 0
+        # the support-restricted label matrix carries every pair frequency
+        L, sup = stats.draw_labels, stats.support
+        both = (L[:, :, None] > 0) & (L[:, None, :] > 0)
+        same = both & (L[:, :, None] == L[:, None, :])
+        off_diag = ~np.eye(sup.size, dtype=bool)
+        assert np.array_equal(same.sum(axis=0) / S * off_diag, as_float(pi1[np.ix_(sup, sup)]))
+        assert np.array_equal((both & ~same).sum(axis=0) / S, as_float(pi2[np.ix_(sup, sup)]))
+        off = np.setdiff1d(np.arange(n), sup)
+        assert not pi1[off].any() and not pi2[off].any()
 
 
 def test_stats_direct_count_check():
@@ -248,23 +262,36 @@ def test_stats_direct_count_check():
     n, S = 7, 5
     draws = random_draws(rng, n, S)
     stats = precompute_stats(draws)
+    support = [i for i in range(n) if any(d.labels[i] != 0 for d in draws)]
+    assert stats.support.tolist() == support
     for i in range(n):
         active = sum(d.labels[i] != 0 for d in draws)
         assert stats.alpha[i] == active / S
-        for j in range(i + 1, n):
-            together = sum(
-                d.labels[i] != 0 and d.labels[j] != 0 and d.labels[i] == d.labels[j]
-                for d in draws
-            )
-            apart = sum(
-                d.labels[i] != 0 and d.labels[j] != 0 and d.labels[i] != d.labels[j]
-                for d in draws
-            )
-            assert stats.pi1(i, j) == together / S
-            assert stats.pi2(i, j) == apart / S
+    for s, d in enumerate(draws):
+        assert stats.draw_labels[s].tolist() == [d.labels[i] for i in support]
 
 
 # -- empirical risk ------------------------------------------------------------
+
+
+def restricted_risk(labels, freqs, p):
+    """Exact risk of a partial assignment from oracle frequencies.
+
+    labels: -1 unassigned, 0 noise, >0 clusters; the sums run over the
+    assigned points only, with the (n - 1) prefactor of the full formula.
+    """
+    alpha, pi1, pi2 = freqs
+    a, b, m_ai, m_ia = (Fraction(w) for w in (p.a, p.b, p.m_ai, p.m_ia))
+    n = len(alpha)
+    assigned = [i for i in range(len(labels)) if labels[i] >= 0]
+    total = Fraction(0)
+    for i in assigned:
+        total += (n - 1) * (m_ai * alpha[i] if labels[i] == 0 else m_ia * (1 - alpha[i]))
+    for i in assigned:
+        for j in assigned:
+            if i < j and labels[i] != 0 and labels[j] != 0:
+                total += a * pi1[i, j] if labels[i] != labels[j] else b * pi2[i, j]
+    return total
 
 
 def test_risk_two_draw_fixture_value():
@@ -278,14 +305,26 @@ def test_risk_two_draw_fixture_value():
 def test_risk_equals_averaged_loss():
     rng = np.random.default_rng(13)
     params = [LossParams(), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]
+    off_support = 0
     for trial in range(60):
         n = int(rng.integers(2, 11))
         S = int(rng.integers(1, 8))
         draws = random_draws(rng, n, S, max_k=4)
+        if trial % 3 == 0:
+            # a point no draw activates, which the candidate may activate
+            dead = int(rng.integers(n))
+            draws = [SubPartition([0 if i == dead else v for i, v in enumerate(d.labels)]) for d in draws]
         stats = precompute_stats(draws)
         c = random_subpartition(rng, n, max_k=4)
+        off_support += int(np.count_nonzero(c.labels_array[stats.alpha == 0]))
         p = params[trial % 2]
-        assert empirical_risk(c, stats, p) == pytest.approx(averaged_loss(c, draws, p), abs=1e-12)
+        risk = empirical_risk(c, stats, p)
+        assert risk == pytest.approx(averaged_loss(c, draws, p), abs=1e-12)
+        quad = restricted_risk(c.labels, oracle_pair_frequencies(draws), p)
+        assert risk == pytest.approx(float(quad), abs=1e-12)
+        if p == LossParams():
+            assert risk == float(quad)  # dyadic weights: exact
+    assert off_support >= 10
 
 
 def test_risk_all_noise_closed_form():
@@ -303,90 +342,167 @@ def test_risk_size_mismatch():
         empirical_risk(SubPartition([1, 1, 0]), stats)
 
 
-def test_risk_packed_path_matches_dense_cache(monkeypatch):
-    rng = np.random.default_rng(15)
-    draws = random_draws(rng, 12, 5)
-    cands = [random_subpartition(rng, 12) for _ in range(10)]
-    stats_dense = precompute_stats(draws)
-    assert stats_dense._d1 is not None
-    monkeypatch.setattr(risk_mod, "_DENSE_CACHE_LIMIT", 0)
-    stats_packed = precompute_stats(draws)
-    assert stats_packed._d1 is None
-    for c in cands:
-        a = empirical_risk(c, stats_dense)
-        b = empirical_risk(c, stats_packed)
-        assert a == pytest.approx(b, abs=1e-12)
+# -- incremental assignment (the search engine) --------------------------------
 
 
-# -- incremental assignment ----------------------------------------------------
+def engine_at(stats, labels_sup, p=LossParams()):
+    engine = risk_mod._Engine(stats, p)
+    engine.reset(np.asarray(labels_sup))
+    return engine
 
 
-def restricted_risk(labels, stats, p):
-    """Risk of a prefix assignment, sums restricted to the assigned points."""
-    t = len(labels)
-    n = stats.n
-    total = 0.0
-    for i in range(t):
-        if labels[i] == 0:
-            total += (n - 1) * p.m_ai * stats.alpha[i]
-        else:
-            total += (n - 1) * p.m_ia * (1.0 - stats.alpha[i])
-    for i in range(t):
-        for j in range(i + 1, t):
-            if labels[i] != 0 and labels[j] != 0:
-                if labels[i] != labels[j]:
-                    total += p.a * stats.pi1(i, j)
-                else:
-                    total += p.b * stats.pi2(i, j)
-    return total
+def full_labels(stats, labels_sup):
+    """Full-length labels with every off-support point unassigned."""
+    out = [-1] * stats.n
+    for pos, i in enumerate(stats.support):
+        out[i] = int(labels_sup[pos])
+    return out
+
+
+def exact_cell_costs(stats, freqs, engine, i, ids, p):
+    """S times the restricted-risk increment of each cell for point i."""
+    before = full_labels(stats, engine.labels)
+    base = restricted_risk(before, freqs, p)
+    fresh = max([0] + [h for h in before if h > 0]) + 1
+    out = []
+    for h in [0, fresh] + [int(h) for h in ids]:
+        after = list(before)
+        after[stats.support[i]] = h
+        out.append(stats.S * (restricted_risk(after, freqs, p) - base))
+    return out
 
 
 def test_incremental_first_point_noise_iff_alpha_at_most_half():
     # alpha for point 0 is 0.5: exact tie, broken towards noise
     draws = [SubPartition([1, 1, 0]), SubPartition([0, 1, 0])]
-    stats = precompute_stats(draws)
-    out = incremental_best_assignment(SubPartition([]), 0, stats)
-    assert out.labels == (0,)
+    engine = engine_at(precompute_stats(draws), [-1, -1])
+    assert engine.best_assignment(0) == (0, 1.0)
     # alpha 1.0: active singleton wins
     draws = [SubPartition([1, 1, 0]), SubPartition([1, 1, 0])]
-    stats = precompute_stats(draws)
-    out = incremental_best_assignment(SubPartition([]), 0, stats)
-    assert out.labels == (1,)
-
-
-def test_incremental_prefix_contract():
-    stats = precompute_stats(two_draw_fixture())
-    with pytest.raises(ValueError):
-        incremental_best_assignment(SubPartition([1]), 0, stats)
-    with pytest.raises(ValueError):
-        incremental_best_assignment(SubPartition([1, 0]), 2, stats)
+    engine = engine_at(precompute_stats(draws), [-1, -1])
+    assert engine.best_assignment(0) == (1, 0.0)
 
 
 def test_incremental_minimizes_restricted_risk():
     rng = np.random.default_rng(16)
     p = LossParams()
+    checked = 0
     for _ in range(40):
         n = int(rng.integers(2, 8))
         draws = random_draws(rng, n, int(rng.integers(1, 6)))
         stats = precompute_stats(draws)
-        t = int(rng.integers(0, n))
-        partial = random_subpartition(rng, t) if t else SubPartition([])
-        out = incremental_best_assignment(partial, t, stats, p)
-        assert out.n == t + 1
-        assert out.labels[:t] == partial.labels
-        got = restricted_risk(list(out.labels), stats, p)
-        k = partial.k
-        best = math.inf
-        best_label = None
-        for cand in [0, k + 1] + list(range(1, k + 1)):
-            r = restricted_risk(list(partial.labels) + [cand], stats, p)
-            if r < best - 1e-15:
-                best = r
-                best_label = cand
-        assert got == pytest.approx(best, abs=1e-12)
-        # tie order: noise, then new cluster, then clusters by ascending id
-        if best_label is not None:
-            assert restricted_risk(list(partial.labels) + [best_label], stats, p) >= got - 1e-12
+        u = stats.support.size
+        if u == 0:
+            continue
+        freqs = oracle_pair_frequencies(draws)
+        labels = rng.integers(-1, 4, size=u)
+        i = int(rng.integers(u))
+        labels[i] = -1
+        engine = engine_at(stats, labels, p)
+        ids, _ = engine.candidate_costs(i)
+        exact = exact_cell_costs(stats, freqs, engine, i, ids, p)
+        # tie order: noise, then a new cluster, then clusters by ascending id
+        want = exact.index(min(exact))
+        label, cost = engine.best_assignment(i)
+        assert cost == float(min(exact))
+        others = set(engine.labels.tolist()) - {-1, 0}
+        if want == 0:
+            assert label == 0
+        elif want == 1:
+            assert label > 0 and label not in others
+        else:
+            assert label == ids[want - 2]
+        checked += 1
+    assert checked >= 30
+
+
+def test_engine_costs_match_restricted_risk_differences():
+    rng = np.random.default_rng(21)
+    params = [LossParams(), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]
+    for trial in range(60):
+        n = int(rng.integers(2, 10))
+        draws = random_draws(rng, n, int(rng.integers(1, 7)))
+        stats = precompute_stats(draws)
+        u = stats.support.size
+        if u == 0:
+            continue
+        p = params[trial % 2]
+        freqs = oracle_pair_frequencies(draws)
+        engine = engine_at(stats, rng.integers(-1, 4, size=u), p)
+        # random moves, new clusters included, through the incremental updates
+        for _ in range(3 * u):
+            i = int(rng.integers(u))
+            engine.move(i, -1)
+            pick = int(rng.integers(3))
+            live = engine.live_ids()
+            label = [0, engine.fresh_id(), int(live[0]) if live.size else 0][pick]
+            engine.move(i, label)
+        assert engine.live_ids().tolist() == sorted(set(engine.labels.tolist()) - {-1, 0})
+        for i in range(u):
+            old = engine.move(i, -1)
+            ids, costs = engine.candidate_costs(i)
+            exact = exact_cell_costs(stats, freqs, engine, i, ids, p)
+            assert costs / stats.S == pytest.approx([float(x) / stats.S for x in exact], abs=1e-12)
+            if trial % 2 == 0:
+                assert costs.tolist() == [float(x) for x in exact]  # dyadic weights: exact
+            engine.move(i, old)
+
+
+def test_engine_fresh_ids_keep_order():
+    """Renumbering when the table is full keeps the order of the ids."""
+    rng = np.random.default_rng(22)
+    draws = random_draws(rng, 30, 4)
+    stats = precompute_stats(draws)
+    u = stats.support.size
+    engine = engine_at(stats, np.full(u, -1))
+    mirror = np.full(u, -1)  # the same moves with fresh id = max + 1, never renumbered
+    for _ in range(400):
+        i = int(rng.integers(u))
+        engine.move(i, -1)
+        mirror[i] = -1
+        live = engine.live_ids()
+        live_m = np.unique(mirror[mirror > 0])
+        assert live.size == live_m.size
+        pick = int(rng.integers(3)) if live.size else int(rng.integers(2))
+        if pick == 0:
+            engine.move(i, 0)
+            mirror[i] = 0
+        elif pick == 1:
+            engine.move(i, engine.fresh_id())
+            mirror[i] = int(mirror.max(initial=0)) + 1
+        else:
+            t = int(rng.integers(live.size))
+            engine.move(i, int(live[t]))
+            mirror[i] = live_m[t]
+        act = mirror > 0
+        pairs = sorted(set(zip(mirror[act].tolist(), engine.labels[act].tolist())))
+        assert [e for _, e in pairs] == sorted({e for _, e in pairs})
+        assert len(pairs) == len({m for m, _ in pairs})
+    assert mirror.max() >= engine.sizes.size  # ids were renumbered at least once
+    rebuilt = engine_at(stats, engine.labels)
+    live = engine.live_ids()
+    assert np.array_equal(rebuilt.T[:, live], engine.T[:, live])
+
+
+def test_engine_prices_exact_ties_with_S3():
+    # with S = 3, 1/S is not a binary fraction. Joining cluster 1 or 2 costs
+    # point 0 exactly 5/3 (risk units), the least of its cells; frequencies
+    # rounded to floats price them 1.666666666666667 and 1.6666666666666667
+    # and pick cluster 2 against the ascending-id tie rule.
+    draws = [
+        SubPartition([1, 1, 1, 2, 0, 1, 1, 2]),
+        SubPartition([2, 0, 1, 2, 1, 2, 2, 0]),
+        SubPartition([1, 0, 1, 2, 0, 1, 0, 1]),
+    ]
+    stats = precompute_stats(draws)
+    assert stats.support.size == 8
+    engine = engine_at(stats, [-1, 0, 0, 3, 2, 2, 1, 2])
+    ids, costs = engine.candidate_costs(0)
+    assert ids.tolist() == [1, 2, 3]
+    exact = exact_cell_costs(stats, oracle_pair_frequencies(draws), engine, 0, ids, LossParams())
+    assert exact == [Fraction(21, 2), 7, 5, 5, 8]
+    assert costs.tolist() == [10.5, 7.0, 5.0, 5.0, 8.0]
+    assert engine.best_assignment(0) == (1, 5.0)
 
 
 # -- search --------------------------------------------------------------------
