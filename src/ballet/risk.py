@@ -10,7 +10,8 @@ the search exact while skipping it.
 
 Risks and search costs are computed in units of 1/S, as integer counts times
 the loss weights. They are exact for dyadic weights (the defaults), so equal
-risks compare equal and the search decides ties exactly.
+risks compare equal and the search decides ties exactly. The search's count
+table holds O(S u) entries whatever the draw and candidate cluster counts.
 """
 
 from __future__ import annotations
@@ -154,55 +155,118 @@ class SearchConfig:
             raise ValueError("restarts and sweetening passes must be >= 1, zealous attempts >= 0")
 
 
+_WIDE = 16  # a draw cell gets a row of N once _WIDE times its size reaches the table width
+
+
 class _Engine:
     """Support-local labels with the count table that prices point moves.
 
-    labels: -1 unassigned, 0 noise, >0 cluster ids (not necessarily compact).
-    The int table T has one column per id below its width. Row s*G + g holds
-    N[s, g, h], the members of h in cluster g of draw s; row S*G + s holds
-    A[s, h], the members of h active in draw s. rows[i] lists point i's rows:
-    its cluster in each of the d_i draws where it is active, then those
-    draws' A rows. So a move updates 2 d_i <= 2S entries, and pricing reads
-    those rows. Costs are S times the restricted-risk increments (sums over
-    assigned points, with the (n-1) prefactor of the full formula).
+    labels: -1 unassigned, 0 noise, >0 cluster ids (1..k after each rebuild).
+    Pricing point i needs, for each id h below the table width W, n1[h], the
+    members of h in i's cluster summed over draws (sum_s N[s, L_s(i), h]),
+    and both[h], the members of h active in the draws where i is (the sum of
+    A[s, h] over those draws). The int table T holds one row of N for each
+    wide draw cell, one with at least W / _WIDE members, then the S rows of
+    A, then a zero row. Each active draw of a point reads its cell's row, or
+    the zero row if the cell is narrow or the point alone (the point priced
+    is unassigned, so it counts nothing there); the members of its narrow
+    cells are counted when it is priced. So T holds at most _WIDE S u +
+    (S + 1) W entries with W <= 2(u + 1), a move updates the rows of i's
+    wide cells and active draws, and pricing reads O(S W) counts. Costs are
+    S times the restricted-risk increments (sums over assigned points, with
+    the (n-1) prefactor of the full formula).
     """
 
     def __init__(self, stats: CoClusteringStats, p: LossParams):
         L = stats.draw_labels
         S, u = L.shape
-        G = int(L.max(initial=0)) + 1
         draw_active = np.count_nonzero(L, axis=0)
         self.p = p
         self.noise_cost = (stats.n - 1) * p.m_ai * draw_active
         self.active_base = (stats.n - 1) * p.m_ia * (S - draw_active)
-        i, s = np.nonzero(L.T)
-        flat = np.concatenate([s * G + L[s, i], S * G + s])
-        owner = np.concatenate([2 * i, 2 * i + 1])
-        order = np.argsort(owner, kind="stable")
-        self._flat, self._owner = flat[order], owner[order] // 2
-        self.rows = np.split(self._flat, np.cumsum(2 * draw_active)[:-1]) if u else []
-        self._n_rows = S * G + S
+        self._S = S
+        # (point, draw) entries where the point is active, grouped by point
+        self._point, self._draws = np.nonzero(L.T)
+        self._ptr = np.concatenate([[0], np.cumsum(draw_active)])
+        # cells of two or more points: the cell of each entry (-1 if alone),
+        # and the members grouped by cell
+        G = int(L.max(initial=0)) + 1
+        key = self._draws * G + L[self._draws, self._point]
+        _, cell, size = np.unique(key, return_inverse=True, return_counts=True)
+        multi = size > 1
+        self._cell = np.where(multi[cell], (np.cumsum(multi) - 1)[cell], -1)
+        self._cell_size = size[multi]
+        self._cell_start = np.cumsum(self._cell_size) - self._cell_size
+        shared = self._cell >= 0
+        self._members = self._point[shared][np.argsort(self._cell[shared], kind="stable")]
+        self._n_wide = -1
         self.reset(np.full(u, -1))
 
+    def _classify(self, W: int) -> None:
+        """Give the wide cells rows of T and list each point's rows and narrow cells."""
+        wide = _WIDE * self._cell_size >= W
+        n_wide = int(np.count_nonzero(wide))
+        if n_wide == self._n_wide:  # the wide cells are the n_wide largest, so unchanged
+            return
+        self._n_wide = n_wide
+        u = self.labels.size
+        zero = n_wide + self._S
+        rowmap = np.append(np.where(wide, np.cumsum(wide) - 1, zero), zero)
+        self._nrow = rowmap[self._cell]
+        # point i prices from rows[2 ptr[i] : 2 ptr[i + 1]]: its N rows, then its A rows
+        e = np.arange(self._point.size)
+        self._price_rows = np.empty(2 * e.size, dtype=np.int64)
+        self._price_rows[e + self._ptr[self._point]] = self._nrow
+        self._price_rows[e + self._ptr[self._point + 1]] = n_wide + self._draws
+        # point i updates rows[rptr[i] : rptr[i + 1]]: the same without the zero row
+        real = self._price_rows != zero
+        self._rows = self._price_rows[real]
+        self._rptr = np.concatenate([[0], np.cumsum(real)])[2 * self._ptr]
+        # point i gathers _members[repeat(shift, len) + arange(total)] over its narrow cells
+        narrow = (self._cell >= 0) & (self._nrow == zero)
+        owner = self._point[narrow]
+        self._nlen = self._cell_size[self._cell[narrow]]
+        self._nptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=u))])
+        self._ntotal = np.bincount(owner, weights=self._nlen, minlength=u).astype(np.int64)
+        first = np.cumsum(self._ntotal) - self._ntotal
+        before = np.cumsum(self._nlen) - self._nlen
+        self._nshift = self._cell_start[self._cell[narrow]] - before + first[owner]
+
     def reset(self, labels: np.ndarray) -> None:
-        """Take labels as the state and rebuild the table, in O(S u)."""
+        """Take labels as the state, ids renumbered 1..k in order, and rebuild T in O(S u)."""
         self.labels = np.array(labels, dtype=np.int64)
-        W = 2 * (int(self.labels.max(initial=0)) + 1)
-        h = self.labels[self._owner]
-        keep = h > 0
-        self.T = np.bincount(
-            self._flat[keep] * W + h[keep], minlength=self._n_rows * W
-        ).reshape(self._n_rows, W)
-        self.sizes = np.bincount(self.labels[self.labels > 0], minlength=W)
+        pos = self.labels > 0
+        ids, inv = np.unique(self.labels[pos], return_inverse=True)
+        self.labels[pos] = inv + 1
+        W = 2 * (ids.size + 1)
+        self._classify(W)
+        zero = self._n_wide + self._S
+        h = self.labels[self._point]
+        in_n = (h > 0) & (self._nrow != zero)
+        in_a = h > 0
+        rows = np.concatenate([self._nrow[in_n], self._n_wide + self._draws[in_a]])
+        cols = np.concatenate([h[in_n], h[in_a]])
+        self.T = np.bincount(rows * W + cols, minlength=(zero + 1) * W).reshape(zero + 1, W)
+        self.sizes = np.bincount(self.labels[pos], minlength=W)
 
     def move(self, i: int, h: int) -> int:
-        """Relabel point i to h (-1 unassigns it); returns its old label."""
+        """Relabel point i to h (-1 unassigns it); returns its old label.
+
+        An h past the table width must be a fresh id (above every live id).
+        The ids are then renumbered 1..k in order and T rebuilt, so labels
+        and ids read before the call no longer apply.
+        """
         old = int(self.labels[i])
+        if h >= self.sizes.size:
+            self.labels[i] = h
+            self.reset(self.labels)
+            return old
+        rows = self._rows[self._rptr[i] : self._rptr[i + 1]]
         if old > 0:
-            self.T[self.rows[i], old] -= 1
+            self.T[rows, old] -= 1
             self.sizes[old] -= 1
         if h > 0:
-            self.T[self.rows[i], h] += 1
+            self.T[rows, h] += 1
             self.sizes[h] += 1
         self.labels[i] = h
         return old
@@ -211,21 +275,9 @@ class _Engine:
         return self.sizes.nonzero()[0]
 
     def fresh_id(self) -> int:
-        """The largest live id plus one (1 if none).
-
-        When that id does not fit the table, the live ids are first
-        renumbered 1..k in order, which keeps every comparison between ids,
-        and the table is rebuilt at width 2(k + 1).
-        """
+        """The largest live id plus one (1 if none)."""
         live = self.live_ids()
-        if not live.size:
-            return 1
-        if live[-1] + 1 < self.sizes.size:
-            return int(live[-1]) + 1
-        remap = np.zeros(self.sizes.size, dtype=np.int64)
-        remap[live] = np.arange(1, live.size + 1)
-        self.reset(np.where(self.labels > 0, remap[np.maximum(self.labels, 0)], self.labels))
-        return live.size + 1
+        return int(live[-1]) + 1 if live.size else 1
 
     def candidate_costs(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Costs of assigning unassigned point i: [noise, new cluster, each live id asc].
@@ -235,7 +287,15 @@ class _Engine:
         of h share a cluster, and n2[h] those where both are active apart,
         joining h costs b n2[h] - a n1[h] over the new-singleton cost.
         """
-        n1, both = self.T.take(self.rows[i], axis=0).reshape(2, -1, self.sizes.size).sum(axis=1)
+        W = self.sizes.size
+        rows = self._price_rows[2 * self._ptr[i] : 2 * self._ptr[i + 1]]
+        n1, both = self.T.take(rows, axis=0).reshape(2, -1, W).sum(axis=1)
+        total = self._ntotal[i]
+        if total:
+            a, b = self._nptr[i], self._nptr[i + 1]
+            slots = np.repeat(self._nshift[a:b], self._nlen[a:b]) + np.arange(total)
+            h = self.labels[self._members[slots]]
+            n1 += np.bincount(h[h > 0], minlength=W)
         join = self.p.b * (both - n1) - self.p.a * n1
         ids = self.live_ids()
         base = self.active_base[i] + self.p.a * int(n1.sum())

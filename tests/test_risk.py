@@ -239,13 +239,6 @@ def test_stats_matrices_match_accessors_and_invariants():
         stats = precompute_stats(draws)
         alpha, pi1, pi2 = oracle_pair_frequencies(draws)
         assert np.array_equal(as_float(alpha), stats.alpha)
-        for i in range(n):
-            assert pi1[i, i] == pi2[i, i] == 0
-            for j in range(n):
-                assert pi1[i, j] == pi1[j, i] and pi2[i, j] == pi2[j, i]
-                assert pi1[i, j] + pi2[i, j] <= min(alpha[i], alpha[j])
-                # frequencies are exact multiples of 1/S
-                assert S % pi1[i, j].denominator == 0 and S % pi2[i, j].denominator == 0
         # the support-restricted label matrix carries every pair frequency
         L, sup = stats.draw_labels, stats.support
         both = (L[:, :, None] > 0) & (L[:, None, :] > 0)
@@ -416,9 +409,12 @@ def test_incremental_minimizes_restricted_risk():
     assert checked >= 30
 
 
-def test_engine_costs_match_restricted_risk_differences():
+def test_engine_costs_match_restricted_risk_differences(monkeypatch):
+    # a low threshold, so these small instances price from both rows of N and counted members
+    monkeypatch.setattr(risk_mod, "_WIDE", 2)
     rng = np.random.default_rng(21)
     params = [LossParams(), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]
+    wide = narrow = 0  # instances pricing from rows of N, and from counted members
     for trial in range(60):
         n = int(rng.integers(2, 10))
         draws = random_draws(rng, n, int(rng.integers(1, 7)))
@@ -438,6 +434,8 @@ def test_engine_costs_match_restricted_risk_differences():
             label = [0, engine.fresh_id(), int(live[0]) if live.size else 0][pick]
             engine.move(i, label)
         assert engine.live_ids().tolist() == sorted(set(engine.labels.tolist()) - {-1, 0})
+        wide += engine._n_wide > 0
+        narrow += engine._nlen.size > 0
         for i in range(u):
             old = engine.move(i, -1)
             ids, costs = engine.candidate_costs(i)
@@ -446,6 +444,7 @@ def test_engine_costs_match_restricted_risk_differences():
             if trial % 2 == 0:
                 assert costs.tolist() == [float(x) for x in exact]  # dyadic weights: exact
             engine.move(i, old)
+    assert wide >= 10 and narrow >= 10
 
 
 def test_engine_fresh_ids_keep_order():
@@ -479,9 +478,11 @@ def test_engine_fresh_ids_keep_order():
         assert [e for _, e in pairs] == sorted({e for _, e in pairs})
         assert len(pairs) == len({m for m, _ in pairs})
     assert mirror.max() >= engine.sizes.size  # ids were renumbered at least once
-    rebuilt = engine_at(stats, engine.labels)
-    live = engine.live_ids()
-    assert np.array_equal(rebuilt.T[:, live], engine.T[:, live])
+    # the incrementally updated tables price every point as a rebuild does
+    for i in range(u):
+        old = engine.move(i, -1)
+        assert np.array_equal(engine.candidate_costs(i)[1], engine_at(stats, engine.labels).candidate_costs(i)[1])
+        engine.move(i, old)
 
 
 def test_engine_prices_exact_ties_with_S3():
@@ -503,6 +504,30 @@ def test_engine_prices_exact_ties_with_S3():
     assert exact == [Fraction(21, 2), 7, 5, 5, 8]
     assert costs.tolist() == [10.5, 7.0, 5.0, 5.0, 8.0]
     assert engine.best_assignment(0) == (1, 5.0)
+
+
+def test_engine_table_stays_linear_in_draw_entries(monkeypatch):
+    """Fragmented draws and a candidate with ~u/2 clusters keep T at O(S u) entries."""
+    m = 120
+    pairs = np.repeat(np.arange(1, m + 1), 2)  # u = 240 points in 120 pairs
+    alone = np.arange(1, 2 * m + 1)
+    draws = [SubPartition(pairs), SubPartition(pairs), SubPartition(alone), SubPartition(pairs)]
+    stats = precompute_stats(draws)
+    S, u = stats.S, stats.support.size
+    bound = risk_mod._WIDE * S * u + (S + 1) * 2 * (u + 1)
+    sizes = []
+    reset = risk_mod._Engine.reset
+
+    def recording_reset(self, labels):
+        reset(self, labels)
+        sizes.append(self.T.size)
+
+    monkeypatch.setattr(risk_mod._Engine, "reset", recording_reset)
+    est = search(stats, cfg=SearchConfig(n_restarts=4, n_zealous_attempts=4), seeds=draws)
+    assert est.k >= m // 2
+    assert len(sizes) > 4 and max(sizes) <= bound
+    engine = engine_at(stats, alone)  # u clusters: the widest table
+    assert engine.T.shape[1] == 2 * (u + 1) and engine.T.size <= bound
 
 
 # -- search --------------------------------------------------------------------
