@@ -15,9 +15,9 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 import scipy
@@ -43,7 +43,6 @@ from .levelset import (
     PointSet,
     adaptive_delta,
     dbscan_star,
-    default_k_dbscan,
 )
 from .risk import SearchConfig, ballet_estimate, plugin_estimate
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition
@@ -66,57 +65,51 @@ _LEVEL_KIND = {"lambda": "lambda", "nu": "noise_fraction", "cosmo_c": "cosmo_c"}
 # ---------------------------------------------------------------------------
 # configuration
 
+_SECTION_KEYS = {
+    "model": ("K", "M_prime", "alpha_b", "alpha_d", "domain", "S"),
+    "level": _LEVEL_KEYS,
+    "delta": ("fixed", "adaptive"),
+    "loss": ("a", "b", "m_ai", "m_ia"),
+    "search": ("n_restarts", "n_sweeten_passes", "n_zealous_attempts"),
+}
+_CONFIG_KEYS = ("data", "ensemble", *_SECTION_KEYS, "alpha", "min_pts", "eps", "out", "seed")
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved run.
+    """One parsed and checked run, built by load_run_config.
 
-    The density comes from exactly one source (a saved ensemble or the builtin
-    histogram-mixture model) and the level from exactly one kind (fixed
-    lambda, noise fraction nu, or excess constant cosmo_c). seed is the master
-    seed; ensemble and search streams are derived from it.
+    The density comes from a saved ensemble when one is named, else from the
+    builtin histogram-mixture model with S draws. level is one level kind's
+    config key (lambda, nu or cosmo_c) and value. delta is a fixed radius or
+    the adaptive-radius settings. seed is the master seed; the ensemble
+    stream and search.seed derive from it. config_hash digests the config
+    file merged with the flags.
     """
 
     data: Optional[str] = None
     ensemble: Optional[str] = None
-    model: Optional[dict] = None
-    level: Optional[dict] = None
-    delta: Optional[dict] = None
-    loss: Optional[dict] = None
-    search: Optional[dict] = None
+    model: HistogramMixtureConfig = HistogramMixtureConfig()
+    S: int = 100
+    level: Optional[tuple[str, float]] = None
+    delta: Union[float, AdaptiveDeltaConfig] = AdaptiveDeltaConfig()
+    loss: LossParams = DEFAULT_LOSS_PARAMS
+    search: SearchConfig = SearchConfig()
     alpha: float = 0.05
     min_pts: Optional[int] = None
     eps: Optional[float] = None
     out: str = "."
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.ensemble is not None and self.model is not None:
-            raise ConfigError("both an ensemble path and a model are set; pick one density source")
-        if self.level is not None:
-            if not isinstance(self.level, dict):
-                raise ConfigError("level must be an object with one of: " + ", ".join(_LEVEL_KEYS))
-            unknown = set(self.level) - set(_LEVEL_KEYS)
-            if unknown:
-                raise ConfigError(f"unknown level keys: {sorted(unknown)}")
-            if len(self.level) != 1:
-                raise ConfigError("level must set exactly one of: " + ", ".join(_LEVEL_KEYS))
-        if self.delta is not None:
-            if not isinstance(self.delta, dict) or set(self.delta) not in ({"fixed"}, {"adaptive"}):
-                raise ConfigError("delta must be {\"fixed\": value} or {\"adaptive\": {k, gamma}}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.min_pts is not None and self.min_pts < 1:
-            raise ConfigError(f"min_pts must be >= 1, got {self.min_pts}")
-        if self.eps is not None and not (self.eps > 0 and np.isfinite(self.eps)):
-            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    config_hash: str = ""
 
 
 def load_run_config(args: argparse.Namespace) -> RunConfig:
-    """Config file (if any) merged with flag overrides; flags win."""
+    """Config file (if any) merged with flag overrides, flags winning, then
+    typed and checked whole; every bad value is a ConfigError.
+
+    Every subcommand starts here and reads only the RunConfig, so a file gets
+    the same verdict from each of them.
+    """
     raw: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -125,14 +118,10 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
                 raw = json.load(fh)
         except OSError as e:
             raise DataIOError(f"cannot read config {config_path}: {e}")
-        except json.JSONDecodeError as e:
+        except ValueError as e:
             raise ConfigError(f"config {config_path} is not valid JSON: {e}")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-    allowed = {f.name for f in fields(RunConfig)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
     def flag(name):
         return getattr(args, name, None)
@@ -155,8 +144,9 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if flag("delta") is not None:
         raw["delta"] = {"fixed": flag("delta")}
     elif flag("k") is not None or flag("gamma") is not None:
-        prior = raw.get("delta") or {}
-        adaptive = dict(prior.get("adaptive") or {}) if isinstance(prior, dict) else {}
+        prior = raw.get("delta")
+        adaptive = prior.get("adaptive") if isinstance(prior, dict) else None
+        adaptive = dict(adaptive) if isinstance(adaptive, dict) else {}
         if flag("k") is not None:
             adaptive["k"] = flag("k")
         if flag("gamma") is not None:
@@ -167,16 +157,122 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         if flag(name) is not None:
             raw[name] = flag(name)
     try:
-        return RunConfig(**raw)
-    except TypeError as e:
-        raise ConfigError(f"bad config: {e}")
+        return _parse(raw)
+    except ValueError as e:  # a range check of a typed constructor
+        raise ConfigError(f"bad config: {e}") from None
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer, or a float with an integral value."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _section(parent: dict, name: str, keys) -> Optional[dict]:
+    """parent[name], an object with keys from keys; None when absent or null."""
+    d = parent.get(name)
+    if d is not None:
+        if not isinstance(d, dict):
+            raise ConfigError(f"{name} must be an object with keys from: {', '.join(keys)}")
+        unknown = set(d) - set(keys)
+        if unknown:
+            raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return d
+
+
+def _parse(raw: dict) -> RunConfig:
+    unknown = set(raw) - set(_CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for name in ("data", "ensemble", "out"):
+        if raw.get(name) is not None and not isinstance(raw[name], str):
+            raise ConfigError(f"{name} must be a path string, got {raw[name]!r}")
+
+    model = _section(raw, "model", _SECTION_KEYS["model"]) or {}
+    if raw.get("model") is not None and raw.get("ensemble") is not None:
+        raise ConfigError("both an ensemble path and a model are set; pick one density source")
+    hist = {k: _integer(model[k], f"model {k}") for k in ("K", "M_prime", "S") if k in model}
+    hist.update((k, _number(model[k], f"model {k}")) for k in ("alpha_b", "alpha_d") if k in model)
+    domain = model.get("domain")
+    if domain is not None:
+        if not (isinstance(domain, list) and all(isinstance(ax, list) and len(ax) == 2 for ax in domain)):
+            raise ConfigError(f"model domain must be a list of [low, high] pairs, got {domain!r}")
+        hist["domain"] = tuple(tuple(_number(v, "model domain") for v in ax) for ax in domain)
+    S = hist.pop("S", 100)
+    if S < 1:
+        raise ConfigError(f"model S must be >= 1, got {S}")
+
+    level = _section(raw, "level", _LEVEL_KEYS)
+    if level is not None:
+        if len(level) != 1:
+            raise ConfigError("level must set exactly one of: " + ", ".join(_LEVEL_KEYS))
+        [(key, value)] = level.items()
+        level = (key, _number(value, f"level {key}"))
+        LevelSpec(_LEVEL_KIND[key], level[1])  # range check
+
+    delta = _section(raw, "delta", _SECTION_KEYS["delta"])
+    if delta is None or set(delta) == {"adaptive"}:
+        adaptive = _section(delta or {}, "adaptive", ("k", "gamma")) or {}
+        delta = AdaptiveDeltaConfig(
+            k=None if adaptive.get("k") is None else _integer(adaptive["k"], "adaptive k"),
+            gamma=_number(adaptive.get("gamma", 0.01), "adaptive gamma"),
+        )
+    elif set(delta) == {"fixed"}:
+        delta = _number(delta["fixed"], "fixed delta")
+        if not (delta > 0 and np.isfinite(delta)):
+            raise ConfigError(f"fixed delta must be positive and finite, got {delta}")
+    else:
+        raise ConfigError("delta must be {\"fixed\": value} or {\"adaptive\": {k, gamma}}")
+
+    loss = _section(raw, "loss", _SECTION_KEYS["loss"]) or {}
+    search = raw.get("search")
+    if isinstance(search, dict) and "seed" in search:
+        raise ConfigError("the search seed is derived from the master seed; set seed instead")
+    search = _section(raw, "search", _SECTION_KEYS["search"]) or {}
+    seed = _integer(raw.get("seed", 0), "seed")
+    alpha = _number(raw.get("alpha", 0.05), "alpha")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    min_pts = None if raw.get("min_pts") is None else _integer(raw["min_pts"], "min_pts")
+    eps = None if raw.get("eps") is None else _number(raw["eps"], "eps")
+    DbscanStudyConfig(min_pts=min_pts, eps=eps)  # range checks
+    # the output directory routes files; it is not part of the analysis
+    hashed = {**dict.fromkeys(_CONFIG_KEYS), "alpha": 0.05, "seed": 0, **raw}
+    del hashed["out"]
+    return RunConfig(
+        data=raw.get("data"),
+        ensemble=raw.get("ensemble"),
+        model=HistogramMixtureConfig(**hist),
+        S=S,
+        level=level,
+        delta=delta,
+        loss=LossParams(**{k: _number(v, f"loss {k}") for k, v in loss.items()}),
+        search=SearchConfig(**{k: _integer(v, f"search {k}") for k, v in search.items()},
+                            seed=_sub_seeds(seed)[1]),
+        alpha=alpha,
+        min_pts=min_pts,
+        eps=eps,
+        out=raw.get("out") or ".",
+        seed=seed,
+        config_hash=config_hash(hashed),
+    )
 
 
 def _provenance(cfg: RunConfig) -> dict:
-    # the output directory routes files; it is not part of the analysis
-    hashed = {k: v for k, v in cfg.to_dict().items() if k != "out"}
     return {
-        "config_hash": config_hash(hashed),
+        "config_hash": cfg.config_hash,
         "seed": cfg.seed,
         "versions": {
             "ballet": __version__,
@@ -192,54 +288,8 @@ def _sub_seeds(seed: int) -> tuple[int, int]:
     return int(ens), int(srch)
 
 
-def _loss_params(cfg: RunConfig) -> LossParams:
-    d = cfg.loss or {}
-    unknown = set(d) - {"a", "b", "m_ai", "m_ia"}
-    if unknown:
-        raise ConfigError(f"unknown loss keys: {sorted(unknown)}")
-    if not d:
-        return DEFAULT_LOSS_PARAMS
-    return LossParams(**{k: float(v) for k, v in d.items()})
-
-
-def _search_config(cfg: RunConfig, seed: int) -> SearchConfig:
-    d = dict(cfg.search or {})
-    if "seed" in d:
-        raise ConfigError("the search seed is derived from the master seed; set seed instead")
-    unknown = set(d) - {"n_restarts", "n_sweeten_passes", "n_zealous_attempts"}
-    if unknown:
-        raise ConfigError(f"unknown search keys: {sorted(unknown)}")
-    return SearchConfig(**{k: int(v) for k, v in d.items()}, seed=seed)
-
-
-def _hist_config(model: Optional[dict]) -> tuple[HistogramMixtureConfig, int]:
-    d = dict(model or {})
-    S = int(d.pop("S", 100))
-    if S < 1:
-        raise ConfigError(f"model S must be >= 1, got {S}")
-    unknown = set(d) - {"K", "M_prime", "alpha_b", "alpha_d", "domain"}
-    if unknown:
-        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-    if "domain" in d and d["domain"] is not None:
-        d["domain"] = tuple((float(lo), float(hi)) for lo, hi in d["domain"])
-    return HistogramMixtureConfig(**d), S
-
-
 # ---------------------------------------------------------------------------
 # shared pipeline
-
-
-@dataclass
-class _Prepared:
-    cfg: RunConfig
-    ps: PointSet
-    ensemble: DensityDrawEnsemble
-    fbar: np.ndarray
-    level_key: str
-    level_value: float
-    lam: float
-    delta: float
-    search_seed: int
 
 
 def _load_points(cfg: RunConfig) -> PointSet:
@@ -253,70 +303,47 @@ def _load_points(cfg: RunConfig) -> PointSet:
         raise DataIOError(f"malformed data {cfg.data}: {e}")
 
 
-def _density_source(cfg: RunConfig, ps: PointSet, ensemble_seed: int) -> DensityDrawEnsemble:
-    if cfg.ensemble is not None:
-        ens = DensityDrawEnsemble.load(cfg.ensemble)
-    else:
-        # no source named: the builtin model with default hyperparameters
-        hist, S = _hist_config(cfg.model or {})
-        ens = build_ensemble(ps, hist, S=S, seed=ensemble_seed)
-    if ens.n != ps.n:
-        raise InfeasibleError(f"ensemble covers n={ens.n} points but the data has n={ps.n}")
-    return ens
-
-
-def _domain_volume(cfg: RunConfig, ps: PointSet) -> float:
-    domain = (cfg.model or {}).get("domain") or default_domain(ps)
-    return float(np.prod([hi - lo for lo, hi in domain]))
-
-
-def _level_key_value(cfg: RunConfig) -> tuple[str, float]:
+def _level(cfg: RunConfig) -> tuple[str, float]:
     if cfg.level is None:
         raise ConfigError("a level is required: one of lambda, nu, cosmo_c (or --lambda/--nu)")
-    key = next(iter(cfg.level))
-    return key, float(cfg.level[key])
+    return cfg.level
 
 
-def _resolve_one_level(cfg: RunConfig, key: str, value: float, fbar: np.ndarray, ps: PointSet) -> float:
-    spec = LevelSpec(_LEVEL_KIND[key], value)
-    vol = _domain_volume(cfg, ps) if key == "cosmo_c" else None
-    return resolve_level(spec, density_at_points=fbar, domain_volume=vol)
+def _noise_fraction(cfg: RunConfig, why: str) -> float:
+    """The level's noise fraction, 0.9 when none is set; other level kinds fail with why."""
+    if cfg.level is None:
+        return 0.9
+    key, value = cfg.level
+    if key != "nu":
+        raise ConfigError(why)
+    return value
 
 
-def _adaptive_config(cfg: RunConfig) -> AdaptiveDeltaConfig:
-    """The adaptive-delta settings of cfg; defaults when it gives none."""
-    d = dict((cfg.delta or {}).get("adaptive") or {})
-    unknown = set(d) - {"k", "gamma"}
-    if unknown:
-        raise ConfigError(f"unknown adaptive-delta keys: {sorted(unknown)}")
-    return AdaptiveDeltaConfig(
-        k=None if d.get("k") is None else int(d["k"]),
-        gamma=float(d.get("gamma", 0.01)),
-    )
-
-
-def _resolve_delta(cfg: RunConfig, ps: PointSet, active: np.ndarray) -> float:
-    if cfg.delta is not None and "fixed" in cfg.delta:
-        v = float(cfg.delta["fixed"])
-        if not (v > 0 and np.isfinite(v)):
-            raise ConfigError(f"fixed delta must be positive and finite, got {v}")
-        return v
-    acfg = _adaptive_config(cfg)
-    if active.size == 0:
-        raise InfeasibleError("no active points at the resolved level; cannot adapt delta")
-    return adaptive_delta(ps, active, acfg)
-
-
-def _prepare(cfg: RunConfig) -> _Prepared:
+def _prepare(cfg: RunConfig, key: str, values: list[float]) -> tuple[PointSet, DensityDrawEnsemble, list[float], float]:
+    """Points, density draws, the lambda of each level value, and delta (adapted at the first lambda)."""
     ps = _load_points(cfg)
-    ensemble_seed, search_seed = _sub_seeds(cfg.seed)
-    ensemble = _density_source(cfg, ps, ensemble_seed)
+    if cfg.ensemble is not None:
+        ensemble = DensityDrawEnsemble.load(cfg.ensemble)
+    else:
+        ensemble = build_ensemble(ps, cfg.model, S=cfg.S, seed=_sub_seeds(cfg.seed)[0])
+    if ensemble.n != ps.n:
+        raise InfeasibleError(f"ensemble covers n={ensemble.n} points but the data has n={ps.n}")
     fbar = ensemble.posterior_mean()
-    key, value = _level_key_value(cfg)
-    lam = _resolve_one_level(cfg, key, value, fbar, ps)
-    active = np.flatnonzero(fbar >= lam)
-    delta = _resolve_delta(cfg, ps, active)
-    return _Prepared(cfg, ps, ensemble, fbar, key, value, lam, delta, search_seed)
+    vol = None
+    if key == "cosmo_c":
+        domain = cfg.model.domain or default_domain(ps)
+        vol = float(np.prod([hi - lo for lo, hi in domain]))
+    lams = [resolve_level(LevelSpec(_LEVEL_KIND[key], v), density_at_points=fbar, domain_volume=vol)
+            for v in values]
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise ConfigError(f"level values resolve to non-increasing lambdas: {lams}")
+    delta = cfg.delta
+    if isinstance(delta, AdaptiveDeltaConfig):
+        active = np.flatnonzero(fbar >= lams[0])
+        if active.size == 0:
+            raise InfeasibleError("no active points at the resolved level; cannot adapt delta")
+        delta = adaptive_delta(ps, active, delta)
+    return ps, ensemble, lams, delta
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -336,21 +363,15 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    prep = _prepare(cfg)
-    result = ballet_estimate(
-        prep.ps,
-        prep.ensemble,
-        prep.lam,
-        prep.delta,
-        p=_loss_params(cfg),
-        cfg=_search_config(cfg, prep.search_seed),
-    )
+    key, value = _level(cfg)
+    ps, ensemble, (lam,), delta = _prepare(cfg, key, [value])
+    result = ballet_estimate(ps, ensemble, lam, delta, p=cfg.loss, cfg=cfg.search)
     payload = {
         "schema": ESTIMATE_SCHEMA,
         "provenance": _provenance(cfg),
-        "level": {prep.level_key: prep.level_value},
-        "lambda": prep.lam,
-        "delta": prep.delta,
+        "level": {key: value},
+        "lambda": lam,
+        "delta": delta,
         "risk": result.risk,
         "n_clusters": result.estimate.k,
         "clustering": result.estimate.to_json_dict(),
@@ -365,27 +386,24 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    prep = _prepare(cfg)
-    loss = _loss_params(cfg)
-    result = ballet_estimate(
-        prep.ps, prep.ensemble, prep.lam, prep.delta,
-        p=loss, cfg=_search_config(cfg, prep.search_seed),
-    )
+    key, value = _level(cfg)
+    ps, ensemble, (lam,), delta = _prepare(cfg, key, [value])
+    result = ballet_estimate(ps, ensemble, lam, delta, p=cfg.loss, cfg=cfg.search)
     ball = compute_credible_ball(
         result.estimate,
-        prep.ps,
-        prep.delta,
+        ps,
+        delta,
         result.clusterings,
         alpha=cfg.alpha,
-        p=loss,
+        p=cfg.loss,
         stats=result.stats,
     )
     payload = {
         "schema": BALL_SCHEMA,
         "provenance": _provenance(cfg),
-        "level": {prep.level_key: prep.level_value},
-        "lambda": prep.lam,
-        "delta": prep.delta,
+        "level": {key: value},
+        "lambda": lam,
+        "delta": delta,
         "center": result.estimate.to_json_dict(),
         "ball": ball.to_json_dict(),
     }
@@ -397,14 +415,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_plugin(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    prep = _prepare(cfg)
-    est = plugin_estimate(prep.ps, prep.ensemble, prep.lam, prep.delta)
+    key, value = _level(cfg)
+    ps, ensemble, (lam,), delta = _prepare(cfg, key, [value])
+    est = plugin_estimate(ps, ensemble, lam, delta)
     payload = {
         "schema": PLUGIN_SCHEMA,
         "provenance": _provenance(cfg),
-        "level": {prep.level_key: prep.level_value},
-        "lambda": prep.lam,
-        "delta": prep.delta,
+        "level": {key: value},
+        "lambda": lam,
+        "delta": delta,
         "n_clusters": est.k,
         "clustering": est.to_json_dict(),
     }
@@ -418,12 +437,8 @@ def cmd_plugin(args: argparse.Namespace) -> int:
 def cmd_dbscan(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
     ps = _load_points(cfg)
-    nu = 0.9
-    if cfg.eps is None and cfg.level is not None:
-        key, value = _level_key_value(cfg)
-        if key != "nu":
-            raise ConfigError("dbscan resolves Eps from a noise fraction; give --nu or --eps")
-        nu = value
+    nu = 0.9 if cfg.eps is not None else _noise_fraction(
+        cfg, "dbscan resolves Eps from a noise fraction; give --nu or --eps")
     min_pts, eps = dbscan_parameters(ps, DbscanStudyConfig(nu=nu, min_pts=cfg.min_pts, eps=cfg.eps))
     est = dbscan_star(ps, eps, min_pts)
     payload = {
@@ -452,42 +467,22 @@ def _parse_level_values(text: str) -> list[float]:
 
 
 def _build_tree(cfg: RunConfig, args: argparse.Namespace):
-    ps = _load_points(cfg)
-    ensemble_seed, search_seed = _sub_seeds(cfg.seed)
-    ensemble = _density_source(cfg, ps, ensemble_seed)
-    fbar = ensemble.posterior_mean()
-    key = args.level_kind
-    if key is None:
-        key = next(iter(cfg.level)) if cfg.level is not None else "lambda"
-    if key not in _LEVEL_KEYS:
-        raise ConfigError(f"level kind must be one of {_LEVEL_KEYS}, got {key!r}")
+    key = args.level_kind or (cfg.level[0] if cfg.level is not None else "lambda")
     values = _parse_level_values(args.levels)
-    lams = [_resolve_one_level(cfg, key, v, fbar, ps) for v in values]
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ConfigError(f"level values resolve to non-increasing lambdas: {lams}")
-    active = np.flatnonzero(fbar >= lams[0])
-    delta = _resolve_delta(cfg, ps, active)
-    tree = build_cluster_tree(
-        ps,
-        ensemble,
-        lams,
-        delta,
-        estimator=args.estimator,
-        p=_loss_params(cfg),
-        cfg=_search_config(cfg, search_seed),
-    )
+    ps, ensemble, lams, delta = _prepare(cfg, key, values)
+    tree = build_cluster_tree(ps, ensemble, lams, delta, estimator=args.estimator, p=cfg.loss, cfg=cfg.search)
     meta = {
         "level_kind": key,
         "level_values": values,
         "delta": delta,
         "estimator": args.estimator,
     }
-    return ps, tree, meta
+    return tree, meta
 
 
 def cmd_tree(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    _, tree, meta = _build_tree(cfg, args)
+    tree, meta = _build_tree(cfg, args)
     payload = {"schema": TREE_SCHEMA, "provenance": _provenance(cfg), **meta,
                "tree": tree.to_json_dict()}
     out_json = _out_dir(cfg) / "tree.json"
@@ -502,7 +497,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 def cmd_persist(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    _, tree, meta = _build_tree(cfg, args)
+    tree, meta = _build_tree(cfg, args)
     chosen = sorted(persistent_clusters(tree, strict=not args.heuristic))
     clusters = []
     for row, cid in chosen:
@@ -568,16 +563,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
     cfg = load_run_config(args)
-    nu = 0.9
-    if cfg.level is not None:
-        key, value = _level_key_value(cfg)
-        if key != "nu":
-            raise ConfigError("the study resolves levels from a noise fraction; give --nu")
-        nu = value
-    if cfg.delta is not None and "fixed" in cfg.delta:
+    nu = _noise_fraction(cfg, "the study resolves levels from a noise fraction; give --nu")
+    if not isinstance(cfg.delta, AdaptiveDeltaConfig):
         raise ConfigError("the study always adapts delta; remove the fixed delta")
-    delta_cfg = _adaptive_config(cfg)
-    hist, S = _hist_config(cfg.model)
     spec = SkySurveySpec(
         n=args.n,
         n_components=args.components,
@@ -586,11 +574,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     )
     ballet_cfg = BalletStudyConfig(
         nu=nu,
-        S=S,
-        hist=hist,
-        delta=delta_cfg,
-        loss=_loss_params(cfg),
-        search=_search_config(cfg, 0),
+        S=cfg.S,
+        hist=cfg.model,
+        delta=cfg.delta,
+        loss=cfg.loss,
+        search=cfg.search,
         credible_alpha=cfg.alpha,
     )
     dbscan_cfg = DbscanStudyConfig(nu=nu, min_pts=cfg.min_pts, eps=cfg.eps)

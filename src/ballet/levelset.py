@@ -36,7 +36,6 @@ __all__ = [
     "surrogate_cluster",
     "dbscan_star",
     "dbscan_classic",
-    "theory_min_delta",
 ]
 
 
@@ -260,9 +259,3 @@ def dbscan_classic(ps: PointSet, eps: float, min_pts: int, include_self: bool = 
     labels[border] = labels[core[order][first]]
     return SubPartition(labels)
 
-
-def theory_min_delta(n: int, lam: float, d: int) -> float:
-    """Diagnostic lower bound on admissible delta; reported, never enforced."""
-    if n < 2 or lam <= 0 or d < 1:
-        raise ValueError("need n >= 2, lambda > 0, d >= 1")
-    return 2.0 * (16.0 * d * math.log(n) / (lam * unit_ball_volume(d) * n)) ** (1.0 / d)

@@ -370,6 +370,9 @@ def search(
                 engine.move(i, engine.best_assignment(i)[0])
         # sweetening
         for _ in range(cfg.n_sweeten_passes):
+            # renumber so the table is 2(k + 1) wide for the k live clusters, not
+            # as wide as a seed's or the last pass's; ids keep their order
+            engine.reset(engine.labels)
             moved = False
             for i in rng.permutation(u).tolist():
                 cur = engine.move(i, -1)

@@ -1,17 +1,22 @@
 """CLI integration tests: subcommands, overrides, determinism, exit codes."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ballet.bench import generate_two_moons
-from ballet.cli import main
-from ballet.risk import DensityDrawEnsemble
-from ballet.subpartition import SubPartition
-from ballet.subpartition import SubPartition
+from ballet.cli import RunConfig, load_run_config, main
+from ballet.density import DensityDrawEnsemble, HistogramMixtureConfig
+from ballet.errors import BalletError
+from ballet.levelset import AdaptiveDeltaConfig
+from ballet.risk import SearchConfig
+from ballet.subpartition import LossParams, SubPartition
 
 
 def write_config(path, **overrides):
@@ -145,6 +150,78 @@ def test_unknown_adaptive_delta_keys_exit_2(moons_dir, tmp_path):
     assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 2
     assert main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "b"), "--reps", "1",
                  "--n", "300", "--components", "3"]) == 2
+
+
+@pytest.mark.parametrize("override", [
+    pytest.param({"level": {"nu": None}}, id="level-null"),
+    pytest.param({"delta": {"fixed": None}}, id="fixed-delta-null"),
+    pytest.param({"loss": {"a": None}}, id="loss-null"),
+    pytest.param({"loss": 5}, id="loss-not-object"),
+    pytest.param({"search": {"n_restarts": None}}, id="search-null"),
+    pytest.param({"search": {"n_restarts": 1.9}}, id="search-fractional"),
+    pytest.param({"delta": {"adaptive": 5}}, id="adaptive-not-object"),
+    pytest.param({"model": {"K": 2.5}}, id="model-fractional"),
+    pytest.param({"model": {"domain": 5}}, id="domain-not-list"),
+    pytest.param({"seed": "abc"}, id="seed-string"),
+])
+def test_mistyped_config_values_exit_2(moons_dir, tmp_path, override):
+    cfg = write_config(tmp_path / "bad.json", data=str(moons_dir / "points.csv"), **override)
+    assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("command", ["plugin", "dbscan"])
+@pytest.mark.parametrize("override", [
+    pytest.param({"loss": {"zz": 1}}, id="loss-key"),
+    pytest.param({"search": {"bogus": 1}}, id="search-key"),
+    pytest.param({"model": {"K": 20, "KK": 1}}, id="model-key"),
+    pytest.param({"model": {"S": 0}}, id="model-S"),
+    pytest.param({"delta": {"fixed": -1}}, id="fixed-delta"),
+])
+def test_every_command_checks_every_section(moons_dir, tmp_path, command, override):
+    cfg = write_config(tmp_path / "bad.json", data=str(moons_dir / "points.csv"), **override)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+config_places = [(key,) for key in (
+    "data", "ensemble", "model", "level", "delta", "loss", "search",
+    "alpha", "min_pts", "eps", "out", "seed", "typo")] + [
+    (section, key) for section, keys in {
+        "model": ("K", "M_prime", "alpha_b", "alpha_d", "domain", "S"),
+        "level": ("lambda", "nu", "cosmo_c"),
+        "delta": ("fixed", "adaptive"),
+        "loss": ("a", "b", "m_ai", "m_ia"),
+        "search": ("n_restarts", "n_sweeten_passes", "n_zealous_attempts", "seed"),
+    }.items() for key in keys + ("typo",)] + [
+    ("delta", "adaptive", key) for key in ("k", "gamma", "typo")]
+
+
+@given(st.lists(st.tuples(st.sampled_from(config_places), json_values), min_size=1, max_size=3))
+def test_any_json_value_parses_or_raises_a_ballet_error(moons_dir, edits):
+    raw = json.loads(write_config(moons_dir / "fuzz.json", data=str(moons_dir / "points.csv")).read_text())
+    for place, value in edits:
+        node = raw
+        for key in place[:-1]:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        node[place[-1]] = value
+    path = moons_dir / "fuzz.json"
+    path.write_text(json.dumps(raw))
+    try:
+        cfg = load_run_config(argparse.Namespace(config=str(path)))
+    except BalletError:
+        return
+    assert isinstance(cfg, RunConfig)
+    assert isinstance(cfg.model, HistogramMixtureConfig)
+    assert isinstance(cfg.delta, (float, AdaptiveDeltaConfig))
+    assert isinstance(cfg.loss, LossParams) and isinstance(cfg.search, SearchConfig)
+    assert cfg.level is None or (cfg.level[0] in ("lambda", "nu", "cosmo_c") and type(cfg.level[1]) is float)
+    assert type(cfg.seed) is int and type(cfg.S) is int and type(cfg.alpha) is float
 
 
 def test_io_errors_exit_3(moons_cfg, tmp_path):

@@ -19,7 +19,6 @@ from ballet.levelset import (
     default_k_levelset,
     knn_distance,
     surrogate_cluster,
-    theory_min_delta,
     unit_ball_volume,
 )
 from ballet.subpartition import SubPartition
@@ -375,11 +374,3 @@ def test_unit_ball_volume():
     with pytest.raises(ValueError):
         unit_ball_volume(0)
 
-
-def test_theory_min_delta_diagnostic():
-    # hand evaluation of 2 * (16 d ln n / (lam v_d n))^(1/d)
-    val = theory_min_delta(1000, 2.0, 2)
-    expect = 2.0 * (16 * 2 * math.log(1000) / (2.0 * math.pi * 1000)) ** 0.5
-    assert val == pytest.approx(expect)
-    with pytest.raises(ValueError):
-        theory_min_delta(1, 2.0, 2)

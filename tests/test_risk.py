@@ -530,6 +530,45 @@ def test_engine_table_stays_linear_in_draw_entries(monkeypatch):
     assert engine.T.shape[1] == 2 * (u + 1) and engine.T.size <= bound
 
 
+def test_sweetening_passes_start_at_live_width(monkeypatch):
+    """Each sweetening pass prices from a table 2(k + 1) wide for its k live
+    clusters, ids 1..k, though seed restarts start wide and passes kill clusters."""
+    engines, starts = [], []
+
+    class RecordingEngine(risk_mod._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    class Probe:
+        """A restart's generator; a permutation of all u points starts an
+        incremental assignment or a sweetening pass."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, *args):
+            return self.rng.integers(*args)
+
+        def permutation(self, x):
+            if isinstance(x, int):
+                e = engines[-1]
+                starts.append((e.sizes.size, e.live_ids().tolist()))
+            return self.rng.permutation(x)
+
+    spawn = risk_mod.spawn_rngs
+    monkeypatch.setattr(risk_mod, "_Engine", RecordingEngine)
+    monkeypatch.setattr(risk_mod, "spawn_rngs", lambda seed, count: [Probe(r) for r in spawn(seed, count)])
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        draws = random_draws(rng, 40, 6, max_k=8)
+        search(precompute_stats(draws), cfg=SearchConfig(n_restarts=6, n_zealous_attempts=2), seeds=draws)
+    assert len(starts) > 3 * 6 * 2
+    for width, live in starts:
+        assert live == list(range(1, len(live) + 1))
+        assert width == 2 * (len(live) + 1)
+
+
 # -- search --------------------------------------------------------------------
 
 
