@@ -49,6 +49,7 @@ from .errors import (
     DataIOError,
     InfeasibleError,
     NumericError,
+    SearchPassCapWarning,
 )
 from .levels import (
     ClusterTree,

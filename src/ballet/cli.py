@@ -732,6 +732,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as e:
         print(f"ballet: error: {e}", file=sys.stderr)
         return DataIOError.exit_code
+    except MemoryError as e:
+        print(f"ballet: error: out of memory: {e}", file=sys.stderr)
+        return InfeasibleError.exit_code
     print(f"[time] {args.command}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return code
 

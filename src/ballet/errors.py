@@ -2,6 +2,7 @@
 
 Each class carries the process exit code the CLI maps it to, so library
 call sites can raise the precise failure kind without knowing about the CLI.
+SearchPassCapWarning is a warning, not an error: a run that emits it goes on.
 """
 
 
@@ -33,3 +34,7 @@ class InfeasibleError(BalletError):
     """Structurally valid inputs that do not fit together (e.g. size mismatch)."""
 
     exit_code = 5
+
+
+class SearchPassCapWarning(UserWarning):
+    """A search restart stopped at its sweetening pass cap while points still moved."""

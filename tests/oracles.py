@@ -204,3 +204,80 @@ def planted_knee_curve(n, knee_rank, rise=4.0, tail_slope=0.2, rng=None):
         y = y + rng.normal(0.0, 0.002, n)
         y.sort()
     return np.exp(y)
+
+
+def oracle_best_assignment(engine, i):
+    """Cheapest cell for unassigned point i, ties noise > new > ids ascending: (label, cost)."""
+    ids, costs = engine.candidate_costs(i)
+    pick = int(costs.argmin())
+    return engine.label_of(pick, ids), float(costs[pick])
+
+
+def oracle_search(stats, p, cfg, seeds=None):
+    """The risk search priced one point at a time: the reference for risk.search.
+
+    Unlike the rest of this module it drives the package's search engine,
+    through _Engine.candidate_costs and move only, and recounts the risk
+    with _scaled_risk after every restart and zealous attempt. So it checks
+    that block pricing and the tracked risk leave every decision unchanged.
+    """
+    from ballet.risk import _Engine, _full_labels, _scaled_risk
+    from ballet.subpartition import SubPartition
+    from ballet.util import spawn_rngs
+
+    engine = _Engine(stats, p)
+    u = stats.support.size
+    seed_list = list(seeds) if seeds is not None else []
+    best_sp = SubPartition.all_noise(stats.n)
+    best_risk = _scaled_risk(stats, best_sp.labels_array, p)
+    for s in seed_list:
+        r = _scaled_risk(stats, s.labels_array, p)
+        if r < best_risk:
+            best_sp, best_risk = s, r
+    for restart, rng in enumerate(spawn_rngs(cfg.seed, cfg.n_restarts)):
+        if restart % 2 == 1 and seed_list:
+            sp0 = seed_list[int(rng.integers(len(seed_list)))]
+            engine.reset(sp0.labels_array[stats.support])
+        else:
+            engine.reset(np.full(u, -1))
+            for i in rng.permutation(u).tolist():
+                engine.move(i, oracle_best_assignment(engine, i)[0])
+        for _ in range(cfg.n_sweeten_passes):
+            engine.reset(engine.labels)
+            moved = False
+            for i in rng.permutation(u).tolist():
+                cur = engine.move(i, -1)
+                ids, costs = engine.candidate_costs(i)
+                if cur == 0:
+                    cur_cost = float(costs[0])
+                else:
+                    where = np.flatnonzero(ids == cur)
+                    cur_cost = float(costs[2 + int(where[0])]) if where.size else float(costs[1])
+                pick = int(costs.argmin())
+                label = cur
+                if float(costs[pick]) < cur_cost:
+                    label = engine.label_of(pick, ids)
+                    moved = True
+                engine.move(i, label)
+            if not moved:
+                break
+        risk = _scaled_risk(stats, _full_labels(stats, engine.labels), p)
+        for _ in range(cfg.n_zealous_attempts):
+            cells = [0] + engine.live_ids().tolist()
+            target = cells[int(rng.integers(len(cells)))]
+            members = np.flatnonzero(engine.labels == target)
+            if members.size == 0:
+                continue
+            snapshot = engine.labels.copy()
+            engine.reset(np.where(snapshot == target, -1, snapshot))
+            for i in rng.permutation(members).tolist():
+                engine.move(i, oracle_best_assignment(engine, i)[0])
+            new_risk = _scaled_risk(stats, _full_labels(stats, engine.labels), p)
+            if new_risk < risk:
+                risk = new_risk
+            else:
+                engine.reset(snapshot)
+        if risk < best_risk:
+            best_risk = risk
+            best_sp = SubPartition(_full_labels(stats, engine.labels))
+    return best_sp

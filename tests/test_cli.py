@@ -169,6 +169,16 @@ def test_mistyped_config_values_exit_2(moons_dir, tmp_path, override):
     assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+def test_config_too_large_for_memory_exits_5(moons_dir, tmp_path, capsys):
+    # a well-typed, in-range K whose bin array cannot be allocated
+    cfg = write_config(
+        tmp_path / "huge.json", data=str(moons_dir / "points.csv"), model={"K": 10**15, "M_prime": 6, "S": 2}
+    )
+    assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("ballet: error: out of memory") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["plugin", "dbscan"])
 @pytest.mark.parametrize("override", [
     pytest.param({"loss": {"zz": 1}}, id="loss-key"),

@@ -1,12 +1,15 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ballet.risk as risk_mod
-from ballet.errors import DataIOError, InfeasibleError, NumericError
+from ballet.errors import DataIOError, InfeasibleError, NumericError, SearchPassCapWarning
 from ballet.levelset import PointSet
 from ballet.risk import (
     BalletResult,
@@ -28,9 +31,11 @@ from ballet.subpartition import (
 )
 
 from oracles import (
+    oracle_best_assignment,
     oracle_components,
     oracle_ia_binder_loss,
     oracle_pair_frequencies,
+    oracle_search,
     random_subpartition,
 )
 
@@ -369,11 +374,11 @@ def test_incremental_first_point_noise_iff_alpha_at_most_half():
     # alpha for point 0 is 0.5: exact tie, broken towards noise
     draws = [SubPartition([1, 1, 0]), SubPartition([0, 1, 0])]
     engine = engine_at(precompute_stats(draws), [-1, -1])
-    assert engine.best_assignment(0) == (0, 1.0)
+    assert oracle_best_assignment(engine, 0) == (0, 1.0)
     # alpha 1.0: active singleton wins
     draws = [SubPartition([1, 1, 0]), SubPartition([1, 1, 0])]
     engine = engine_at(precompute_stats(draws), [-1, -1])
-    assert engine.best_assignment(0) == (1, 0.0)
+    assert oracle_best_assignment(engine, 0) == (1, 0.0)
 
 
 def test_incremental_minimizes_restricted_risk():
@@ -396,7 +401,7 @@ def test_incremental_minimizes_restricted_risk():
         exact = exact_cell_costs(stats, freqs, engine, i, ids, p)
         # tie order: noise, then a new cluster, then clusters by ascending id
         want = exact.index(min(exact))
-        label, cost = engine.best_assignment(i)
+        label, cost = oracle_best_assignment(engine, i)
         assert cost == float(min(exact))
         others = set(engine.labels.tolist()) - {-1, 0}
         if want == 0:
@@ -503,7 +508,7 @@ def test_engine_prices_exact_ties_with_S3():
     exact = exact_cell_costs(stats, oracle_pair_frequencies(draws), engine, 0, ids, LossParams())
     assert exact == [Fraction(21, 2), 7, 5, 5, 8]
     assert costs.tolist() == [10.5, 7.0, 5.0, 5.0, 8.0]
-    assert engine.best_assignment(0) == (1, 5.0)
+    assert oracle_best_assignment(engine, 0) == (1, 5.0)
 
 
 def test_engine_table_stays_linear_in_draw_entries(monkeypatch):
@@ -652,6 +657,105 @@ def test_search_config_validation():
         SearchConfig(n_sweeten_passes=0)
     with pytest.raises(ValueError):
         SearchConfig(n_zealous_attempts=-1)
+
+
+@st.composite
+def search_instances(draw):
+    """Small draw sets (S in 1, 2, 3, 7; few labels, so exact ties abound),
+    with or without seeds, under the default, a dyadic non-metric and a
+    non-dyadic loss."""
+    n = draw(st.integers(2, 24))
+    S = draw(st.sampled_from([1, 2, 3, 7]))
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, k), min_size=n, max_size=n), min_size=S, max_size=S))
+    draws = [SubPartition(r) for r in rows]
+    p = draw(
+        st.sampled_from(
+            [LossParams(), LossParams(a=1.0, b=2.0, m_ai=0.25, m_ia=1.0), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]
+        )
+    )
+    cfg = SearchConfig(
+        n_restarts=draw(st.integers(1, 4)),
+        n_sweeten_passes=draw(st.integers(1, 3)),
+        n_zealous_attempts=draw(st.integers(0, 4)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return draws, p, cfg, draw(st.booleans())
+
+
+@pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
+def test_search_matches_per_point_oracle():
+    """Block pricing and the tracked risk give the labels of the search that
+    prices one point at a time and recounts the risk after every attempt."""
+    blocks = []
+    price = risk_mod._Engine.price
+
+    def recording_price(self, lay, j, end):
+        blocks.append(end - j)
+        return price(self, lay, j, end)
+
+    @settings(max_examples=150, deadline=None)
+    @given(search_instances())
+    def check(instance):
+        draws, p, cfg, with_seeds = instance
+        stats = precompute_stats(draws)
+        seeds = draws if with_seeds else None
+        assert search(stats, p, cfg, seeds).labels == oracle_search(stats, p, cfg, seeds).labels
+
+    # a low threshold, so both rows of N and counted members price
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(risk_mod, "_WIDE", 2)
+        mp.setattr(risk_mod._Engine, "price", recording_price)
+        check()
+    assert max(blocks) >= 2
+
+
+@pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
+def test_tracked_risk_equals_recount(monkeypatch):
+    """The risk counts a restart tracks from the priced decisions equal the
+    recounted ones before and after every zealous attempt, for any weights."""
+    rng = np.random.default_rng(41)
+    zealous = risk_mod._zealous
+    params = [LossParams(), LossParams(a=1.0, b=2.0, m_ai=0.25, m_ia=1.0), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]
+    checks = []
+
+    for trial in range(15):
+        draws = random_draws(rng, int(rng.integers(6, 40)), int(rng.integers(1, 8)), max_k=5)
+        stats = precompute_stats(draws)
+
+        def recount(engine):
+            return risk_mod._risk_counts(stats, risk_mod._full_labels(stats, engine.labels)).tolist()
+
+        def checked(engine, members, counts):
+            assert counts.tolist() == recount(engine)
+            out = zealous(engine, members, counts)
+            assert out.tolist() == recount(engine)
+            checks.append(out)
+            return out
+
+        monkeypatch.setattr(risk_mod, "_zealous", checked)
+        cfg = SearchConfig(n_restarts=4, n_sweeten_passes=2, n_zealous_attempts=6, seed=trial)
+        search(stats, params[trial % 3], cfg, seeds=draws if trial % 2 else None)
+    assert len(checks) >= 100
+
+
+def test_pass_cap_warning():
+    rng = np.random.default_rng(42)
+    draws = random_draws(rng, 30, 5, max_k=4)
+    stats = precompute_stats(draws)
+    # one pass from a seed clustering moves points, so that restart stops at its cap
+    cfg = SearchConfig(n_restarts=2, n_sweeten_passes=1, n_zealous_attempts=0, seed=1)
+    with pytest.warns(SearchPassCapWarning) as caught:
+        search(stats, cfg=cfg, seeds=draws)
+    assert any("restart 1 " in str(w.message) for w in caught)
+
+
+def test_no_pass_cap_warning_by_default():
+    rng = np.random.default_rng(43)
+    draws = random_draws(rng, 30, 5, max_k=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SearchPassCapWarning)
+        search(precompute_stats(draws), seeds=draws)
 
 
 # -- plugin and pipeline -------------------------------------------------------
