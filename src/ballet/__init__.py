@@ -92,7 +92,6 @@ from .subpartition import (
     SubPartition,
     enumerate_subpartitions,
     ia_binder_loss,
-    pairwise_penalties,
     pairwise_penalty_sum,
     rescaled_distance,
 )

@@ -4,9 +4,13 @@ The radius is an order statistic of the losses from the center to the draw
 clusterings. The bounds walk the activity lattice greedily: the upper bound
 activates inactive points by decreasing posterior activity probability, the
 lower bound deactivates active points by increasing activity probability,
-relabelling the delta-graph components after each toggle and stopping just
-before the state would leave the ball. Each walk builds its graph's pair list
-once; a toggle only changes which points the labelling masks in.
+and each stops just before the state would leave the ball. A state is the
+delta-graph components of its active set. Each walk builds its graph's pair
+list once and keeps the components in a union-find that also tracks the
+loss's integer counts, so a toggle costs its merges, not a relabelling of the
+graph. The lower walk only removes points, so it is counted backwards, as
+insertions (Tarjan's offline treatment of deletions). Only the returned state
+is labelled.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .levelset import PointSet, _component_labels, _delta_pairs
 from .risk import CoClusteringStats, precompute_stats
-from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, ia_binder_loss
+from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _weighted_loss, ia_binder_loss
 from .util import canonical_json, order_statistic_ceil
 
 __all__ = [
@@ -77,6 +81,88 @@ def _activation_order(alpha_hat: np.ndarray, candidates: np.ndarray, largest_fir
     return candidates[np.lexsort((candidates, key))]
 
 
+class _Walk:
+    """Union-find over the points a walk has activated, tracking the integer
+    counts of the IA-Binder loss from the center to their delta-components.
+
+    Every root keeps a table: center cluster -> number of its points under the
+    root (points inactive in the center have no entry). A union links the
+    smaller tree under the larger and merges the smaller table into the
+    larger one, so it counts the pairs it joins at the cost of the smaller
+    table. Pair counts over the points active in both the center and the
+    state: s1 together in the center, s2 together in the state, s12 both.
+    """
+
+    def __init__(self, center: SubPartition, pairs: np.ndarray):
+        labels = center.labels_array
+        n = labels.size
+        self.cluster = labels.tolist()
+        self.n_center = int(np.count_nonzero(labels))
+        ends = pairs.T.ravel()
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=n))))
+        self.nbrs = pairs[:, ::-1].T.ravel()[np.argsort(ends, kind="stable")]
+        self.active = bytearray(n)
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.members = [0] * n  # center-active points under a root
+        self.table: list = [None] * n
+        self.cluster_kept = [0] * (center.k + 1)
+        self.kept = self.extra = 0
+        self.s1 = self.s2 = self.s12 = 0
+
+    def counts(self) -> tuple[int, int, int, int]:
+        """(active -> inactive, inactive -> active, split pairs, merged pairs)."""
+        return self.n_center - self.kept, self.extra, self.s1 - self.s12, self.s2 - self.s12
+
+    def add(self, i: int) -> None:
+        """Activate point i and merge it with its active delta-neighbours."""
+        h = self.cluster[i]
+        if h:
+            self.s1 += self.cluster_kept[h]
+            self.cluster_kept[h] += 1
+            self.kept += 1
+            self.members[i] = 1
+            self.table[i] = {h: 1}
+        else:
+            self.extra += 1
+            self.table[i] = {}
+        self.active[i] = 1
+        active, parent = self.active, self.parent
+        r = i
+        for j in self.nbrs[self.indptr[i] : self.indptr[i + 1]].tolist():
+            if not active[j]:
+                continue
+            # both roots, with path halving
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if r != j:
+                r = self._link(r, j)
+
+    def _link(self, ri: int, rj: int) -> int:
+        size, members, table = self.size, self.members, self.table
+        if size[ri] < size[rj]:
+            ri, rj = rj, ri
+        big, small = table[ri], table[rj]
+        if len(big) < len(small):
+            big, small = small, big
+            table[ri] = big
+        for h, c in small.items():
+            d = big.get(h)
+            if d is None:
+                big[h] = c
+            else:
+                self.s12 += c * d
+                big[h] = c + d
+        self.s2 += members[ri] * members[rj]
+        members[ri] += members[rj]
+        size[ri] += size[rj]
+        table[rj] = None
+        self.parent[rj] = ri
+        return ri
+
+
 def greedy_upper_bound(
     center: SubPartition,
     ps: PointSet,
@@ -89,28 +175,31 @@ def greedy_upper_bound(
 ) -> SubPartition:
     """Last in-ball state of the greedy activation walk from the center.
 
-    Activates the inactive point with the largest alpha-hat, relabels the
-    delta-graph components of the enlarged active set, and stops as soon as a
-    state falls outside the ball.
+    Each state is the delta-graph components of the center's active set plus
+    the inactive points activated so far, by decreasing alpha-hat. The walk
+    stops at the first state outside the ball.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    _check_bound_inputs(center, ps, stats)
+    _check_bound_inputs(center, ps, stats, radius)
     active = center.labels_array != 0
     order = _activation_order(stats.alpha, np.flatnonzero(~active), largest_first=True)
     pairs = _delta_pairs(ps.points, delta, closed_edges)
-    best = center
+    walk = _Walk(center, pairs)
+    for i in np.flatnonzero(active).tolist():
+        walk.add(i)
+    taken = 0
     for idx in order.tolist():
-        active[idx] = True
-        cand = SubPartition(_component_labels(ps.n, pairs, active))
-        dist = ia_binder_loss(center, cand, p)
+        walk.add(idx)
+        dist = _weighted_loss(ps.n, *walk.counts(), p)
         accepted = dist <= radius
         if trace is not None:
             trace.append(BoundStep(int(idx), float(stats.alpha[idx]), dist, accepted))
         if not accepted:
             break
-        best = cand
-    return best
+        taken += 1
+    if taken == 0:
+        return center
+    active[order[:taken]] = True
+    return SubPartition(_component_labels(ps.n, pairs, active))
 
 
 def greedy_lower_bound(
@@ -126,31 +215,41 @@ def greedy_lower_bound(
     """Last in-ball state of the greedy deactivation walk from the center.
 
     Symmetric to the upper bound: removes the active point with the smallest
-    alpha-hat. The states stay inside the center's active set, so the walk's
-    graph is built over that set only.
+    alpha-hat. The walk only removes points, so its states are counted in
+    reverse: starting empty, the center's active points are added back from
+    the last in the walk's order to the first, and the counts after each
+    addition are those of the state that keeps exactly the points added.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    _check_bound_inputs(center, ps, stats)
+    _check_bound_inputs(center, ps, stats, radius)
     act = center.active_indices
-    active = center.labels_array != 0
     pairs = act[_delta_pairs(ps.points[act], delta, closed_edges)]
     order = _activation_order(stats.alpha, act, largest_first=False)
-    best = center
-    for idx in order.tolist():
-        active[idx] = False
-        cand = SubPartition(_component_labels(ps.n, pairs, active))
-        dist = ia_binder_loss(center, cand, p)
+    walk = _Walk(center, pairs)
+    # counts[t]: the state with the first t points of the order removed
+    counts = [walk.counts()]
+    for idx in order[::-1].tolist():
+        walk.add(idx)
+        counts.append(walk.counts())
+    counts.reverse()
+    taken = 0
+    for t, idx in enumerate(order.tolist(), start=1):
+        dist = _weighted_loss(ps.n, *counts[t], p)
         accepted = dist <= radius
         if trace is not None:
             trace.append(BoundStep(int(idx), float(stats.alpha[idx]), dist, accepted))
         if not accepted:
             break
-        best = cand
-    return best
+        taken = t
+    if taken == 0:
+        return center
+    active = center.labels_array != 0
+    active[order[:taken]] = False
+    return SubPartition(_component_labels(ps.n, pairs, active))
 
 
-def _check_bound_inputs(center: SubPartition, ps: PointSet, stats: CoClusteringStats) -> None:
+def _check_bound_inputs(center: SubPartition, ps: PointSet, stats: CoClusteringStats, radius: float) -> None:
+    if not radius >= 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     if center.n != ps.n:
         raise ValueError(f"center has n={center.n} but point set has n={ps.n}")
     if stats.n != ps.n:

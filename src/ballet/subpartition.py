@@ -1,4 +1,4 @@
-"""Sub-partitions with a noise set, the IA-Binder loss, and lattice operations.
+"""Sub-partitions with a noise set, the IA-Binder loss, and their enumeration.
 
 A sub-partition of items 0..n-1 assigns each item either to the noise set
 (label 0) or to one of k clusters (labels 1..k). Two sub-partitions are equal
@@ -23,12 +23,7 @@ __all__ = [
     "NonMetricParamsWarning",
     "ia_binder_loss",
     "rescaled_distance",
-    "pairwise_penalties",
     "pairwise_penalty_sum",
-    "meet",
-    "join",
-    "precedes",
-    "hasse_successors",
     "enumerate_subpartitions",
 ]
 
@@ -246,6 +241,15 @@ def ia_binder_loss(c1: SubPartition, c2: SubPartition, p: LossParams = DEFAULT_L
     cnt_ia = int(np.count_nonzero(~a1 & a2))
     both = a1 & a2
     c_split, c_merge = _pair_disagreement_counts(l1[both], l2[both])
+    return _weighted_loss(n, cnt_ai, cnt_ia, c_split, c_merge, p)
+
+
+def _weighted_loss(n: int, cnt_ai: int, cnt_ia: int, c_split: int, c_merge: int, p: LossParams) -> float:
+    """The IA-Binder loss over n items from its four integer counts.
+
+    Every loss value goes through this one float expression, so a caller that
+    tracks the counts incrementally gets bit-identical distances.
+    """
     if p.m_ai == p.m_ia and p.a == p.b:
         # single-rounding form; bit-identical to pairwise_penalty_sum
         return p.m_ai * float((n - 1) * (cnt_ai + cnt_ia)) + p.a * float(c_split + c_merge)
@@ -277,35 +281,6 @@ def rescaled_distance(c1: SubPartition, c2: SubPartition, p: LossParams = DEFAUL
     return ia_binder_loss(c1, c2, p) / float(n * (n - 1) // 2)
 
 
-def pairwise_penalties(c1: SubPartition, c2: SubPartition, p: LossParams = DEFAULT_LOSS_PARAMS) -> np.ndarray:
-    """Per-pair penalty matrix phi with values in {0, a, m, 2m} (metric mode only).
-
-    phi[i, j] charges m for each endpoint whose activity differs between the
-    two sub-partitions, plus a when both endpoints have consistent activity in
-    both but the together/apart relation flips. Symmetric, zero diagonal;
-    the sum over i < j equals ia_binder_loss exactly.
-    """
-    if not (p.a == p.b and p.m_ai == p.m_ia):
-        raise ValueError("pairwise penalties require metric-mode parameters (a == b, m_ai == m_ia)")
-    _check_same_n(c1, c2)
-    l1 = c1.labels_array
-    l2 = c2.labels_array
-    a1 = l1 != 0
-    a2 = l2 != 0
-    mismatch = a1 != a2
-    consistent = ~mismatch
-    # relation: together iff same cluster, or both noise
-    same1 = (l1[:, None] == l1[None, :]) & (a1[:, None] & a1[None, :])
-    same1 |= ~a1[:, None] & ~a1[None, :]
-    same2 = (l2[:, None] == l2[None, :]) & (a2[:, None] & a2[None, :])
-    same2 |= ~a2[:, None] & ~a2[None, :]
-    both_consistent = consistent[:, None] & consistent[None, :]
-    phi = p.m_ai * (mismatch[:, None].astype(np.float64) + mismatch[None, :].astype(np.float64))
-    phi += p.a * ((same1 != same2) & both_consistent).astype(np.float64)
-    np.fill_diagonal(phi, 0.0)
-    return phi
-
-
 def pairwise_penalty_sum(c1: SubPartition, c2: SubPartition, p: LossParams = DEFAULT_LOSS_PARAMS) -> float:
     """Sum of per-pair penalties over i < j; equals ia_binder_loss bit-exactly.
 
@@ -333,84 +308,7 @@ def pairwise_penalty_sum(c1: SubPartition, c2: SubPartition, p: LossParams = DEF
     return p.m_ai * float(m_incidences) + p.a * float(c_split + c_merge)
 
 
-# -- lattice operations -----------------------------------------------------
-
-
-def meet(c1: SubPartition, c2: SubPartition) -> SubPartition:
-    """Greatest lower bound: nonempty pairwise intersections of clusters."""
-    _check_same_n(c1, c2)
-    l1 = c1.labels_array
-    l2 = c2.labels_array
-    both = (l1 != 0) & (l2 != 0)
-    out = np.zeros(c1.n, dtype=np.int64)
-    k2 = int(l2.max(initial=0)) + 1
-    out[both] = l1[both] * k2 + l2[both]  # distinct positive code per joint cell
-    return SubPartition(out)
-
-
-def join(c1: SubPartition, c2: SubPartition) -> SubPartition:
-    """Least upper bound: union of clusters, merging chains that overlap."""
-    _check_same_n(c1, c2)
-    l1 = c1.labels_array
-    l2 = c2.labels_array
-    k1 = int(l1.max(initial=0))
-    k2 = int(l2.max(initial=0))
-    # union-find over cluster nodes: 0..k1-1 from c1, k1..k1+k2-1 from c2
-    parent = list(range(k1 + k2))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
-    for v1, v2 in zip(l1.tolist(), l2.tolist()):
-        if v1 != 0 and v2 != 0:
-            union(v1 - 1, k1 + v2 - 1)
-    out = np.zeros(c1.n, dtype=np.int64)
-    for i, (v1, v2) in enumerate(zip(l1.tolist(), l2.tolist())):
-        if v1 != 0:
-            out[i] = find(v1 - 1) + 1
-        elif v2 != 0:
-            out[i] = find(k1 + v2 - 1) + 1
-    return SubPartition(out)
-
-
-def precedes(c1: SubPartition, c2: SubPartition) -> bool:
-    """Partial order: every cluster of c1 is contained in a single cluster of c2."""
-    _check_same_n(c1, c2)
-    l1 = c1.labels_array
-    l2 = c2.labels_array
-    active1 = l1 != 0
-    if np.any(active1 & (l2 == 0)):
-        return False
-    for h in range(1, int(l1.max(initial=0)) + 1):
-        targets = np.unique(l2[l1 == h])
-        if targets.size > 1:
-            return False
-    return True
-
-
-def hasse_successors(c: SubPartition) -> list[SubPartition]:
-    """Covers of c in the lattice: merge two clusters, or add a noise singleton."""
-    out: list[SubPartition] = []
-    arr = c.labels_array
-    k = c.k
-    for h1 in range(1, k + 1):
-        for h2 in range(h1 + 1, k + 1):
-            merged = arr.copy()
-            merged[merged == h2] = h1
-            out.append(SubPartition(merged))
-    for i in c.noise_indices.tolist():
-        added = arr.copy()
-        added[i] = k + 1
-        out.append(SubPartition(added))
-    return out
+# -- enumeration ------------------------------------------------------------
 
 
 def enumerate_subpartitions(n: int) -> Iterator[SubPartition]:

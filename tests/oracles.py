@@ -31,6 +31,32 @@ def oracle_ia_binder_loss(labels1, labels2, a=1.0, b=1.0, m_ai=0.5, m_ia=0.5) ->
     return loss
 
 
+def oracle_pairwise_penalties(c1, c2, p=None) -> np.ndarray:
+    """Per-pair penalty matrix phi, pair by pair (metric-mode weights a, m).
+
+    phi[i, j] charges m for each endpoint whose activity differs between the
+    two sub-partitions, plus a when both endpoints keep their activity but
+    the together/apart relation flips (together: same cluster, or both
+    noise). Symmetric with a zero diagonal; the sum over i < j is the loss.
+    """
+    a, m = (1.0, 0.5) if p is None else (p.a, p.m_ai)
+    l1, l2 = c1.labels, c2.labels
+    n = len(l1)
+    phi = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            flips = [(l1[x] != 0) != (l2[x] != 0) for x in (i, j)]
+            value = m * sum(flips)
+            if not any(flips):
+                same1 = l1[i] == l1[j] if l1[i] and l1[j] else not l1[i] and not l1[j]
+                same2 = l2[i] == l2[j] if l2[i] and l2[j] else not l2[i] and not l2[j]
+                value += a * (same1 != same2)
+            phi[i, j] = value
+    return phi
+
+
 def oracle_pair_frequencies(draws):
     """Active frequency alpha_i and pair frequencies of S draw clusterings.
 
@@ -126,15 +152,38 @@ def oracle_dbscan(points: np.ndarray, eps: float, min_pts: int, include_self: bo
     return labels
 
 
-def oracle_greedy_walk(points, center_labels, alpha, delta, radius, upper: bool, closed: bool = False):
+def oracle_loss_counts(labels1, labels2) -> tuple:
+    """The IA-Binder loss's four integer counts, pair by pair: (active ->
+    inactive, inactive -> active, pairs split, pairs merged) from 1 to 2."""
+    n = len(labels1)
+    act1 = [labels1[i] != 0 for i in range(n)]
+    act2 = [labels2[i] != 0 for i in range(n)]
+    cnt_ai = sum(act1[i] and not act2[i] for i in range(n))
+    cnt_ia = sum(act2[i] and not act1[i] for i in range(n))
+    split = merge = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if act1[i] and act1[j] and act2[i] and act2[j]:
+                same1 = labels1[i] == labels1[j]
+                same2 = labels2[i] == labels2[j]
+                split += same1 and not same2
+                merge += same2 and not same1
+    return cnt_ai, cnt_ia, split, merge
+
+
+def oracle_greedy_walk(points, center_labels, alpha, delta, radius, upper: bool, closed: bool = False, p=None):
     """Greedy credible-bound walk, recomputing every state from first definitions.
 
     upper=True activates inactive points by decreasing alpha, upper=False
     deactivates active points by increasing alpha, ties to the smallest index.
     Each state is the delta-graph components of its active set; the walk stops
-    at the first state whose loss from the center exceeds radius. Returns the
-    last in-ball labels and the trace as (index, alpha, distance, accepted).
+    at the first state whose loss from the center exceeds radius. The loss
+    weighs oracle_loss_counts with the loss parameters p (default weights
+    when None) by the package's float expression, written out here, so
+    distances compare with == under any weights. Returns the last in-ball
+    labels and the trace as (index, alpha, distance, accepted).
     """
+    a, b, m_ai, m_ia = (1.0, 1.0, 0.5, 0.5) if p is None else (p.a, p.b, p.m_ai, p.m_ia)
     n = len(center_labels)
     active = {i for i in range(n) if center_labels[i] != 0}
     if upper:
@@ -149,12 +198,51 @@ def oracle_greedy_walk(points, center_labels, alpha, delta, radius, upper: bool,
         else:
             active.discard(idx)
         labels = oracle_components(points, np.asarray(sorted(active), dtype=int), delta, closed=closed)
-        dist = oracle_ia_binder_loss(center_labels, labels)
+        cnt_ai, cnt_ia, split, merge = oracle_loss_counts(center_labels, labels)
+        if m_ai == m_ia and a == b:
+            dist = m_ai * float((n - 1) * (cnt_ai + cnt_ia)) + a * float(split + merge)
+        else:
+            dist = m_ai * float((n - 1) * cnt_ai) + m_ia * float((n - 1) * cnt_ia) + a * float(split) + b * float(merge)
         accepted = dist <= radius
         trace.append((idx, float(alpha[idx]), float(dist), accepted))
         if not accepted:
             break
         best = labels
+    return best, trace
+
+
+def oracle_relabel_walk(center, ps, delta, stats, radius, upper: bool, p=None, closed_edges: bool = False):
+    """The greedy bound walks as they were before the union-find: relabel the
+    whole masked delta graph and recount the loss after every toggle.
+
+    Like oracle_search it drives package code (pair list, labelling, loss),
+    so it is fast enough for mid-size instances. Returns the last in-ball
+    state and the trace as a list of BoundStep.
+    """
+    from ballet.credible import BoundStep, _activation_order
+    from ballet.levelset import _component_labels, _delta_pairs
+    from ballet.subpartition import DEFAULT_LOSS_PARAMS, SubPartition, ia_binder_loss
+
+    p = p or DEFAULT_LOSS_PARAMS
+    active = center.labels_array != 0
+    if upper:
+        order = _activation_order(stats.alpha, np.flatnonzero(~active), largest_first=True)
+        pairs = _delta_pairs(ps.points, delta, closed_edges)
+    else:
+        act = center.active_indices
+        pairs = act[_delta_pairs(ps.points[act], delta, closed_edges)]
+        order = _activation_order(stats.alpha, act, largest_first=False)
+    best = center
+    trace = []
+    for idx in order.tolist():
+        active[idx] = upper
+        cand = SubPartition(_component_labels(ps.n, pairs, active))
+        dist = ia_binder_loss(center, cand, p)
+        accepted = dist <= radius
+        trace.append(BoundStep(int(idx), float(stats.alpha[idx]), dist, accepted))
+        if not accepted:
+            break
+        best = cand
     return best, trace
 
 

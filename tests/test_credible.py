@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ballet
 from ballet.credible import (
     BoundStep,
     CredibleBall,
@@ -16,7 +19,7 @@ from ballet.risk import precompute_stats
 from ballet.subpartition import LossParams, SubPartition, ia_binder_loss
 from ballet.util import order_statistic_ceil
 
-from oracles import oracle_components, oracle_greedy_walk, random_subpartition
+from oracles import oracle_components, oracle_greedy_walk, oracle_relabel_walk, random_subpartition
 
 
 def make_stats(activity_counts, S, cluster_together=True):
@@ -218,22 +221,124 @@ def test_bounds_and_traces_match_oracle_walk():
             center = SubPartition(oracle_components(pts, active, delta))
         radius = float(rng.uniform(0.0, 4.0 * n))
         for closed in (False, True):
-            for upper, walk in ((True, greedy_upper_bound), (False, greedy_lower_bound)):
-                trace = []
-                got = walk(center, ps, delta, stats, radius, closed_edges=closed, trace=trace)
-                expect, expect_trace = oracle_greedy_walk(
-                    pts, center.labels, stats.alpha, delta, radius, upper=upper, closed=closed
-                )
-                assert got == SubPartition(expect)
-                assert [(s.index, s.alpha, s.distance, s.accepted) for s in trace] == expect_trace
+            for upper in (True, False):
+                assert_walk_matches_oracles(ps, delta, stats, center, radius, upper, closed_edges=closed)
+
+
+def assert_walk_matches_oracles(ps, delta, stats, center, radius, upper, p=LossParams(), closed_edges=False):
+    """The walk's bound and trace equal both oracles': the per-toggle relabelling
+    walk and the walk from first definitions, floats compared with ==."""
+    walk = greedy_upper_bound if upper else greedy_lower_bound
+    trace = []
+    got = walk(center, ps, delta, stats, radius, p, closed_edges, trace)
+    relabelled, relabel_trace = oracle_relabel_walk(center, ps, delta, stats, radius, upper, p, closed_edges)
+    assert got == relabelled
+    assert trace == relabel_trace
+    expect, expect_trace = oracle_greedy_walk(
+        ps.points, center.labels, stats.alpha, delta, radius, upper=upper, closed=closed_edges, p=p
+    )
+    assert got == SubPartition(expect)
+    assert [(s.index, s.alpha, s.distance, s.accepted) for s in trace] == expect_trace
+
+
+_PARAMS = [LossParams(), LossParams(a=1.0, b=2.0, m_ai=0.25, m_ia=1.0), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]
+
+
+@st.composite
+def walk_instances(draw):
+    """Small walks: lattice points at delta = 1 (exact-delta ties, duplicates)
+    or free points; centers that are or are not the delta-components of their
+    active set, all noise or all active; radius 0, in between, equal to a
+    state's distance, or 1e9; three loss settings."""
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 20)))
+    if draw(st.booleans()):
+        coords = st.integers(0, 3).map(float)
+        delta = 1.0
+    else:
+        coords = st.floats(0.0, 4.0, allow_nan=False)
+        delta = draw(st.floats(0.3, 1.5))
+    pts = np.array(draw(st.lists(st.tuples(coords, coords), min_size=n, max_size=n)))
+    S = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=S, max_size=S))
+    stats = precompute_stats([SubPartition(r) for r in rows])
+    closed = draw(st.booleans())
+    kind = draw(st.sampled_from(["components", "labels", "noise", "active"]))
+    if kind == "components":
+        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        center = SubPartition(oracle_components(pts, np.flatnonzero(mask), delta, closed=closed))
+    elif kind == "labels":
+        center = SubPartition(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    elif kind == "noise":
+        center = SubPartition.all_noise(n)
+    else:
+        center = SubPartition(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    p = draw(st.sampled_from(_PARAMS))
+    upper = draw(st.booleans())
+    radius_kind = draw(st.sampled_from(["zero", "between", "tie", "huge"]))
+    if radius_kind == "zero":
+        radius = 0.0
+    elif radius_kind == "huge":
+        radius = 1e9
+    elif radius_kind == "between":
+        radius = draw(st.floats(0.0, 3.0 * n * n))
+    else:
+        _, full = oracle_relabel_walk(center, PointSet(pts), delta, stats, 1e9, upper, p, closed)
+        radius = full[draw(st.integers(0, len(full) - 1))].distance if full else 0.0
+    return PointSet(pts), delta, stats, center, radius, upper, p, closed
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_instances())
+def test_walks_match_both_oracles(instance):
+    ps, delta, stats, center, radius, upper, p, closed = instance
+    assert_walk_matches_oracles(ps, delta, stats, center, radius, upper, p, closed)
+
+
+def test_walks_match_relabel_oracle_mid_size():
+    """Two-Gaussian ladder-size input (n = 250, S = 30): hundreds of toggles
+    and long merge chains, against the per-toggle relabelling walk."""
+    rng = np.random.default_rng(250)
+    pts = np.concatenate([rng.normal(-1.5, 0.6, (125, 2)), rng.normal(1.5, 0.6, (125, 2))])
+    ps = PointSet(pts)
+    ens = ballet.build_ensemble(ps, ballet.HistogramMixtureConfig(K=30, M_prime=14), S=30, seed=5)
+    fbar = ens.posterior_mean()
+    lam = float(np.quantile(fbar, 0.4))
+    delta = ballet.adaptive_delta(ps, np.flatnonzero(fbar >= lam))
+    draws = ballet.draw_clusterings(ps, ens, lam, delta)
+    stats = precompute_stats(draws)
+    plugin = ballet.plugin_estimate(ps, ens, lam, delta)
+    # a center whose clusters cut across its delta-components: one large
+    # cluster and seven small ones on half the points, so large components
+    # with few clusters meet small ones with many, and count tables merge
+    # both ways
+    labels = rng.choice(np.arange(9), size=ps.n, p=[0.5, 0.3] + [0.2 / 7] * 7)
+    scattered = SubPartition(labels)
+    steps = 0
+    for center in (plugin, scattered):
+        for r in (credible_radius(center, draws), 1e9):
+            for upper in (True, False):
+                for closed in (False, True):
+                    got_trace = []
+                    walk = greedy_upper_bound if upper else greedy_lower_bound
+                    got = walk(center, ps, delta, stats, r, closed_edges=closed, trace=got_trace)
+                    expect, expect_trace = oracle_relabel_walk(center, ps, delta, stats, r, upper, None, closed)
+                    assert got == expect
+                    assert got_trace == expect_trace
+                    steps += len(got_trace)
+    assert steps >= 1000
 
 
 def test_bound_input_validation():
     ps = line_points(0.0, 1.0)
     stats, _ = make_stats([2, 1], S=2)
     center = SubPartition([1, 1])
-    with pytest.raises(ValueError):
-        greedy_upper_bound(center, ps, 1.0, stats, radius=-0.1)
+    for walk in (greedy_upper_bound, greedy_lower_bound):
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError):
+                walk(center, ps, 1.0, stats, radius=bad)
+    # an infinite radius is valid and accepts every toggle
+    assert greedy_upper_bound(center, ps, 1.0, stats, radius=float("inf")) == center
+    assert greedy_lower_bound(center, ps, 1.0, stats, radius=float("inf")).is_all_noise
     with pytest.raises(ValueError):
         greedy_lower_bound(SubPartition([1, 1, 0]), ps, 1.0, stats, radius=1.0)
 

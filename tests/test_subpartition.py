@@ -1,8 +1,7 @@
-"""Tests for sub-partitions, the IA-Binder loss, and the lattice operations."""
+"""Tests for sub-partitions, the IA-Binder loss, and their enumeration."""
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -16,17 +15,12 @@ from ballet.subpartition import (
     NonMetricParamsWarning,
     SubPartition,
     enumerate_subpartitions,
-    hasse_successors,
     ia_binder_loss,
-    join,
-    meet,
-    pairwise_penalties,
     pairwise_penalty_sum,
-    precedes,
     rescaled_distance,
 )
 from ballet.subpartition import _canonical_labels
-from oracles import oracle_canonical_labels, oracle_ia_binder_loss, random_subpartition
+from oracles import oracle_canonical_labels, oracle_ia_binder_loss, oracle_pairwise_penalties, random_subpartition
 
 labels_strategy = st.lists(st.integers(min_value=0, max_value=5), min_size=0, max_size=14)
 
@@ -229,7 +223,7 @@ def test_rescaled_warns_outside_metric_mode():
 def test_penalties_hand_example_n3():
     c1 = SubPartition([1, 1, 0])
     c2 = SubPartition([1, 2, 0])
-    phi = pairwise_penalties(c1, c2)
+    phi = oracle_pairwise_penalties(c1, c2)
     iu = np.triu_indices(3, 1)
     assert phi[iu].tolist() == [1.0, 0.0, 0.0]
     assert pairwise_penalty_sum(c1, c2) == 1.0
@@ -243,7 +237,7 @@ def test_penalty_values_in_allowed_set():
         n = int(rng.integers(2, 10))
         c1 = random_subpartition(rng, n)
         c2 = random_subpartition(rng, n)
-        phi = pairwise_penalties(c1, c2, p)
+        phi = oracle_pairwise_penalties(c1, c2, p)
         assert np.allclose(phi, phi.T)
         assert set(np.round(phi[np.triu_indices(n, 1)], 12).tolist()) <= allowed
 
@@ -270,7 +264,7 @@ def test_penalty_matrix_sums_to_loss():
         n = int(rng.integers(2, 12))
         c1 = random_subpartition(rng, n)
         c2 = random_subpartition(rng, n)
-        phi = pairwise_penalties(c1, c2)
+        phi = oracle_pairwise_penalties(c1, c2)
         total = float(phi[np.triu_indices(n, 1)].sum())
         assert total == ia_binder_loss(c1, c2)  # dyadic defaults: exact
 
@@ -278,79 +272,6 @@ def test_penalty_matrix_sums_to_loss():
 def test_penalties_require_metric_shape():
     with pytest.raises(ValueError):
         pairwise_penalty_sum(SubPartition([1]), SubPartition([1]), LossParams(a=1.0, b=2.0))
-
-
-# -- lattice -----------------------------------------------------------------
-
-
-def test_meet_join_idempotent():
-    sp = SubPartition([0, 1, 1, 2])
-    assert meet(sp, sp) == sp
-    assert join(sp, sp) == sp
-
-
-def test_meet_join_chain_example():
-    c1 = SubPartition([1, 1, 0])  # {x1,x2}
-    c2 = SubPartition([0, 1, 1])  # {x2,x3}
-    assert meet(c1, c2) == SubPartition([0, 1, 0])
-    assert join(c1, c2) == SubPartition([1, 1, 1])
-
-
-def test_meet_with_all_noise():
-    c = SubPartition([1, 2, 1])
-    bottom = SubPartition.all_noise(3)
-    assert meet(c, bottom) == bottom
-    assert join(c, bottom) == c
-
-
-def test_join_transitive_merge():
-    # chains overlapping through intermediate clusters must merge transitively
-    c1 = SubPartition([1, 1, 0, 2, 2, 0])
-    c2 = SubPartition([0, 1, 1, 0, 2, 2])
-    # c1: {0,1}, {3,4}; c2: {1,2}, {4,5} -> join clusters {0,1,2} and {3,4,5}
-    assert join(c1, c2) == SubPartition([1, 1, 1, 2, 2, 2])
-
-
-def test_precedes_examples():
-    assert precedes(SubPartition([1, 2, 0]), SubPartition([1, 1, 0]))
-    assert precedes(SubPartition([0, 0, 0]), SubPartition([1, 1, 1]))
-    assert not precedes(SubPartition([1, 1, 0]), SubPartition([1, 2, 0]))
-    assert not precedes(SubPartition([1, 0, 0]), SubPartition([0, 1, 1]))
-
-
-def test_lattice_order_exhaustive_n4():
-    all_sp = list(enumerate_subpartitions(4))
-    rng = np.random.default_rng(3)
-    idx = rng.integers(0, len(all_sp), size=(120, 2))
-    for i, j in idx:
-        c1, c2 = all_sp[i], all_sp[j]
-        mt = meet(c1, c2)
-        jn = join(c1, c2)
-        assert precedes(mt, c1) and precedes(mt, c2)
-        assert precedes(c1, jn) and precedes(c2, jn)
-
-
-def test_meet_is_greatest_join_is_least_n3():
-    all_sp = list(enumerate_subpartitions(3))
-    for c1, c2 in itertools.product(all_sp, repeat=2):
-        mt = meet(c1, c2)
-        jn = join(c1, c2)
-        for cand in all_sp:
-            if precedes(cand, c1) and precedes(cand, c2):
-                assert precedes(cand, mt)
-            if precedes(c1, cand) and precedes(c2, cand):
-                assert precedes(jn, cand)
-
-
-def test_hasse_successors_are_covers_n3():
-    all_sp = list(enumerate_subpartitions(3))
-
-    def brute_covers(c):
-        ups = [d for d in all_sp if d != c and precedes(c, d)]
-        return {d for d in ups if not any(e != c and e != d and precedes(c, e) and precedes(e, d) for e in ups)}
-
-    for c in all_sp:
-        assert set(hasse_successors(c)) == brute_covers(c)
 
 
 # -- enumeration -------------------------------------------------------------
