@@ -20,6 +20,7 @@ from .levels import LevelSpec, resolve_level
 from .levelset import (
     AdaptiveDeltaConfig,
     PointSet,
+    _check_pair_budget,
     adaptive_delta,
     dbscan_star,
     default_k_dbscan,
@@ -372,11 +373,13 @@ def dbscan_parameters(ps: PointSet, cfg: DbscanStudyConfig) -> tuple[int, float]
     Eps is the ceil((1 - nu) * n)-th smallest of the distances from each point
     to its MinPts-th nearest dataset point, a data point counting as its own
     first neighbor -- the same inclusive convention as the core-point test.
+    A given Eps whose graph would not fit the pair budget is an InfeasibleError.
     """
     k = default_k_dbscan(ps.n) if cfg.min_pts is None else int(cfg.min_pts)
     if not 1 <= k <= ps.n:
         raise ConfigError(f"min_pts={k} out of range for n={ps.n}")
     if cfg.eps is not None:
+        _check_pair_budget(ps.points, cfg.eps)
         return k, float(cfg.eps)
     dists, _ = cKDTree(ps.points).query(ps.points, k=k)
     radii = np.asarray(dists, dtype=np.float64)

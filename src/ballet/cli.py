@@ -41,6 +41,7 @@ from .levels import LevelSpec, build_cluster_tree, persistent_clusters, resolve_
 from .levelset import (
     AdaptiveDeltaConfig,
     PointSet,
+    _check_pair_budget,
     adaptive_delta,
     dbscan_star,
 )
@@ -320,8 +321,13 @@ def _noise_fraction(cfg: RunConfig, why: str) -> float:
 
 
 def _prepare(cfg: RunConfig, key: str, values: list[float]) -> tuple[PointSet, DensityDrawEnsemble, list[float], float]:
-    """Points, density draws, the lambda of each level value, and delta (adapted at the first lambda)."""
+    """Points, density draws, the lambda of each level value, and delta (adapted at the first lambda).
+
+    A fixed delta whose graph would not fit the pair budget fails before the ensemble is built.
+    """
     ps = _load_points(cfg)
+    if not isinstance(cfg.delta, AdaptiveDeltaConfig):
+        _check_pair_budget(ps.points, cfg.delta)
     if cfg.ensemble is not None:
         ensemble = DensityDrawEnsemble.load(cfg.ensemble)
     else:

@@ -170,7 +170,6 @@ def greedy_upper_bound(
     stats: CoClusteringStats,
     radius: float,
     p: LossParams = DEFAULT_LOSS_PARAMS,
-    closed_edges: bool = False,
     trace: Optional[list] = None,
 ) -> SubPartition:
     """Last in-ball state of the greedy activation walk from the center.
@@ -182,7 +181,7 @@ def greedy_upper_bound(
     _check_bound_inputs(center, ps, stats, radius)
     active = center.labels_array != 0
     order = _activation_order(stats.alpha, np.flatnonzero(~active), largest_first=True)
-    pairs = _delta_pairs(ps.points, delta, closed_edges)
+    pairs = _delta_pairs(ps.points, delta, closed=False)
     walk = _Walk(center, pairs)
     for i in np.flatnonzero(active).tolist():
         walk.add(i)
@@ -209,7 +208,6 @@ def greedy_lower_bound(
     stats: CoClusteringStats,
     radius: float,
     p: LossParams = DEFAULT_LOSS_PARAMS,
-    closed_edges: bool = False,
     trace: Optional[list] = None,
 ) -> SubPartition:
     """Last in-ball state of the greedy deactivation walk from the center.
@@ -222,7 +220,7 @@ def greedy_lower_bound(
     """
     _check_bound_inputs(center, ps, stats, radius)
     act = center.active_indices
-    pairs = act[_delta_pairs(ps.points[act], delta, closed_edges)]
+    pairs = act[_delta_pairs(ps.points[act], delta, closed=False)]
     order = _activation_order(stats.alpha, act, largest_first=False)
     walk = _Walk(center, pairs)
     # counts[t]: the state with the first t points of the order removed
@@ -288,15 +286,14 @@ def compute_credible_ball(
     alpha: float = 0.05,
     p: LossParams = DEFAULT_LOSS_PARAMS,
     stats: Optional[CoClusteringStats] = None,
-    closed_edges: bool = False,
 ) -> CredibleBall:
     """Radius, coverage, and both greedy bounds in one pass."""
     radius, dists = _radius_and_losses(center, clusterings, p, alpha)
     if stats is None:
         stats = precompute_stats(clusterings)
     coverage = float(np.count_nonzero(dists <= radius)) / len(clusterings)
-    lower = greedy_lower_bound(center, ps, delta, stats, radius, p, closed_edges)
-    upper = greedy_upper_bound(center, ps, delta, stats, radius, p, closed_edges)
+    lower = greedy_lower_bound(center, ps, delta, stats, radius, p)
+    upper = greedy_upper_bound(center, ps, delta, stats, radius, p)
     return CredibleBall(
         center=center, radius=radius, alpha=alpha, coverage=coverage, lower=lower, upper=upper
     )

@@ -153,12 +153,13 @@ class HistogramMixtureConfig:
                     raise ValueError(f"bad domain axis ({lo}, {hi})")
 
 
-def default_domain(ps: PointSet, inflate: float = 0.01) -> tuple[tuple[float, float], ...]:
-    """Data bounding box widened by `inflate` of each axis range (half per side)."""
+def default_domain(ps: PointSet) -> tuple[tuple[float, float], ...]:
+    """Data bounding box widened by one percent of each axis range (half per
+    side); a flat axis is widened by 0.5 on each side."""
     lo = ps.points.min(axis=0)
     hi = ps.points.max(axis=0)
     span = hi - lo
-    pad = np.where(span > 0, 0.5 * inflate * span, 0.5)
+    pad = np.where(span > 0, 0.005 * span, 0.5)
     return tuple((float(a - p), float(b + p)) for a, b, p in zip(lo, hi, pad))
 
 
@@ -355,19 +356,17 @@ def build_ensemble(
     cfg: HistogramMixtureConfig = HistogramMixtureConfig(),
     S: int = 100,
     seed: int = 0,
-    bins: Optional[HistogramBins] = None,
 ) -> DensityDrawEnsemble:
     """S independent posterior density draws evaluated at the data points.
 
-    Deterministic given seed: one RNG stream samples the bin layout (when not
-    supplied), then each draw gets its own stream.
+    Deterministic given seed: one RNG stream samples the bin layout, then
+    each draw gets its own stream.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
     rngs = spawn_rngs(seed, S + 1)
     domain = cfg.domain if cfg.domain is not None else default_domain(data)
-    if bins is None:
-        bins = sample_bins(cfg, domain, rngs[0])
+    bins = sample_bins(cfg, domain, rngs[0])
     post = fit_histogram_posterior(data, bins, cfg)
     values = np.empty((S, data.n))
     for s in range(S):

@@ -9,7 +9,7 @@ walk that extracts clusters stable below any split.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -48,7 +48,6 @@ class LevelSpec:
 
     kind: str
     value: float
-    resolved_lambda: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.kind not in LEVEL_KINDS:
@@ -61,11 +60,6 @@ class LevelSpec:
             raise ValueError(f"noise fraction must be in [0, 1), got {self.value}")
         if self.kind == "cosmo_c" and self.value < -1.0:
             raise ValueError("c must be >= -1 so the level stays nonnegative")
-        if self.resolved_lambda is not None and self.resolved_lambda < 0:
-            raise ValueError("resolved lambda must be nonnegative")
-
-    def with_resolved(self, lam: float) -> "LevelSpec":
-        return replace(self, resolved_lambda=float(lam))
 
 
 def resolve_level(
@@ -288,7 +282,6 @@ def build_cluster_tree(
     estimator: str = "ballet",
     p: LossParams = DEFAULT_LOSS_PARAMS,
     cfg: SearchConfig = SearchConfig(),
-    closed_edges: bool = False,
 ) -> ClusterTree:
     """Estimate one clustering per level and link overlaps across rows.
 
@@ -306,16 +299,16 @@ def build_cluster_tree(
     if isinstance(source, DensityDrawEnsemble):
         for lam in lams:
             if estimator == "plugin":
-                clusterings.append(plugin_estimate(ps, source, lam, delta, closed_edges=closed_edges))
+                clusterings.append(plugin_estimate(ps, source, lam, delta))
             else:
-                res = ballet_estimate(ps, source, lam, delta, p=p, cfg=cfg, closed_edges=closed_edges)
+                res = ballet_estimate(ps, source, lam, delta, p=p, cfg=cfg)
                 clusterings.append(res.estimate)
     else:
         if estimator == "ballet":
             raise ValueError("the ballet estimator needs a draw ensemble, not a fixed density")
         dens = np.asarray(source, dtype=np.float64)
         for lam in lams:
-            clusterings.append(surrogate_cluster(ps, dens, lam, delta, closed_edges=closed_edges))
+            clusterings.append(surrogate_cluster(ps, dens, lam, delta))
     return tree_from_clusterings(lams, clusterings)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .density import DensityDrawEnsemble
 from .errors import InfeasibleError, SearchPassCapWarning
 from .levelset import PointSet, _component_labels, _delta_pairs, surrogate_cluster
-from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition
+from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _weighted_loss
 from .util import spawn_rngs
 
 __all__ = [
@@ -54,7 +54,6 @@ def draw_clusterings(
     ensemble: DensityDrawEnsemble,
     lam: float,
     delta: float,
-    closed_edges: bool = False,
 ) -> list[SubPartition]:
     """Per-draw level-lambda surrogate clusterings of the ensemble.
 
@@ -65,7 +64,7 @@ def draw_clusterings(
         raise InfeasibleError(f"ensemble has n={ensemble.n} but point set has n={ps.n}")
     active = ensemble.values >= lam
     union = np.flatnonzero(active.any(axis=0))
-    pairs = union[_delta_pairs(ps.points[union], delta, closed_edges)]
+    pairs = union[_delta_pairs(ps.points[union], delta, closed=False)]
     return [SubPartition(_component_labels(ps.n, pairs, mask)) for mask in active]
 
 
@@ -139,22 +138,11 @@ def _risk_counts(stats: CoClusteringStats, labels: np.ndarray) -> np.ndarray:
     return np.array([missed, extra, together_draw - together_both, together_cand - together_both])
 
 
-def _weigh(n: int, counts: np.ndarray, p: LossParams) -> float:
-    """S times the risk with the given _risk_counts: the loss summed over draws."""
-    missed, extra, split, joined = counts.tolist()
-    return (n - 1) * (p.m_ai * missed + p.m_ia * extra) + (p.a * split + p.b * joined)
-
-
-def _scaled_risk(stats: CoClusteringStats, labels: np.ndarray, p: LossParams) -> float:
-    """S times the empirical risk of full-length labels: the loss summed over draws."""
-    return _weigh(stats.n, _risk_counts(stats, labels), p)
-
-
 def empirical_risk(c: SubPartition, stats: CoClusteringStats, p: LossParams = DEFAULT_LOSS_PARAMS) -> float:
     """Posterior expected IA-Binder loss of candidate c: the mean per-draw loss."""
     if c.n != stats.n:
         raise ValueError(f"candidate has n={c.n} but stats have n={stats.n}")
-    return _scaled_risk(stats, c.labels_array, p) / stats.S
+    return _weighted_loss(stats.n, *_risk_counts(stats, c.labels_array).tolist(), p) / stats.S
 
 
 # -- search -------------------------------------------------------------------
@@ -419,8 +407,8 @@ class _Engine:
         return int(ids[pick - 2])
 
     def risk(self, counts: np.ndarray) -> float:
-        """S times the risk of a state with these _risk_counts."""
-        return _weigh(self._n, counts, self.p)
+        """S times the risk of a state with these _risk_counts: the loss summed over draws."""
+        return _weighted_loss(self._n, *counts.tolist(), self.p)
 
     def point_counts(self, i: int, h: int, priced: _Prices, r: int) -> np.ndarray:
         """The _risk_counts that point i, row r of priced, adds with label h (0 noise)."""
@@ -504,10 +492,11 @@ def _zealous(engine: _Engine, members: np.ndarray, counts: np.ndarray) -> np.nda
     snapshot = engine.labels.copy()
     target = int(snapshot[members[0]])
     trial = counts - engine.removal_counts(members)
-    if target == 0:  # noise counts nowhere, so unassigning it keeps the table
-        engine.labels[members] = -1
-    else:
-        engine.reset(np.where(snapshot == target, -1, snapshot))
+    # column target of T counts exactly the members, and column 0 (noise)
+    # counts nothing; the dead id keeps the ids' order
+    engine.T[:, target] = 0
+    engine.sizes[target] = 0
+    engine.labels[members] = -1
     moved, delta = _walk(engine, members)
     trial += delta
     if engine.risk(trial) < engine.risk(counts):
@@ -554,7 +543,7 @@ def search(
             raise ValueError(f"seed clustering has n={s.n}, stats have n={stats.n}")
 
     best_sp = SubPartition.all_noise(stats.n)
-    best_risk = _scaled_risk(stats, best_sp.labels_array, p)
+    best_risk = engine.risk(_risk_counts(stats, best_sp.labels_array))
     seed_starts, seed_counts = [], []
     for s in seed_list:
         counts = _risk_counts(stats, s.labels_array)
@@ -609,12 +598,11 @@ def plugin_estimate(
     ensemble: DensityDrawEnsemble,
     lam: float,
     delta: float,
-    closed_edges: bool = False,
 ) -> SubPartition:
     """Surrogate clustering of the pointwise posterior mean density."""
     if ensemble.n != ps.n:
         raise InfeasibleError(f"ensemble has n={ensemble.n} but point set has n={ps.n}")
-    return surrogate_cluster(ps, ensemble.posterior_mean(), lam, delta, closed_edges=closed_edges)
+    return surrogate_cluster(ps, ensemble.posterior_mean(), lam, delta)
 
 
 @dataclass(frozen=True)
@@ -634,10 +622,9 @@ def ballet_estimate(
     delta: float,
     p: LossParams = DEFAULT_LOSS_PARAMS,
     cfg: SearchConfig = SearchConfig(),
-    closed_edges: bool = False,
 ) -> BalletResult:
     """Full point-estimate pipeline: draw clusterings, stats, risk search."""
-    clusterings = draw_clusterings(ps, ensemble, lam, delta, closed_edges=closed_edges)
+    clusterings = draw_clusterings(ps, ensemble, lam, delta)
     stats = precompute_stats(clusterings)
     est = search(stats, p, cfg, seeds=clusterings)
     return BalletResult(

@@ -110,10 +110,6 @@ class SubPartition:
         raise AttributeError("SubPartition is immutable")
 
     @classmethod
-    def from_labels(cls, labels: Iterable[int]) -> "SubPartition":
-        return cls(labels)
-
-    @classmethod
     def all_noise(cls, n: int) -> "SubPartition":
         return cls([0] * n)
 

@@ -306,20 +306,24 @@ def oracle_search(stats, p, cfg, seeds=None):
 
     Unlike the rest of this module it drives the package's search engine,
     through _Engine.candidate_costs and move only, and recounts the risk
-    with _scaled_risk after every restart and zealous attempt. So it checks
-    that block pricing and the tracked risk leave every decision unchanged.
+    from its _risk_counts after every restart and zealous attempt. So it
+    checks that block pricing and the tracked risk leave every decision
+    unchanged.
     """
-    from ballet.risk import _Engine, _full_labels, _scaled_risk
-    from ballet.subpartition import SubPartition
+    from ballet.risk import _Engine, _full_labels, _risk_counts
+    from ballet.subpartition import SubPartition, _weighted_loss
     from ballet.util import spawn_rngs
+
+    def scaled_risk(labels):
+        return _weighted_loss(stats.n, *_risk_counts(stats, labels).tolist(), p)
 
     engine = _Engine(stats, p)
     u = stats.support.size
     seed_list = list(seeds) if seeds is not None else []
     best_sp = SubPartition.all_noise(stats.n)
-    best_risk = _scaled_risk(stats, best_sp.labels_array, p)
+    best_risk = scaled_risk(best_sp.labels_array)
     for s in seed_list:
-        r = _scaled_risk(stats, s.labels_array, p)
+        r = scaled_risk(s.labels_array)
         if r < best_risk:
             best_sp, best_risk = s, r
     for restart, rng in enumerate(spawn_rngs(cfg.seed, cfg.n_restarts)):
@@ -349,7 +353,7 @@ def oracle_search(stats, p, cfg, seeds=None):
                 engine.move(i, label)
             if not moved:
                 break
-        risk = _scaled_risk(stats, _full_labels(stats, engine.labels), p)
+        risk = scaled_risk(_full_labels(stats, engine.labels))
         for _ in range(cfg.n_zealous_attempts):
             cells = [0] + engine.live_ids().tolist()
             target = cells[int(rng.integers(len(cells)))]
@@ -360,7 +364,7 @@ def oracle_search(stats, p, cfg, seeds=None):
             engine.reset(np.where(snapshot == target, -1, snapshot))
             for i in rng.permutation(members).tolist():
                 engine.move(i, oracle_best_assignment(engine, i)[0])
-            new_risk = _scaled_risk(stats, _full_labels(stats, engine.labels), p)
+            new_risk = scaled_risk(_full_labels(stats, engine.labels))
             if new_risk < risk:
                 risk = new_risk
             else:

@@ -14,7 +14,7 @@ from ballet.bench import generate_two_moons
 from ballet.cli import RunConfig, load_run_config, main
 from ballet.density import DensityDrawEnsemble, HistogramMixtureConfig
 from ballet.errors import BalletError
-from ballet.levelset import AdaptiveDeltaConfig
+from ballet.levelset import AdaptiveDeltaConfig, PointSet
 from ballet.risk import SearchConfig
 from ballet.subpartition import LossParams, SubPartition
 
@@ -250,6 +250,45 @@ def test_numeric_ensemble_exit_4(moons_dir, moons_cfg, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text(",".join(["nan"] * 300) + "\n")
     assert main(["cluster", "--config", str(moons_cfg), "--ensemble", str(bad)]) == 4
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("0.1,0.2\n0.3\n", id="ragged"),
+    pytest.param("0.1,0.2\n0.3,x\n", id="non-numeric"),
+    pytest.param("0.1,nan\n", id="nan"),
+    pytest.param("0.1,inf\n", id="inf"),
+    pytest.param("0.1,0.2,\n", id="trailing-comma"),
+    pytest.param("", id="empty"),
+    pytest.param("\n  \n", id="blank"),
+])
+def test_malformed_points_exit_3(tmp_path, capsys, text):
+    data = tmp_path / "points.csv"
+    data.write_text(text)
+    assert main(["dbscan", "--data", str(data), "--nu", "0.5", "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ballet: error: malformed data") and "Warning" not in err
+
+
+def test_radius_joining_most_points_exit_5(tmp_path):
+    """A given delta or eps whose pair list would not fit exits 5 after
+    counting the pairs (2e8 here), before the ensemble or a pair is stored."""
+    import tracemalloc
+
+    data = tmp_path / "points.csv"
+    PointSet(np.random.default_rng(0).uniform(size=(20000, 2))).to_csv(data)
+    runs = [
+        ["cluster", "--data", str(data), "--nu", "0.9", "--delta", "10"],
+        ["dbscan", "--data", str(data), "--eps", "10"],
+    ]
+    for argv in runs:
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(tmp_path / "out")]) == 5
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**23  # the ensemble alone would take 16 MB
+    assert not (tmp_path / "out").exists()
 
 
 def test_mismatched_ensemble_exit_5(moons_cfg, tmp_path):

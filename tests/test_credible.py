@@ -220,22 +220,21 @@ def test_bounds_and_traces_match_oracle_walk():
             active = np.flatnonzero(rng.random(n) < 0.5)
             center = SubPartition(oracle_components(pts, active, delta))
         radius = float(rng.uniform(0.0, 4.0 * n))
-        for closed in (False, True):
-            for upper in (True, False):
-                assert_walk_matches_oracles(ps, delta, stats, center, radius, upper, closed_edges=closed)
+        for upper in (True, False):
+            assert_walk_matches_oracles(ps, delta, stats, center, radius, upper)
 
 
-def assert_walk_matches_oracles(ps, delta, stats, center, radius, upper, p=LossParams(), closed_edges=False):
+def assert_walk_matches_oracles(ps, delta, stats, center, radius, upper, p=LossParams()):
     """The walk's bound and trace equal both oracles': the per-toggle relabelling
     walk and the walk from first definitions, floats compared with ==."""
     walk = greedy_upper_bound if upper else greedy_lower_bound
     trace = []
-    got = walk(center, ps, delta, stats, radius, p, closed_edges, trace)
-    relabelled, relabel_trace = oracle_relabel_walk(center, ps, delta, stats, radius, upper, p, closed_edges)
+    got = walk(center, ps, delta, stats, radius, p, trace)
+    relabelled, relabel_trace = oracle_relabel_walk(center, ps, delta, stats, radius, upper, p)
     assert got == relabelled
     assert trace == relabel_trace
     expect, expect_trace = oracle_greedy_walk(
-        ps.points, center.labels, stats.alpha, delta, radius, upper=upper, closed=closed_edges, p=p
+        ps.points, center.labels, stats.alpha, delta, radius, upper=upper, p=p
     )
     assert got == SubPartition(expect)
     assert [(s.index, s.alpha, s.distance, s.accepted) for s in trace] == expect_trace
@@ -261,11 +260,10 @@ def walk_instances(draw):
     S = draw(st.integers(1, 6))
     rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=S, max_size=S))
     stats = precompute_stats([SubPartition(r) for r in rows])
-    closed = draw(st.booleans())
     kind = draw(st.sampled_from(["components", "labels", "noise", "active"]))
     if kind == "components":
         mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        center = SubPartition(oracle_components(pts, np.flatnonzero(mask), delta, closed=closed))
+        center = SubPartition(oracle_components(pts, np.flatnonzero(mask), delta))
     elif kind == "labels":
         center = SubPartition(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
     elif kind == "noise":
@@ -282,16 +280,16 @@ def walk_instances(draw):
     elif radius_kind == "between":
         radius = draw(st.floats(0.0, 3.0 * n * n))
     else:
-        _, full = oracle_relabel_walk(center, PointSet(pts), delta, stats, 1e9, upper, p, closed)
+        _, full = oracle_relabel_walk(center, PointSet(pts), delta, stats, 1e9, upper, p)
         radius = full[draw(st.integers(0, len(full) - 1))].distance if full else 0.0
-    return PointSet(pts), delta, stats, center, radius, upper, p, closed
+    return PointSet(pts), delta, stats, center, radius, upper, p
 
 
 @settings(max_examples=300, deadline=None)
 @given(walk_instances())
 def test_walks_match_both_oracles(instance):
-    ps, delta, stats, center, radius, upper, p, closed = instance
-    assert_walk_matches_oracles(ps, delta, stats, center, radius, upper, p, closed)
+    ps, delta, stats, center, radius, upper, p = instance
+    assert_walk_matches_oracles(ps, delta, stats, center, radius, upper, p)
 
 
 def test_walks_match_relabel_oracle_mid_size():
@@ -313,18 +311,19 @@ def test_walks_match_relabel_oracle_mid_size():
     # both ways
     labels = rng.choice(np.arange(9), size=ps.n, p=[0.5, 0.3] + [0.2 / 7] * 7)
     scattered = SubPartition(labels)
+    # the search's estimate, the center compute_credible_ball is given
+    estimate = ballet.search(stats, cfg=ballet.SearchConfig(n_restarts=2, n_zealous_attempts=2), seeds=draws)
     steps = 0
-    for center in (plugin, scattered):
+    for center in (plugin, scattered, estimate):
         for r in (credible_radius(center, draws), 1e9):
             for upper in (True, False):
-                for closed in (False, True):
-                    got_trace = []
-                    walk = greedy_upper_bound if upper else greedy_lower_bound
-                    got = walk(center, ps, delta, stats, r, closed_edges=closed, trace=got_trace)
-                    expect, expect_trace = oracle_relabel_walk(center, ps, delta, stats, r, upper, None, closed)
-                    assert got == expect
-                    assert got_trace == expect_trace
-                    steps += len(got_trace)
+                got_trace = []
+                walk = greedy_upper_bound if upper else greedy_lower_bound
+                got = walk(center, ps, delta, stats, r, trace=got_trace)
+                expect, expect_trace = oracle_relabel_walk(center, ps, delta, stats, r, upper)
+                assert got == expect
+                assert got_trace == expect_trace
+                steps += len(got_trace)
     assert steps >= 1000
 
 

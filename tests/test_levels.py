@@ -34,8 +34,6 @@ def test_level_spec_validation():
         LevelSpec("noise_fraction", 1.0)
     with pytest.raises(ValueError):
         LevelSpec("cosmo_c", -2.0)
-    spec = LevelSpec("noise_fraction", 0.1).with_resolved(0.2)
-    assert spec.resolved_lambda == 0.2
 
 
 def test_resolve_lambda_identity():

@@ -48,12 +48,11 @@ def test_pointset_csv_roundtrip(tmp_path):
     ps.to_csv(path)
     back = PointSet.from_csv(path)
     assert np.array_equal(back.points, ps.points)
-    # header variant
-    path2 = tmp_path / "pts_h.csv"
-    ps.to_csv(path2, header=True)
-    assert path2.read_text().splitlines()[0] == "x0,x1,x2"
-    back2 = PointSet.from_csv(path2, header=True)
-    assert np.array_equal(back2.points, ps.points)
+    # blank lines are skipped; one column reads as d = 1
+    path.write_text("\n1.5,2\n  \n-3, 4e-1\n\n")
+    assert PointSet.from_csv(path).points.tolist() == [[1.5, 2.0], [-3.0, 0.4]]
+    path.write_text("7\n8\n")
+    assert PointSet.from_csv(path).points.tolist() == [[7.0], [8.0]]
 
 
 # -- delta-graph pairs ---------------------------------------------------------
@@ -288,13 +287,6 @@ def test_dbscan_star_min_pts_above_n_all_noise():
     assert dbscan_star(ps, eps=10.0, min_pts=4).is_all_noise
 
 
-def test_dbscan_star_include_self_flag():
-    # two points at distance 1: closed 1-balls have 2 members incl self
-    ps = pts1d(0.0, 1.0)
-    assert dbscan_star(ps, 1.0, 2, include_self=True) == SubPartition([1, 1])
-    assert dbscan_star(ps, 1.0, 2, include_self=False).is_all_noise
-
-
 def test_dbscan_classic_border_joins_nearest_cluster():
     # dense cluster at 0..0.2, border point at 0.5 within eps of core 0.2
     ps = pts1d(0.0, 0.1, 0.2, 0.5)
@@ -337,11 +329,10 @@ def test_dbscan_matches_pairwise_oracle():
             eps = float(rng.uniform(0.05, 0.2))
         ps = PointSet(pts)
         min_pts = int(rng.integers(1, 7))
-        for include_self in (True, False):
-            star = dbscan_star(ps, eps, min_pts, include_self=include_self)
-            assert star == SubPartition(oracle_dbscan(pts, eps, min_pts, include_self))
-            classic = dbscan_classic(ps, eps, min_pts, include_self=include_self)
-            assert classic == SubPartition(oracle_dbscan(pts, eps, min_pts, include_self, classic=True))
+        star = dbscan_star(ps, eps, min_pts)
+        assert star == SubPartition(oracle_dbscan(pts, eps, min_pts))
+        classic = dbscan_classic(ps, eps, min_pts)
+        assert classic == SubPartition(oracle_dbscan(pts, eps, min_pts, classic=True))
 
 
 def test_dbscan_classic_equidistant_border_joins_smallest_core_index():

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import warnings
@@ -169,12 +170,11 @@ def test_draw_clusterings_match_oracle_draw_by_draw():
         ps = PointSet(pts)
         e = DensityDrawEnsemble(rng.uniform(size=(6, len(pts))))
         lam = float(rng.uniform(0.2, 0.8))
-        for closed in (False, True):
-            cs = draw_clusterings(ps, e, lam, delta, closed_edges=closed)
-            assert len(cs) == e.S
-            for s, c in enumerate(cs):
-                expect = oracle_components(pts, np.flatnonzero(e.values[s] >= lam), delta, closed=closed)
-                assert c == SubPartition(expect)
+        cs = draw_clusterings(ps, e, lam, delta)
+        assert len(cs) == e.S
+        for s, c in enumerate(cs):
+            expect = oracle_components(pts, np.flatnonzero(e.values[s] >= lam), delta)
+            assert c == SubPartition(expect)
     # no point active in any draw: all noise, and delta is still validated
     e = DensityDrawEnsemble(np.zeros((2, 4)))
     ps = PointSet(np.zeros((4, 1)))
@@ -713,9 +713,26 @@ def test_search_matches_per_point_oracle():
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
 def test_tracked_risk_equals_recount(monkeypatch):
     """The risk counts a restart tracks from the priced decisions equal the
-    recounted ones before and after every zealous attempt, for any weights."""
+    recounted ones before and after every zealous attempt, for any weights;
+    and every walk starts from a table that counts exactly its labels, with
+    the ids a zealous attempt leaves dead counting nothing."""
     rng = np.random.default_rng(41)
     zealous = risk_mod._zealous
+    walk = risk_mod._walk
+
+    def checked_walk(engine, order):
+        lab = engine.labels
+        live = engine.live_ids()
+        assert live.tolist() == np.unique(lab[lab > 0]).tolist()
+        assert not engine.T[:, engine.sizes == 0].any()
+        # the rows of A, compared with a rebuild (which renumbers ids 1..k in order)
+        fresh = copy.deepcopy(engine)
+        fresh.reset(lab)
+        A = engine.T[engine._n_wide : engine._n_wide + engine._S, live]
+        assert (A == fresh.T[fresh._n_wide : fresh._n_wide + fresh._S, 1 : live.size + 1]).all()
+        return walk(engine, order)
+
+    monkeypatch.setattr(risk_mod, "_walk", checked_walk)
     params = [LossParams(), LossParams(a=1.0, b=2.0, m_ai=0.25, m_ia=1.0), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]
     checks = []
 
