@@ -11,7 +11,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import chi2
 
 from .credible import compute_credible_ball
 from .density import HistogramMixtureConfig, build_ensemble
@@ -58,8 +57,10 @@ __all__ = [
 EVAL_SCHEMA = "ballet/eval/v1"
 STUDY_SCHEMA = "ballet/study/v1"
 
-# squared Mahalanobis radius enclosing 95% of a bivariate Gaussian
-ELLIPSE_RADIUS_SQ = float(chi2.ppf(0.95, df=2))
+# squared Mahalanobis radius enclosing 95% of a bivariate Gaussian: the 95%
+# quantile of chi-squared with 2 degrees of freedom, chi2.ppf(0.95, df=2), as a
+# literal so importing the package does not load scipy.stats
+ELLIPSE_RADIUS_SQ = 5.991464547107979
 MIN_SEMI_AXIS = 0.005
 
 STUDY_METHODS = ("ballet", "ballet_lower", "ballet_upper", "plugin", "dbscan")

@@ -2,10 +2,11 @@
 
 One binary with subcommands wiring data ingestion, the density ensemble, level
 and radius resolution, the estimators, and machine-readable outputs. A JSON
-config file provides defaults; flags override it. Every output file carries a
-schema version plus a provenance block (config hash, versions, master seed),
-and is byte-identical across reruns with the same config; timings go to
-stderr only.
+config file provides defaults; flags override it; main loads and checks the
+merged config once and hands it to the subcommand. Every JSON artifact goes
+through one writer, _emit, which stamps a schema version plus a provenance
+block (config hash, versions, master seed). Outputs are byte-identical across
+reruns with the same config; timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import scipy
 
 from . import __version__
 from .bench import (
+    EVAL_SCHEMA,
+    STUDY_SCHEMA,
     BalletStudyConfig,
     DbscanStudyConfig,
     SkySurveySpec,
@@ -108,8 +111,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     """Config file (if any) merged with flag overrides, flags winning, then
     typed and checked whole; every bad value is a ConfigError.
 
-    Every subcommand starts here and reads only the RunConfig, so a file gets
-    the same verdict from each of them.
+    main calls it once for every subcommand, which reads only the RunConfig,
+    so a file gets the same verdict from each of them.
     """
     raw: dict = {}
     config_path = getattr(args, "config", None)
@@ -271,19 +274,6 @@ def _parse(raw: dict) -> RunConfig:
     )
 
 
-def _provenance(cfg: RunConfig) -> dict:
-    return {
-        "config_hash": cfg.config_hash,
-        "seed": cfg.seed,
-        "versions": {
-            "ballet": __version__,
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-    }
-
-
 def _sub_seeds(seed: int) -> tuple[int, int]:
     ens, srch = np.random.SeedSequence(seed).generate_state(2)
     return int(ens), int(srch)
@@ -293,21 +283,20 @@ def _sub_seeds(seed: int) -> tuple[int, int]:
 # shared pipeline
 
 
+def _read(path, what: str, reader):
+    """reader(path), its OSError and ValueError mapped to a DataIOError naming what."""
+    try:
+        return reader(path)
+    except OSError as e:
+        raise DataIOError(f"cannot read {what} {path}: {e}")
+    except ValueError as e:
+        raise DataIOError(f"malformed {what} {path}: {e}")
+
+
 def _load_points(cfg: RunConfig) -> PointSet:
     if not cfg.data:
         raise ConfigError("a points CSV is required (config key 'data' or --data)")
-    try:
-        return PointSet.from_csv(cfg.data)
-    except OSError as e:
-        raise DataIOError(f"cannot read data {cfg.data}: {e}")
-    except ValueError as e:
-        raise DataIOError(f"malformed data {cfg.data}: {e}")
-
-
-def _level(cfg: RunConfig) -> tuple[str, float]:
-    if cfg.level is None:
-        raise ConfigError("a level is required: one of lambda, nu, cosmo_c (or --lambda/--nu)")
-    return cfg.level
+    return _read(cfg.data, "data", PointSet.from_csv)
 
 
 def _noise_fraction(cfg: RunConfig, why: str) -> float:
@@ -352,48 +341,63 @@ def _prepare(cfg: RunConfig, key: str, values: list[float]) -> tuple[PointSet, D
     return ps, ensemble, lams, delta
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _at_level(cfg: RunConfig) -> tuple[PointSet, DensityDrawEnsemble, float, float, dict]:
+    """_prepare at the config's one level, plus the level, lambda and delta fields of the artifact."""
+    if cfg.level is None:
+        raise ConfigError("a level is required: one of lambda, nu, cosmo_c (or --lambda/--nu)")
+    key, value = cfg.level
+    ps, ensemble, (lam,), delta = _prepare(cfg, key, [value])
+    return ps, ensemble, lam, delta, {"level": {key: value}, "lambda": lam, "delta": delta}
+
+
+def _emit(cfg: RunConfig, name: str, schema: str, fields: dict,
+          labels: Optional[SubPartition] = None) -> Path:
+    """Write <out>/<name>.json, stamped with schema and provenance, and print its path.
+
+    Given labels, <out>/<name>_labels.csv is written beside it, unprinted.
+    Returns the output directory, for any extra files a command writes next
+    to the artifact.
+    """
+    provenance = {
+        "config_hash": cfg.config_hash,
+        "seed": cfg.seed,
+        "versions": {
+            "ballet": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
+    }
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"{name}.json"
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump({"schema": schema, "provenance": provenance, **fields}, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _out_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.out)
+    if labels is not None:
+        labels.to_csv(out / f"{name}_labels.csv")
+    print(path)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each gets the checked RunConfig and the parsed flags
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    key, value = _level(cfg)
-    ps, ensemble, (lam,), delta = _prepare(cfg, key, [value])
+def cmd_cluster(cfg: RunConfig, args: argparse.Namespace) -> None:
+    ps, ensemble, lam, delta, fields = _at_level(cfg)
     result = ballet_estimate(ps, ensemble, lam, delta, p=cfg.loss, cfg=cfg.search)
-    payload = {
-        "schema": ESTIMATE_SCHEMA,
-        "provenance": _provenance(cfg),
-        "level": {key: value},
-        "lambda": lam,
-        "delta": delta,
+    _emit(cfg, "estimate", ESTIMATE_SCHEMA, {
+        **fields,
         "risk": result.risk,
         "n_clusters": result.estimate.k,
         "clustering": result.estimate.to_json_dict(),
         "alpha_hat": [float(a) for a in result.stats.alpha],
-    }
-    out = _out_dir(cfg) / "estimate.json"
-    _write_json(out, payload)
-    result.estimate.to_csv(_out_dir(cfg) / "estimate_labels.csv")
-    print(out)
-    return 0
+    }, labels=result.estimate)
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    key, value = _level(cfg)
-    ps, ensemble, (lam,), delta = _prepare(cfg, key, [value])
+def cmd_bounds(cfg: RunConfig, args: argparse.Namespace) -> None:
+    ps, ensemble, lam, delta, fields = _at_level(cfg)
     result = ballet_estimate(ps, ensemble, lam, delta, p=cfg.loss, cfg=cfg.search)
     ball = compute_credible_ball(
         result.estimate,
@@ -404,62 +408,35 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         p=cfg.loss,
         stats=result.stats,
     )
-    payload = {
-        "schema": BALL_SCHEMA,
-        "provenance": _provenance(cfg),
-        "level": {key: value},
-        "lambda": lam,
-        "delta": delta,
+    _emit(cfg, "ball", BALL_SCHEMA, {
+        **fields,
         "center": result.estimate.to_json_dict(),
         "ball": ball.to_json_dict(),
-    }
-    out = _out_dir(cfg) / "ball.json"
-    _write_json(out, payload)
-    print(out)
-    return 0
+    })
 
 
-def cmd_plugin(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    key, value = _level(cfg)
-    ps, ensemble, (lam,), delta = _prepare(cfg, key, [value])
+def cmd_plugin(cfg: RunConfig, args: argparse.Namespace) -> None:
+    ps, ensemble, lam, delta, fields = _at_level(cfg)
     est = plugin_estimate(ps, ensemble, lam, delta)
-    payload = {
-        "schema": PLUGIN_SCHEMA,
-        "provenance": _provenance(cfg),
-        "level": {key: value},
-        "lambda": lam,
-        "delta": delta,
+    _emit(cfg, "plugin", PLUGIN_SCHEMA, {
+        **fields,
         "n_clusters": est.k,
         "clustering": est.to_json_dict(),
-    }
-    out = _out_dir(cfg) / "plugin.json"
-    _write_json(out, payload)
-    est.to_csv(_out_dir(cfg) / "plugin_labels.csv")
-    print(out)
-    return 0
+    }, labels=est)
 
 
-def cmd_dbscan(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
+def cmd_dbscan(cfg: RunConfig, args: argparse.Namespace) -> None:
     ps = _load_points(cfg)
     nu = 0.9 if cfg.eps is not None else _noise_fraction(
         cfg, "dbscan resolves Eps from a noise fraction; give --nu or --eps")
     min_pts, eps = dbscan_parameters(ps, DbscanStudyConfig(nu=nu, min_pts=cfg.min_pts, eps=cfg.eps))
     est = dbscan_star(ps, eps, min_pts)
-    payload = {
-        "schema": DBSCAN_SCHEMA,
-        "provenance": _provenance(cfg),
+    _emit(cfg, "dbscan", DBSCAN_SCHEMA, {
         "min_pts": min_pts,
         "eps": eps,
         "n_clusters": est.k,
         "clustering": est.to_json_dict(),
-    }
-    out = _out_dir(cfg) / "dbscan.json"
-    _write_json(out, payload)
-    est.to_csv(_out_dir(cfg) / "dbscan_labels.csv")
-    print(out)
-    return 0
+    }, labels=est)
 
 
 def _parse_level_values(text: str) -> list[float]:
@@ -486,23 +463,14 @@ def _build_tree(cfg: RunConfig, args: argparse.Namespace):
     return tree, meta
 
 
-def cmd_tree(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
+def cmd_tree(cfg: RunConfig, args: argparse.Namespace) -> None:
     tree, meta = _build_tree(cfg, args)
-    payload = {"schema": TREE_SCHEMA, "provenance": _provenance(cfg), **meta,
-               "tree": tree.to_json_dict()}
-    out_json = _out_dir(cfg) / "tree.json"
-    out_dot = _out_dir(cfg) / "tree.dot"
-    _write_json(out_json, payload)
-    out_dot.parent.mkdir(parents=True, exist_ok=True)
-    out_dot.write_text(tree.to_dot(), encoding="ascii")
-    print(out_json)
-    print(out_dot)
-    return 0
+    out = _emit(cfg, "tree", TREE_SCHEMA, {**meta, "tree": tree.to_json_dict()})
+    (out / "tree.dot").write_text(tree.to_dot(), encoding="ascii")
+    print(out / "tree.dot")
 
 
-def cmd_persist(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
+def cmd_persist(cfg: RunConfig, args: argparse.Namespace) -> None:
     tree, meta = _build_tree(cfg, args)
     chosen = sorted(persistent_clusters(tree, strict=not args.heuristic))
     clusters = []
@@ -514,70 +482,48 @@ def cmd_persist(args: argparse.Namespace) -> int:
             "level": tree.levels[row],
             "members": [int(i) for i in members],
         })
-    payload = {
-        "schema": PERSIST_SCHEMA,
-        "provenance": _provenance(cfg),
+    _emit(cfg, "persist", PERSIST_SCHEMA, {
         **meta,
         "strict": not args.heuristic,
         "clusters": clusters,
-    }
-    out = _out_dir(cfg) / "persist.json"
-    _write_json(out, payload)
-    print(out)
-    return 0
+    })
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
-    out_dir = _out_dir(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    points_path = out_dir / "points.csv"
-    written = [points_path]
-    if args.generator == "sky":
-        spec = SkySurveySpec(
-            n=args.n,
-            n_components=args.components,
-            noise_mass=args.noise_mass,
-            seed=cfg.seed,
-        )
-        ps, targets, meta = generate_sky_survey(spec)
-        ps.to_csv(points_path)
-        targets_path = out_dir / "targets.csv"
-        PointSet(targets).to_csv(targets_path)
-        components_path = out_dir / "components.json"
-        _write_json(components_path, {
-            "schema": SIMULATE_SCHEMA,
-            "provenance": _provenance(cfg),
-            "generator": "sky",
-            "n": spec.n,
-            "n_components": spec.n_components,
-            "noise_mass": spec.noise_mass,
-            "weights": [float(w) for w in meta.weights],
-            "means": [[float(v) for v in row] for row in meta.means],
-            "variances": [float(v) for v in meta.variances],
-            "labels": [int(v) for v in meta.labels],
-        })
-        written += [targets_path, components_path]
-    else:
+def _sky_spec(cfg: RunConfig, args: argparse.Namespace) -> SkySurveySpec:
+    return SkySurveySpec(n=args.n, n_components=args.components, noise_mass=args.noise_mass, seed=cfg.seed)
+
+
+def cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> None:
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.generator != "sky":
         gen = generate_two_moons if args.generator == "moons" else generate_noisy_circles
-        ps = gen(args.n, args.noise_sd, cfg.seed)
-        ps.to_csv(points_path)
-    for path in written:
-        print(path)
-    return 0
+        gen(args.n, args.noise_sd, cfg.seed).to_csv(out / "points.csv")
+        print(out / "points.csv")
+        return
+    spec = _sky_spec(cfg, args)
+    ps, targets, meta = generate_sky_survey(spec)
+    ps.to_csv(out / "points.csv")
+    PointSet(targets).to_csv(out / "targets.csv")
+    print(out / "points.csv")
+    print(out / "targets.csv")
+    _emit(cfg, "components", SIMULATE_SCHEMA, {
+        "generator": "sky",
+        "n": spec.n,
+        "n_components": spec.n_components,
+        "noise_mass": spec.noise_mass,
+        "weights": [float(w) for w in meta.weights],
+        "means": [[float(v) for v in row] for row in meta.means],
+        "variances": [float(v) for v in meta.variances],
+        "labels": [int(v) for v in meta.labels],
+    })
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
+def cmd_benchmark(cfg: RunConfig, args: argparse.Namespace) -> None:
     nu = _noise_fraction(cfg, "the study resolves levels from a noise fraction; give --nu")
     if not isinstance(cfg.delta, AdaptiveDeltaConfig):
         raise ConfigError("the study always adapts delta; remove the fixed delta")
-    spec = SkySurveySpec(
-        n=args.n,
-        n_components=args.components,
-        noise_mass=args.noise_mass,
-        seed=cfg.seed,
-    )
+    spec = _sky_spec(cfg, args)
     ballet_cfg = BalletStudyConfig(
         nu=nu,
         S=cfg.S,
@@ -589,42 +535,18 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     )
     dbscan_cfg = DbscanStudyConfig(nu=nu, min_pts=cfg.min_pts, eps=cfg.eps)
     result = run_simulation_study(args.reps, spec, ballet_cfg, dbscan_cfg, n_jobs=args.jobs)
-    payload = dict(result.to_json_dict())
-    payload["provenance"] = _provenance(cfg)
-    out_json = _out_dir(cfg) / "study.json"
-    out_csv = _out_dir(cfg) / "summary.csv"
-    _write_json(out_json, payload)
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
-    out_csv.write_text(result.summary_csv(), encoding="ascii")
-    print(out_json)
-    print(out_csv)
-    return 0
+    out = _emit(cfg, "study", STUDY_SCHEMA, result.to_json_dict())
+    (out / "summary.csv").write_text(result.summary_csv(), encoding="ascii")
+    print(out / "summary.csv")
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args)
+def cmd_evaluate(cfg: RunConfig, args: argparse.Namespace) -> None:
     ps = _load_points(cfg)
-    try:
-        clustering = SubPartition.from_csv(args.labels)
-    except OSError as e:
-        raise DataIOError(f"cannot read labels {args.labels}: {e}")
-    except ValueError as e:
-        raise DataIOError(f"malformed labels {args.labels}: {e}")
-    try:
-        targets = PointSet.from_csv(args.targets).points
-    except OSError as e:
-        raise DataIOError(f"cannot read targets {args.targets}: {e}")
-    except ValueError as e:
-        raise DataIOError(f"malformed targets {args.targets}: {e}")
+    clustering = _read(args.labels, "labels", SubPartition.from_csv)
+    targets = _read(args.targets, "targets", PointSet.from_csv).points
     if clustering.n != ps.n:
         raise InfeasibleError(f"labels cover n={clustering.n} points but the data has n={ps.n}")
-    report = evaluate(clustering, ps, targets)
-    payload = dict(report.to_json_dict())
-    payload["provenance"] = _provenance(cfg)
-    out = _out_dir(cfg) / "evaluation.json"
-    _write_json(out, payload)
-    print(out)
-    return 0
+    _emit(cfg, "evaluation", EVAL_SCHEMA, evaluate(clustering, ps, targets).to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -728,7 +650,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args)
+        args.func(load_run_config(args), args)
     except BalletError as e:
         print(f"ballet: error: {e}", file=sys.stderr)
         return e.exit_code
@@ -742,7 +664,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"ballet: error: out of memory: {e}", file=sys.stderr)
         return InfeasibleError.exit_code
     print(f"[time] {args.command}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DataIOError, NumericError
-from .levelset import PointSet, unit_ball_volume
+from .levelset import PointSet, _read_rows, _write_rows, unit_ball_volume
 from .util import canonical_json, spawn_rngs
 
 __all__ = [
@@ -77,9 +77,7 @@ class DensityDrawEnsemble:
         A .csv extension writes the plain-text alternative (one draw per row).
         """
         if str(path).endswith(".csv"):
-            with open(path, "w", encoding="ascii") as fh:
-                for row in self.values:
-                    fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            _write_rows(path, self.values)
             return
         header = canonical_json({"S": self.S, "dtype": "<f8", "n": self.n, "schema": ENSEMBLE_SCHEMA})
         with open(path, "wb") as fh:
@@ -90,15 +88,7 @@ class DensityDrawEnsemble:
     def load(cls, path) -> "DensityDrawEnsemble":
         try:
             if str(path).endswith(".csv"):
-                rows = []
-                with open(path, "r", encoding="ascii") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if line:
-                            rows.append([float(tok) for tok in line.split(",")])
-                if not rows:
-                    raise DataIOError(f"no rows in ensemble CSV {path}")
-                return cls(np.asarray(rows, dtype=np.float64))
+                return cls(_read_rows(path))
             with open(path, "rb") as fh:
                 header_line = fh.readline()
                 payload = fh.read()

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .density import DensityDrawEnsemble
 from .errors import ConfigError, InfeasibleError
-from .levelset import PointSet, surrogate_cluster
+from .levelset import PointSet
 from .risk import SearchConfig, ballet_estimate, plugin_estimate
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition
 from .util import _ceil_count, canonical_json, order_statistic_upper
@@ -276,18 +276,15 @@ def tree_from_clusterings(
 
 def build_cluster_tree(
     ps: PointSet,
-    source: Union[DensityDrawEnsemble, np.ndarray],
+    ensemble: DensityDrawEnsemble,
     levels: Sequence[float],
     delta: float,
     estimator: str = "ballet",
     p: LossParams = DEFAULT_LOSS_PARAMS,
     cfg: SearchConfig = SearchConfig(),
 ) -> ClusterTree:
-    """Estimate one clustering per level and link overlaps across rows.
-
-    source is either a draw ensemble (estimator "ballet" or "plugin") or a
-    fixed density vector (level sets of that vector directly).
-    """
+    """Estimate one clustering of the draw ensemble per level (estimator
+    "ballet" or "plugin") and link overlaps across rows."""
     if estimator not in ("ballet", "plugin"):
         raise ValueError(f"estimator must be 'ballet' or 'plugin', got {estimator!r}")
     lams = [float(v) for v in levels]
@@ -296,19 +293,11 @@ def build_cluster_tree(
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("levels must be strictly increasing")
     clusterings: list[SubPartition] = []
-    if isinstance(source, DensityDrawEnsemble):
-        for lam in lams:
-            if estimator == "plugin":
-                clusterings.append(plugin_estimate(ps, source, lam, delta))
-            else:
-                res = ballet_estimate(ps, source, lam, delta, p=p, cfg=cfg)
-                clusterings.append(res.estimate)
-    else:
-        if estimator == "ballet":
-            raise ValueError("the ballet estimator needs a draw ensemble, not a fixed density")
-        dens = np.asarray(source, dtype=np.float64)
-        for lam in lams:
-            clusterings.append(surrogate_cluster(ps, dens, lam, delta))
+    for lam in lams:
+        if estimator == "plugin":
+            clusterings.append(plugin_estimate(ps, ensemble, lam, delta))
+        else:
+            clusterings.append(ballet_estimate(ps, ensemble, lam, delta, p=p, cfg=cfg).estimate)
     return tree_from_clusterings(lams, clusterings)
 
 

@@ -91,18 +91,30 @@ class PointSet:
         return self.points.shape[1]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for row in self.points:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_rows(path, self.points)
 
     @classmethod
     def from_csv(cls, path) -> "PointSet":
         """Comma-separated rows, one per point, no header; blank lines are skipped."""
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [line for line in fh if not line.isspace()]
-        if not lines:
-            raise ValueError(f"no data rows in {path}")
-        return cls(np.loadtxt(lines, delimiter=",", ndmin=2, comments=None))
+        return cls(_read_rows(path))
+
+
+def _write_rows(path, rows: np.ndarray) -> None:
+    """One comma-separated line per row of a float matrix, each value as its
+    shortest round-trip repr, so _read_rows gives the same doubles back."""
+    with open(path, "w", encoding="ascii") as fh:
+        for row in rows:
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
+
+
+def _read_rows(path) -> np.ndarray:
+    """The float matrix of a header-less comma-separated file; blank lines are
+    skipped. A file without rows, a ragged row or a non-number is a ValueError."""
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [line for line in fh if not line.isspace()]
+    if not lines:
+        raise ValueError(f"no data rows in {path}")
+    return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
 
 
 def _delta_pairs(points: np.ndarray, delta: float, closed: bool) -> np.ndarray:

@@ -352,11 +352,14 @@ class _Engine:
     def price(self, lay: _Layout, j: int, end: int) -> _Prices:
         """Costs of lay.order[j:end], each priced as if unassigned, against the current state.
 
-        Row r of costs is laid out as in candidate_costs, over the live ids;
-        keep[r] is the cost of the point's own cell (noise if unassigned),
-        and n1 and both are the counts priced. A cluster the point is alone
-        in costs what a new cluster costs, and the new cluster comes first
-        on ties, as if that cluster were gone.
+        Row r of costs is [noise, new cluster, each live id ascending]:
+        costs[r, 2 + t] joins ids[t]. With n1[h] the draws where the point
+        and a member of h share a cluster, and n2[h] those where both are
+        active apart, joining h costs b n2[h] - a n1[h] over the new-cluster
+        cost. keep[r] is the cost of the point's own cell (noise if
+        unassigned), and n1 and both are the counts priced. A cluster the
+        point is alone in costs what a new cluster costs, and the new
+        cluster comes first on ties, as if that cluster were gone.
         """
         W = self.sizes.size
         points = lay.order[j:end]
@@ -387,19 +390,8 @@ class _Engine:
             keep[own] = costs[own, 2 + np.searchsorted(ids, cur[own])]
         return _Prices(ids, costs, keep, n1, both)
 
-    def candidate_costs(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Costs of assigning unassigned point i: [noise, new cluster, each live id asc].
-
-        Returns (ids, costs): costs[0] is noise, costs[1] a new singleton,
-        costs[2 + t] joins ids[t]. With n1[h] the draws where i and a member
-        of h share a cluster, and n2[h] those where both are active apart,
-        joining h costs b n2[h] - a n1[h] over the new-singleton cost.
-        """
-        priced = self.price(self.layout(np.array([i])), 0, 1)
-        return priced.ids, priced.costs[0]
-
     def label_of(self, pick: int, ids: np.ndarray) -> int:
-        """Label of candidate_costs entry pick: 0 noise, a fresh id, or ids[pick - 2]."""
+        """Label of entry pick of a price() costs row: 0 noise, a fresh id, or ids[pick - 2]."""
         if pick == 0:
             return 0
         if pick == 1:

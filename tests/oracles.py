@@ -294,9 +294,20 @@ def planted_knee_curve(n, knee_rank, rise=4.0, tail_slope=0.2, rng=None):
     return np.exp(y)
 
 
+def oracle_candidate_costs(engine, i):
+    """Costs of assigning unassigned point i, priced alone: (ids, costs).
+
+    costs[0] is noise, costs[1] a new singleton, costs[2 + t] joins the live
+    id ids[t]. Pricing one point per call is the reference for the block
+    pricing risk.search does.
+    """
+    priced = engine.price(engine.layout(np.array([i])), 0, 1)
+    return priced.ids, priced.costs[0]
+
+
 def oracle_best_assignment(engine, i):
     """Cheapest cell for unassigned point i, ties noise > new > ids ascending: (label, cost)."""
-    ids, costs = engine.candidate_costs(i)
+    ids, costs = oracle_candidate_costs(engine, i)
     pick = int(costs.argmin())
     return engine.label_of(pick, ids), float(costs[pick])
 
@@ -305,7 +316,7 @@ def oracle_search(stats, p, cfg, seeds=None):
     """The risk search priced one point at a time: the reference for risk.search.
 
     Unlike the rest of this module it drives the package's search engine,
-    through _Engine.candidate_costs and move only, and recounts the risk
+    through oracle_candidate_costs and move only, and recounts the risk
     from its _risk_counts after every restart and zealous attempt. So it
     checks that block pricing and the tracked risk leave every decision
     unchanged.
@@ -339,7 +350,7 @@ def oracle_search(stats, p, cfg, seeds=None):
             moved = False
             for i in rng.permutation(u).tolist():
                 cur = engine.move(i, -1)
-                ids, costs = engine.candidate_costs(i)
+                ids, costs = oracle_candidate_costs(engine, i)
                 if cur == 0:
                     cur_cost = float(costs[0])
                 else:

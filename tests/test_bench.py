@@ -213,7 +213,9 @@ def test_evaluate_validation():
 
 
 def test_ellipse_radius_constant():
-    assert ELLIPSE_RADIUS_SQ == pytest.approx(5.991464547107979, abs=1e-12)
+    from scipy.stats import chi2
+
+    assert ELLIPSE_RADIUS_SQ == float(chi2.ppf(0.95, df=2))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ballet.bench import generate_two_moons
+from ballet import cli
+from ballet.bench import EVAL_SCHEMA, STUDY_SCHEMA, generate_two_moons
 from ballet.cli import RunConfig, load_run_config, main
 from ballet.density import DensityDrawEnsemble, HistogramMixtureConfig
 from ballet.errors import BalletError
@@ -253,6 +254,16 @@ def test_numeric_ensemble_exit_4(moons_dir, moons_cfg, tmp_path):
 
 
 @pytest.mark.parametrize("text", [
+    pytest.param(",".join(["1.0"] * 300) + "\n" + ",".join(["1.0"] * 299) + "\n", id="ragged"),
+    pytest.param(",".join(["1.0"] * 299 + ["x"]) + "\n", id="non-numeric"),
+])
+def test_malformed_ensemble_csv_exit_3(moons_cfg, tmp_path, text):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    assert main(["cluster", "--config", str(moons_cfg), "--ensemble", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("text", [
     pytest.param("0.1,0.2\n0.3\n", id="ragged"),
     pytest.param("0.1,0.2\n0.3,x\n", id="non-numeric"),
     pytest.param("0.1,nan\n", id="nan"),
@@ -487,3 +498,63 @@ def test_console_entry_point():
     for cmd in ("cluster", "bounds", "plugin", "dbscan", "tree",
                 "persist", "simulate", "benchmark", "evaluate"):
         assert cmd in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the artifact contract shared by every subcommand
+
+
+def test_every_command_prints_and_stamps_what_it_writes(moons_dir, moons_cfg, tmp_path, capsys):
+    """Each subcommand prints the paths it writes under --out, in write order;
+    the only unprinted file is the *_labels.csv beside a printed artifact.
+    Every JSON artifact carries its schema and a provenance block, and every
+    labels CSV reads back as its artifact's clustering."""
+    data, cfg = str(moons_dir / "points.csv"), str(moons_cfg)
+    bench_cfg = tmp_path / "bench_cfg.json"
+    bench_cfg.write_text(json.dumps({
+        "model": {"K": 10, "M_prime": 12, "S": 20},
+        "search": {"n_restarts": 2, "n_sweeten_passes": 5, "n_zealous_attempts": 2},
+        "level": {"nu": 0.85},
+    }))
+    targets = tmp_path / "targets.csv"
+    targets.write_text("0.0,0.5\n1.0,0.0\n")
+    ladder = ["--levels", "0.05,0.10,0.20", "--estimator", "plugin"]
+    runs = [  # argv, printed files, their schemas (None for a plain file), labels sidecars
+        (["cluster", "--config", cfg], ["estimate.json"], [cli.ESTIMATE_SCHEMA], ["estimate_labels.csv"]),
+        (["bounds", "--config", cfg], ["ball.json"], [cli.BALL_SCHEMA], []),
+        (["plugin", "--config", cfg], ["plugin.json"], [cli.PLUGIN_SCHEMA], ["plugin_labels.csv"]),
+        (["dbscan", "--data", data, "--nu", "0.1"], ["dbscan.json"], [cli.DBSCAN_SCHEMA], ["dbscan_labels.csv"]),
+        (["tree", "--config", cfg, *ladder], ["tree.json", "tree.dot"], [cli.TREE_SCHEMA, None], []),
+        (["persist", "--config", cfg, *ladder, "--heuristic"], ["persist.json"], [cli.PERSIST_SCHEMA], []),
+        (["simulate", "--generator", "sky", "--n", "300", "--components", "3", "--seed", "5"],
+         ["points.csv", "targets.csv", "components.json"], [None, None, cli.SIMULATE_SCHEMA], []),
+        (["simulate", "--generator", "moons", "--n", "50"], ["points.csv"], [None], []),
+        (["benchmark", "--config", str(bench_cfg), "--reps", "1", "--n", "300", "--components", "3"],
+         ["study.json", "summary.csv"], [STUDY_SCHEMA, None], []),
+        (["evaluate", "--data", data, "--labels", str(tmp_path / "cluster" / "estimate_labels.csv"),
+          "--targets", str(targets)], ["evaluation.json"], [EVAL_SCHEMA], []),
+    ]
+    for k, (argv, printed, schemas, sidecars) in enumerate(runs):
+        out = tmp_path / (argv[0] if argv[0] != "simulate" else f"simulate{k}")
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        assert capsys.readouterr().out.splitlines() == [str(out / name) for name in printed], argv
+        assert sorted(p.name for p in out.iterdir()) == sorted(printed + sidecars), argv
+        for name, schema in zip(printed, schemas):
+            if schema is None:
+                continue
+            d = json.loads((out / name).read_text())
+            assert d["schema"] == schema, argv
+            assert set(d["provenance"]) == {"config_hash", "seed", "versions"}, argv
+            for sidecar in sidecars:
+                labels = SubPartition.from_csv(out / sidecar)
+                assert labels.labels == tuple(d["clustering"]["labels"]), argv
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """Importing the package and its CLI must not load scipy.stats, which
+    alone would double the import time; a fresh interpreter sees only what
+    those imports load."""
+    code = "import sys, ballet, ballet.cli; sys.exit('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "scipy.stats was loaded"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ballet.density import build_ensemble, HistogramMixtureConfig
+from ballet.density import DensityDrawEnsemble, HistogramMixtureConfig, build_ensemble
 from ballet.errors import ConfigError, InfeasibleError
 from ballet.levels import (
     ClusterTree,
@@ -17,7 +17,7 @@ from ballet.levels import (
     resolve_level,
     tree_from_clusterings,
 )
-from ballet.levelset import PointSet
+from ballet.levelset import PointSet, surrogate_cluster
 from ballet.subpartition import SubPartition
 from oracles import planted_knee_curve
 
@@ -151,7 +151,8 @@ def three_mode_fixture():
 
 def test_tree_nested_levels_three_modes():
     ps, dens = three_mode_fixture()
-    tree = build_cluster_tree(ps, dens, levels=[0.5, 1.5, 2.5], delta=0.5, estimator="plugin")
+    levels = [0.5, 1.5, 2.5]
+    tree = tree_from_clusterings(levels, [surrogate_cluster(ps, dens, lam, 0.5) for lam in levels])
     assert [c.k for c in tree.clusterings] == [3, 2, 1]
     # active sets nest as the level rises
     acts = [set(c.active_indices.tolist()) for c in tree.clusterings]
@@ -246,15 +247,10 @@ def test_tree_validation():
             levels=(1.0, 2.0), clusterings=(sp2, sp2),
             edges=(TreeEdge(level=1, parent=2, child=1, weight=1),),
         )
-    with pytest.raises(ValueError):
-        build_cluster_tree(
-            PointSet(np.zeros((2, 1))), np.ones(2), levels=[1.0], delta=1.0, estimator="plugin"
-        )
-    with pytest.raises(ValueError):
-        build_cluster_tree(
-            PointSet(np.zeros((2, 1))), np.ones(2), levels=[1.0, 2.0], delta=1.0,
-            estimator="ballet",
-        )
+    one_draw = DensityDrawEnsemble(np.ones((1, 2)))
+    for levels in ([1.0], [2.0, 1.0]):
+        with pytest.raises(ValueError):
+            build_cluster_tree(PointSet(np.zeros((2, 1))), one_draw, levels, 1.0, estimator="plugin")
 
 
 def test_tree_json_and_dot_exports():
