@@ -32,7 +32,7 @@ from .risk import (
     plugin_estimate,
 )
 from .subpartition import SubPartition
-from .util import order_statistic_ceil, spawn_rngs
+from .util import cpu_count, order_statistic_ceil, spawn_rngs
 
 __all__ = [
     "EVAL_SCHEMA",
@@ -373,8 +373,9 @@ def dbscan_parameters(ps: PointSet, cfg: DbscanStudyConfig) -> tuple[int, float]
 
     Eps is the ceil((1 - nu) * n)-th smallest of the distances from each point
     to its MinPts-th nearest dataset point, a data point counting as its own
-    first neighbor -- the same inclusive convention as the core-point test.
-    A given Eps whose graph would not fit the pair budget is an InfeasibleError.
+    first neighbor -- the same inclusive convention as the core-point test;
+    the k-NN query runs on every CPU of the process. A given Eps whose graph
+    would not fit the pair budget is an InfeasibleError.
     """
     k = default_k_dbscan(ps.n) if cfg.min_pts is None else int(cfg.min_pts)
     if not 1 <= k <= ps.n:
@@ -382,7 +383,7 @@ def dbscan_parameters(ps: PointSet, cfg: DbscanStudyConfig) -> tuple[int, float]
     if cfg.eps is not None:
         _check_pair_budget(ps.points, cfg.eps)
         return k, float(cfg.eps)
-    dists, _ = cKDTree(ps.points).query(ps.points, k=k)
+    dists, _ = cKDTree(ps.points).query(ps.points, k=k, workers=cpu_count())
     radii = np.asarray(dists, dtype=np.float64)
     radii = radii[:, -1] if k > 1 else radii.ravel()
     eps = order_statistic_ceil(radii, 1.0 - cfg.nu)

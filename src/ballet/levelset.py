@@ -25,6 +25,7 @@ from scipy.spatial import cKDTree
 
 from .errors import InfeasibleError
 from .subpartition import SubPartition
+from .util import cpu_count, order_statistic_ceil
 
 __all__ = [
     "PointSet",
@@ -164,6 +165,24 @@ def _component_labels(n: int, pairs: np.ndarray, active: np.ndarray) -> np.ndarr
     return np.where(active, comp + 1, 0)
 
 
+def _active_indices(active: Sequence[int], n: int) -> np.ndarray:
+    """The distinct point indices in `active`, sorted. A boolean mask, a
+    non-integer entry or an index outside [0, n) is a ValueError."""
+    act = np.asarray(active)
+    if act.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if act.dtype == bool:
+        raise ValueError("active must hold point indices, not a boolean mask (use np.flatnonzero)")
+    if act.ndim != 1 or act.dtype.kind not in "iu":
+        raise ValueError(
+            f"active must be a flat sequence of integer point indices, got {act.dtype} of shape {act.shape}"
+        )
+    act = np.unique(act)
+    if act[0] < 0 or act[-1] >= n:
+        raise ValueError(f"active indices must lie in [0, {n}), got {act[0]}..{act[-1]}")
+    return act.astype(np.int64, copy=False)
+
+
 def active_set_components(
     ps: PointSet,
     active: Sequence[int],
@@ -171,9 +190,7 @@ def active_set_components(
     closed_edges: bool = False,
 ) -> SubPartition:
     """Sub-partition whose clusters are the delta-graph components of `active`."""
-    act = np.unique(np.asarray(active, dtype=np.int64))
-    if act.size and (act[0] < 0 or act[-1] >= ps.n):
-        raise ValueError("active indices out of range")
+    act = _active_indices(active, ps.n)
     mask = np.zeros(ps.n, dtype=bool)
     mask[act] = True
     pairs = act[_delta_pairs(ps.points[act], delta, closed_edges)]
@@ -200,29 +217,34 @@ class AdaptiveDeltaConfig:
         return k
 
 
-def knn_distance(ps: PointSet, k: int) -> np.ndarray:
-    """Distance from each point to its k-th nearest other point, 1 <= k <= n-1."""
+def _knn_distance_at(ps: PointSet, at: np.ndarray, k: int) -> np.ndarray:
+    """Distance from the points indexed by `at` to their k-th nearest other
+    point of ps; the kd-tree query runs on every CPU of the process."""
     if not 1 <= k <= ps.n - 1:
         raise ValueError(f"k={k} out of range for n={ps.n} (need 1 <= k <= n-1)")
-    tree = cKDTree(ps.points)
     # column 0 is the point itself (distance 0); ties only shift equal values
-    dist, _ = tree.query(ps.points, k=k + 1)
+    dist, _ = cKDTree(ps.points).query(ps.points[at], k=k + 1, workers=cpu_count())
     return np.asarray(dist[:, k], dtype=np.float64)
+
+
+def knn_distance(ps: PointSet, k: int) -> np.ndarray:
+    """Distance from each point to its k-th nearest other point, 1 <= k <= n-1."""
+    return _knn_distance_at(ps, np.arange(ps.n), k)
 
 
 def adaptive_delta(ps: PointSet, active: Sequence[int], cfg: AdaptiveDeltaConfig = AdaptiveDeltaConfig()) -> float:
     """Data-adaptive delta: upper (1-gamma)-quantile of active points' kNN distances.
 
-    The kNN distances are measured in the full point set; the quantile (m-th
-    smallest with m = ceil((1-gamma) * |active|)) runs over the active subset.
+    The kNN distances are measured in the full point set, but only at the
+    active points; the quantile (m-th smallest with m = ceil((1-gamma) *
+    |active|)) runs over them. `active` holds point indices, a repeated one
+    counted once.
     """
-    act = np.asarray(list(active), dtype=np.int64)
+    act = _active_indices(active, ps.n)
     if act.size == 0:
         raise ValueError("active set must be nonempty")
     k = cfg.resolve_k(ps.n)
-    from .util import order_statistic_ceil
-
-    return order_statistic_ceil(knn_distance(ps, k)[act], 1.0 - cfg.gamma)
+    return order_statistic_ceil(_knn_distance_at(ps, act, k), 1.0 - cfg.gamma)
 
 
 def surrogate_cluster(

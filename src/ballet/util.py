@@ -1,10 +1,12 @@
-"""Small shared helpers: order-statistic quantiles, seeding, canonical JSON."""
+"""Small shared helpers: order-statistic quantiles, seeding, canonical JSON,
+the worker count."""
 
 from __future__ import annotations
 
 import hashlib
 import json
 import math
+import os
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +17,7 @@ __all__ = [
     "spawn_rngs",
     "canonical_json",
     "config_hash",
+    "cpu_count",
 ]
 
 
@@ -60,3 +63,10 @@ def canonical_json(obj) -> str:
 def config_hash(obj) -> str:
     """Stable sha256 hex digest of a JSON-serializable config."""
     return hashlib.sha256(canonical_json(obj).encode("ascii")).hexdigest()
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on: the worker count of every threaded stage."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

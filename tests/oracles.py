@@ -384,3 +384,31 @@ def oracle_search(stats, p, cfg, seeds=None):
             best_risk = risk
             best_sp = SubPartition(_full_labels(stats, engine.labels))
     return best_sp
+
+
+def oracle_bin_indices(bins, X: np.ndarray) -> np.ndarray:
+    """HistogramBins.bin_indices by one searchsorted per component and axis,
+    flattened with ravel_multi_index."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    out = np.empty((bins.K, X.shape[0]), dtype=np.int64)
+    dims = (bins.M_prime,) * bins.d
+    for k in range(bins.K):
+        per_axis = tuple(
+            np.searchsorted(bins.cuts[k, a, 1:-1], X[:, a], side="left") for a in range(bins.d)
+        )
+        out[k] = np.ravel_multi_index(per_axis, dims)
+    return out
+
+
+def oracle_build_ensemble(data, cfg, S: int, seed: int) -> np.ndarray:
+    """build_ensemble's values, the draws filled one after another on one thread."""
+    from ballet.density import default_domain, fit_histogram_posterior, sample_bins
+    from ballet.util import spawn_rngs
+
+    rngs = spawn_rngs(seed, S + 1)
+    domain = cfg.domain if cfg.domain is not None else default_domain(data)
+    post = fit_histogram_posterior(data, sample_bins(cfg, domain, rngs[0]), cfg)
+    values = np.empty((S, data.n))
+    for s in range(S):
+        values[s] = post.sample_at_data(rngs[1 + s])
+    return values

@@ -1,6 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ballet import density
 from ballet.density import (
     HistogramBins,
     HistogramDensity,
@@ -15,6 +21,7 @@ from ballet.density import (
 )
 from ballet.errors import ConfigError, NumericError
 from ballet.levelset import PointSet, dbscan_star, surrogate_cluster, unit_ball_volume
+from oracles import oracle_bin_indices, oracle_build_ensemble
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -124,6 +131,42 @@ def test_bin_indices_boundary_conventions():
     assert idx1[1].tolist() == [0, 3]
 
 
+def test_bin_indices_cut_shared_by_two_components():
+    # both components cut at 0.5; a point on it is in each one's lower bin
+    bins = HistogramBins(np.array([[[0.0, 0.5, 0.75, 1.0]], [[0.0, 0.25, 0.5, 1.0]]]), ((0.0, 1.0),))
+    X = np.array([[0.0], [0.25], [0.5], [0.6], [0.75], [1.0]])
+    assert bins.bin_indices(X).tolist() == [[0, 0, 0, 1, 1, 2], [0, 0, 1, 2, 2, 2]]
+    assert np.array_equal(bins.bin_indices(X), oracle_bin_indices(bins, X))
+
+
+_GRID = 16
+
+
+@st.composite
+def bin_layouts(draw):
+    """HistogramBins for d in {1, 2, 3} and M_prime in 1..8 whose cuts lie on
+    a 1/16 grid of the domain, so components often share a cut value, and
+    points on the cuts, on the domain edges and in between."""
+    d = draw(st.integers(1, 3))
+    mp = draw(st.integers(1, 8))
+    K = draw(st.integers(1, 4))
+    lo, hi = -1.0, 3.0
+    grid = lo + (hi - lo) * np.arange(_GRID + 1) / _GRID
+    interior = st.lists(st.integers(1, _GRID - 1), min_size=mp - 1, max_size=mp - 1, unique=True)
+    cuts = np.array([[grid[[0, *sorted(draw(interior)), _GRID]] for _ in range(d)] for _ in range(K)])
+    bins = HistogramBins(cuts, ((lo, hi),) * d)
+    coord = st.one_of(st.integers(0, _GRID).map(lambda j: float(grid[j])), st.floats(lo, hi))
+    X = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=30))
+    return bins, np.array(X)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bin_layouts())
+def test_bin_indices_match_per_component_oracle(layout):
+    bins, X = layout
+    assert np.array_equal(bins.bin_indices(X), oracle_bin_indices(bins, X))
+
+
 def test_hand_fixture_counts_and_dirichlet_params():
     bins = hand_bins()
     cfg = HistogramMixtureConfig(K=2, M_prime=2, alpha_d=1.0)
@@ -192,6 +235,27 @@ def test_build_ensemble_deterministic_under_seed():
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
     assert a.S == 5 and a.n == 50
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("S", [1, 2, 3, 7])
+def test_build_ensemble_matches_serial_oracle(S, workers, monkeypatch):
+    # fewer draws than workers, chunks of unequal length, more workers than
+    # CPUs; a short switch interval interleaves the workers as often as it can
+    monkeypatch.setattr(density, "cpu_count", lambda: workers)
+    rng = np.random.default_rng(15)
+    data = PointSet(rng.random((60, 2)))
+    cfg = HistogramMixtureConfig(K=4, M_prime=22)
+    assert cfg.M_prime ** 2 >= density._THREADED_MIN_BINS
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        values = build_ensemble(data, cfg, S=S, seed=16).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert np.array_equal(values, oracle_build_ensemble(data, cfg, S, 16))
 
 
 def test_fast_data_evaluation_matches_evaluator():

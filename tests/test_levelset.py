@@ -165,6 +165,29 @@ def test_adaptive_delta_empty_active_errors():
         adaptive_delta(ps, [], AdaptiveDeltaConfig(k=1))
 
 
+@pytest.mark.parametrize("bad", [
+    [-1],  # not the last point
+    [2.5],  # not point 2
+    [0, 4],  # one past the last point
+    [True, False, True, True],  # a mask, not indices 1, 0, 1, 1
+    np.array([[0, 1]]),
+])
+def test_bad_active_input_is_a_value_error(bad):
+    ps = pts1d(0, 1, 3, 7)
+    with pytest.raises(ValueError):
+        adaptive_delta(ps, bad, AdaptiveDeltaConfig(k=1))
+    with pytest.raises(ValueError):
+        active_set_components(ps, bad, 1.5)
+
+
+def test_active_duplicates_count_once():
+    ps = pts1d(0, 1, 3, 7)
+    cfg = AdaptiveDeltaConfig(k=1, gamma=0.5)
+    # distances 1 and 4: the 1st smallest of two, not the 2nd of (1, 4, 4, 4)
+    assert adaptive_delta(ps, [3, 3, 3, 0], cfg) == adaptive_delta(ps, [0, 3], cfg) == 1.0
+    assert active_set_components(ps, [2, 0, 0, 1, 2], 1.5) == active_set_components(ps, [0, 1, 2], 1.5)
+
+
 def test_adaptive_delta_config_validation():
     with pytest.raises(ValueError):
         AdaptiveDeltaConfig(gamma=1.0)
