@@ -71,7 +71,6 @@ from .levelset import (
     dbscan_star,
     default_k_dbscan,
     default_k_levelset,
-    knn_distance,
     surrogate_cluster,
     unit_ball_volume,
 )

@@ -37,7 +37,6 @@ __all__ = [
     "default_domain",
     "sample_bins",
     "fit_histogram_posterior",
-    "posterior_draw",
     "build_ensemble",
     "kde_uniform",
     "knn_density",
@@ -349,16 +348,6 @@ def fit_histogram_posterior(
     idx = bins.bin_indices(data.points)
     counts = np.stack([np.bincount(idx[k], minlength=bins.M) for k in range(bins.K)]).astype(np.float64)
     return HistogramPosterior(bins, cfg, counts, idx)
-
-
-def posterior_draw(
-    data: PointSet,
-    bins: HistogramBins,
-    cfg: HistogramMixtureConfig,
-    rng: np.random.Generator,
-) -> HistogramDensity:
-    """One posterior density draw (convenience wrapper over the posterior)."""
-    return fit_histogram_posterior(data, bins, cfg).sample(rng)
 
 
 def build_ensemble(

@@ -33,7 +33,6 @@ __all__ = [
     "unit_ball_volume",
     "default_k_levelset",
     "default_k_dbscan",
-    "knn_distance",
     "adaptive_delta",
     "active_set_components",
     "surrogate_cluster",
@@ -217,19 +216,23 @@ class AdaptiveDeltaConfig:
         return k
 
 
+# Below this many query points a kd-tree query on a second thread only adds
+# start-up: on 2 CPUs, 2 workers took 1.0-1.3x the time of 1 at 500 queries
+# (n = 2000 to 40 000; 2-7x at n = 250) and 0.6-1.1x from 2000 queries up.
+_THREADED_MIN_QUERIES = 2000
+
+
 def _knn_distance_at(ps: PointSet, at: np.ndarray, k: int) -> np.ndarray:
     """Distance from the points indexed by `at` to their k-th nearest other
-    point of ps; the kd-tree query runs on every CPU of the process."""
+    point of ps, 1 <= k <= n-1. From _THREADED_MIN_QUERIES points up the
+    kd-tree query runs on every CPU of the process; each query point is
+    answered alone, so the distances do not depend on the thread count."""
     if not 1 <= k <= ps.n - 1:
         raise ValueError(f"k={k} out of range for n={ps.n} (need 1 <= k <= n-1)")
+    workers = cpu_count() if len(at) >= _THREADED_MIN_QUERIES else 1
     # column 0 is the point itself (distance 0); ties only shift equal values
-    dist, _ = cKDTree(ps.points).query(ps.points[at], k=k + 1, workers=cpu_count())
+    dist, _ = cKDTree(ps.points).query(ps.points[at], k=k + 1, workers=workers)
     return np.asarray(dist[:, k], dtype=np.float64)
-
-
-def knn_distance(ps: PointSet, k: int) -> np.ndarray:
-    """Distance from each point to its k-th nearest other point, 1 <= k <= n-1."""
-    return _knn_distance_at(ps, np.arange(ps.n), k)
 
 
 def adaptive_delta(ps: PointSet, active: Sequence[int], cfg: AdaptiveDeltaConfig = AdaptiveDeltaConfig()) -> float:

@@ -20,12 +20,24 @@ prices the points of a walk a block at a time and moves only the first point
 whose decision changes the state, which gives the same decisions, ties
 included, as pricing one point at a time. It tracks each restart's risk from
 the same costs instead of recounting it.
+
+Two more shortcuts leave every decision as it was:
+- A point active in d draws costs (n-1) m_ai d in noise, and at least
+  (n-1) m_ia (S-d) in any cluster. When noise is no dearer, it wins, ties
+  included, in every state. Such a point goes to noise as soon as a walk
+  finds it unassigned, and it never leaves noise. So the walks skip it;
+  under the default weights that is every point active in at most half
+  the draws. The test is exact under dyadic weights, and under other
+  weights it leaves a margin for the rounding of the costs.
+- A rejected zealous attempt moves its members back one by one, which
+  restores the count table exactly, rather than rebuilding it in O(S u).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -195,6 +207,31 @@ class _Layout(NamedTuple):
 
 _WIDE = 16  # a draw cell gets a row of N once _WIDE times its size reaches the table width
 _BLOCK_ENTRIES = 1 << 16  # counts one block's pricing gathers from T (one point at least)
+_EPS = 2.0**-53  # unit roundoff of float64
+
+
+def _always_noise(noise: np.ndarray, base: np.ndarray, n: int, S: int, u: int, p: LossParams) -> np.ndarray:
+    """The points whose noise cost no cluster cost undercuts, as price() computes them.
+
+    Joining id h costs base + a (sum(n1) - n1[h]) + b (both[h] - n1[h])
+    and a new cluster base + a sum(n1), with every term nonnegative. So
+    noise <= base makes noise the cheapest cell; noise wins ties, so such
+    a point goes to noise whenever a walk finds it unassigned and never
+    leaves it. That holds for the float costs too:
+    - Every float weight is a multiple of 1/q for some power of two q, and
+      every term of a cost is below reach = (n-1) S max(m_ai, m_ia) +
+      (2a + b) S u. When q reach < 2^53 every cost is an exact multiple of
+      1/q, and noise <= base is the exact test.
+    - Otherwise price()'s six roundings move a cost by less than
+      4 eps reach. A cost of exactly base can then come out one ulp below
+      it, so noise must win by 8 eps reach, which also covers the rounding
+      of the test itself. A point left out here is priced as before.
+    """
+    weights = [Fraction(w) for w in (p.a, p.b, p.m_ai, p.m_ia)]
+    q = max(w.denominator for w in weights)
+    reach = (n - 1) * S * max(weights[2:]) + (2 * weights[0] + weights[1]) * S * u
+    slack = 0.0 if q * reach < 2**53 else 8 * _EPS * float(reach)
+    return noise <= base - slack
 
 
 class _Engine:
@@ -232,6 +269,7 @@ class _Engine:
         self._n = stats.n
         self.noise_cost = (stats.n - 1) * p.m_ai * draw_active
         self.active_base = (stats.n - 1) * p.m_ia * (S - draw_active)
+        self.can_join = ~_always_noise(self.noise_cost, self.active_base, stats.n, S, u, p)
         self._S = S
         # (point, draw) entries where the point is active, grouped by point
         self._point, self._draws = np.nonzero(L.T)
@@ -402,6 +440,29 @@ class _Engine:
         """S times the risk of a state with these _risk_counts: the loss summed over draws."""
         return _weighted_loss(self._n, *counts.tolist(), self.p)
 
+    def counts(self, labels: np.ndarray) -> np.ndarray:
+        """The _risk_counts of support labels (0 noise, >0 clusters), from the (point, draw) entries.
+
+        Only the entries of multi-point cells pair within a draw cell, so
+        the pairs together in a draw, and together in both, count over those.
+        """
+        act = labels > 0
+        ids, inv = np.unique(labels[act], return_inverse=True)
+        H = ids.size + 1
+        h = np.zeros(labels.size, dtype=np.int64)
+        h[act] = inv + 1
+        he = h[self._point]
+        hit = he > 0
+        shared = hit & (self._cell >= 0)
+        cell = self._cell[shared]
+        together_draw = _pairs(np.bincount(cell))
+        together_cand = _pairs(np.bincount(self._draws[hit] * H + he[hit]))
+        together_both = _pairs(np.unique(cell * H + he[shared], return_counts=True)[1])
+        d = self._n_active
+        missed = int(d[~act].sum())
+        extra = int((self._S - d[act]).sum())
+        return np.array([missed, extra, together_draw - together_both, together_cand - together_both])
+
     def point_counts(self, i: int, h: int, priced: _Prices, r: int) -> np.ndarray:
         """The _risk_counts that point i, row r of priced, adds with label h (0 noise)."""
         d = int(self._n_active[i])
@@ -434,13 +495,25 @@ def _walk(engine: _Engine, order: np.ndarray) -> tuple[bool, np.ndarray]:
     unassigned or all assigned.
 
     Returns whether a point changed cell and the change in _risk_counts.
-    Decisions that keep the state are taken a block at a time: the block is
-    priced at once, and the first point whose decision changes the state is
-    moved, ending the block; the next block starts after it. The block size
-    doubles while blocks end without a move and halves after one.
+    A point no cluster can take (not engine.can_join) decides noise in any
+    state, and noise keeps the state, so it is not walked: an unassigned one
+    goes to noise first, its noise counts added in one sum, and one already
+    in noise stays there. One in a cluster is walked. Decisions that keep
+    the state are taken a block at a time: the block is priced at once, and
+    the first point whose decision changes the state is moved, ending the
+    block; the next block starts after it. The block size doubles while
+    blocks end without a move and halves after one.
     """
     unassigned = order.size > 0 and engine.labels[order[0]] < 0
     moved, delta = False, np.zeros(4, dtype=np.int64)
+    walked = engine.can_join[order]
+    if unassigned:
+        idle = order[~walked]
+        engine.labels[idle] = 0
+        delta[0] = int(engine._n_active[idle].sum())
+    else:
+        walked |= engine.labels[order] > 0
+    order = order[walked]
     pos, size, n_wide = 0, 1, None
     while pos < order.size:
         if engine._n_wide != n_wide:  # new wide cells move the pricing rows
@@ -479,21 +552,29 @@ def _zealous(engine: _Engine, members: np.ndarray, counts: np.ndarray) -> np.nda
     """Destroy the cell of members (all of it), reassign them in the given
     order, and keep the result if its risk is strictly lower.
 
-    Takes and returns the _risk_counts of the state.
+    A rejected attempt moves each member that left its cell back, which
+    restores the table count for count, ids and width included. Only when a
+    fresh id rebuilt the table during the attempt (renumbering the ids) is
+    the state rebuilt from the labels instead. Takes and returns the
+    _risk_counts of the state.
     """
     snapshot = engine.labels.copy()
     target = int(snapshot[members[0]])
     trial = counts - engine.removal_counts(members)
+    table = engine.T
     # column target of T counts exactly the members, and column 0 (noise)
     # counts nothing; the dead id keeps the ids' order
-    engine.T[:, target] = 0
+    table[:, target] = 0
     engine.sizes[target] = 0
     engine.labels[members] = -1
-    moved, delta = _walk(engine, members)
-    trial += delta
+    trial += _walk(engine, members)[1]
     if engine.risk(trial) < engine.risk(counts):
         return trial
-    if moved or target:  # else every member is noise again: the snapshot's state
+    if engine.T is table:
+        # a member that took a fresh id equal to target is back in place
+        for i in members[engine.labels[members] != target].tolist():
+            engine.move(i, target)
+    else:
         engine.reset(snapshot)
     return counts
 
@@ -526,6 +607,13 @@ def search(
     decisions: the incremental assignment (or the seed's counts), the
     sweetening moves, and each zealous attempt's removal and reassignment.
     So it compares the same risks as a recount would, for any weights.
+
+    The walks price only the points a cluster can take, or that sit in a
+    cluster: noise is the cheapest cell in every state for the others (see
+    _always_noise), so they go to, and stay in, noise unpriced. A rejected
+    zealous attempt is undone by moving its members back, with a rebuild
+    only when a fresh id renumbered the ids during the attempt. Neither
+    changes a decision or a draw of the restarts' generators.
     """
     engine = _Engine(stats, p)
     u = stats.support.size
@@ -535,16 +623,17 @@ def search(
             raise ValueError(f"seed clustering has n={s.n}, stats have n={stats.n}")
 
     best_sp = SubPartition.all_noise(stats.n)
-    best_risk = engine.risk(_risk_counts(stats, best_sp.labels_array))
+    best_risk = engine.risk(engine.counts(np.zeros(u, dtype=np.int64)))
     seed_starts, seed_counts = [], []
     for s in seed_list:
-        counts = _risk_counts(stats, s.labels_array)
-        if engine.risk(counts) < best_risk:
-            best_sp, best_risk = s, engine.risk(counts)
-        # a seed active off the support restarts from its support labels alone
+        # a seed active off the support restarts from its support labels
+        # alone; each off-support point it activates is extra in all S draws
         start = s.labels_array[stats.support]
-        if np.count_nonzero(start) < np.count_nonzero(s.labels_array):
-            counts = _risk_counts(stats, _full_labels(stats, start))
+        counts = engine.counts(start)
+        off = np.count_nonzero(s.labels_array) - np.count_nonzero(start)
+        risk = engine.risk(counts + np.array([0, stats.S * off, 0, 0]))
+        if risk < best_risk:
+            best_sp, best_risk = s, risk
         seed_starts.append(start)
         seed_counts.append(counts)
 

@@ -31,7 +31,6 @@ from ballet.density import (
     fit_histogram_posterior,
     kde_uniform,
     knn_density,
-    posterior_draw,
     sample_bins,
 )
 from ballet.levels import (
@@ -377,7 +376,7 @@ def test_criterion_09_histogram_sampler():
     uni_cfg = HistogramMixtureConfig(K=1, M_prime=1)
     dom = ((0.0, 2.0), (0.0, 2.0))
     uni_bins = sample_bins(uni_cfg, dom, np.random.default_rng(0))
-    f = posterior_draw(data, uni_bins, uni_cfg, np.random.default_rng(1))
+    f = fit_histogram_posterior(data, uni_bins, uni_cfg).sample(np.random.default_rng(1))
     grid = np.array([[0.1, 0.3], [1.9, 1.9], [1.0, 0.5]])
     assert np.all(f(grid) == 0.25)
 

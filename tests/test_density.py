@@ -16,7 +16,6 @@ from ballet.density import (
     fit_histogram_posterior,
     kde_uniform,
     knn_density,
-    posterior_draw,
     sample_bins,
 )
 from ballet.errors import ConfigError, NumericError
@@ -195,7 +194,7 @@ def test_single_bin_posterior_is_uniform_density():
     dom = ((0.0, 2.0), (0.0, 2.0))
     bins = sample_bins(cfg, dom, np.random.default_rng(0))
     data = PointSet(np.array([[0.5, 0.5], [1.5, 1.5]]))
-    f = posterior_draw(data, bins, cfg, np.random.default_rng(4))
+    f = fit_histogram_posterior(data, bins, cfg).sample(np.random.default_rng(4))
     assert f(np.array([0.3, 1.9])) == 0.25
     assert f(np.array([[1.0, 1.0], [0.0, 0.0]])).tolist() == [0.25, 0.25]
     assert f(np.array([2.5, 0.5])) == 0.0
@@ -206,7 +205,7 @@ def test_posterior_draw_is_proper_density():
     cfg = HistogramMixtureConfig(K=4, M_prime=6)
     data = PointSet(rng.random((30, 2)))
     bins = sample_bins(cfg, default_domain(data), rng)
-    f = posterior_draw(data, bins, cfg, rng)
+    f = fit_histogram_posterior(data, bins, cfg).sample(rng)
     assert f.integral() == pytest.approx(1.0, abs=1e-12)
     assert np.all(f.masses >= 0)
     assert np.allclose(f.masses.sum(axis=1), 1.0, atol=1e-12)

@@ -7,17 +7,18 @@ import math
 import numpy as np
 import pytest
 
+import ballet.levelset as levelset
 from ballet.levelset import (
     AdaptiveDeltaConfig,
     PointSet,
     _delta_pairs,
+    _knn_distance_at,
     active_set_components,
     adaptive_delta,
     dbscan_classic,
     dbscan_star,
     default_k_dbscan,
     default_k_levelset,
-    knn_distance,
     surrogate_cluster,
     unit_ball_volume,
 )
@@ -109,14 +110,14 @@ def test_delta_pairs_rejects_bad_delta():
 
 def test_knn_distance_hand_example():
     ps = pts1d(0, 1, 3, 7)
-    assert knn_distance(ps, 1).tolist() == [1, 1, 2, 4]
+    assert _knn_distance_at(ps, np.arange(ps.n), 1).tolist() == [1, 1, 2, 4]
 
 
 def test_knn_distance_farthest_and_duplicates():
     ps = pts1d(0, 1, 3, 7)
-    assert knn_distance(ps, 3).tolist() == [7, 6, 4, 7]  # farthest other point
+    assert _knn_distance_at(ps, np.arange(ps.n), 3).tolist() == [7, 6, 4, 7]  # farthest other point
     dup = pts1d(2, 2, 5)
-    assert knn_distance(dup, 1).tolist() == [0, 0, 3]
+    assert _knn_distance_at(dup, np.arange(dup.n), 1).tolist() == [0, 0, 3]
 
 
 def test_knn_distance_matches_oracle():
@@ -125,15 +126,30 @@ def test_knn_distance_matches_oracle():
         pts = rng.normal(size=(60, d))
         ps = PointSet(pts)
         for k in (1, 3, 59):
-            assert np.array_equal(knn_distance(ps, k), oracle_knn_distance(pts, k))
+            assert np.array_equal(_knn_distance_at(ps, np.arange(ps.n), k), oracle_knn_distance(pts, k))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_knn_distance_same_on_any_thread_count(workers, monkeypatch):
+    # the query runs on cpu_count() threads from _THREADED_MIN_QUERIES points up
+    rng = np.random.default_rng(44)
+    pts = rng.normal(size=(500, 2))
+    pts[250:] = pts[:250]  # duplicates: ties at distance 0
+    ps = PointSet(pts)
+    at = rng.choice(ps.n, size=300, replace=False)
+    serial = _knn_distance_at(ps, at, 7)
+    monkeypatch.setattr(levelset, "cpu_count", lambda: workers)
+    monkeypatch.setattr(levelset, "_THREADED_MIN_QUERIES", 1)
+    assert np.array_equal(_knn_distance_at(ps, at, 7), serial)
+    assert np.array_equal(serial, oracle_knn_distance(pts, 7)[at])
 
 
 def test_knn_distance_range_errors():
     ps = pts1d(0, 1, 2)
     with pytest.raises(ValueError):
-        knn_distance(ps, 0)
+        _knn_distance_at(ps, np.arange(ps.n), 0)
     with pytest.raises(ValueError):
-        knn_distance(ps, 3)
+        _knn_distance_at(ps, np.arange(ps.n), 3)
 
 
 def test_default_k_values():

@@ -513,6 +513,56 @@ def test_engine_prices_exact_ties_with_S3():
     assert oracle_best_assignment(engine, 0) == (1, 5.0)
 
 
+def test_always_noise_is_exact_or_walked():
+    """Point 0 is active in 2 of 4 draws, so noise costs it exactly
+    active_base. Under the default loss every cost is exact and it never
+    joins a cluster. Under EQUAL_INEXACT joining cluster 1 prices one ulp
+    below active_base, as the full walk would see it, so it is walked."""
+    draws = [
+        SubPartition([1, 1, 0, 1, 1]),
+        SubPartition([0, 1, 1, 1, 1]),
+        SubPartition([0, 1, 1, 0, 1]),
+        SubPartition([1, 0, 2, 2, 0]),
+    ]
+    stats = precompute_stats(draws)
+    state = [-1, 1, 0, 0, 0]
+    exact = engine_at(stats, state)
+    assert exact.noise_cost[0] == exact.active_base[0]
+    assert not exact.can_join[0]
+    assert oracle_best_assignment(exact, 0) == (0, 4.0)
+    inexact = engine_at(stats, state, EQUAL_INEXACT)
+    ids, costs = oracle_candidate_costs(inexact, 0)
+    assert inexact.noise_cost[0] == inexact.active_base[0] == costs[0] == 2.4
+    assert ids.tolist() == [1] and costs[2] == 2.3999999999999995 < costs[0]
+    assert inexact.can_join[0]
+    assert oracle_best_assignment(inexact, 0)[0] == 1
+    # a point that noise costs strictly less is left out under either loss
+    d = np.count_nonzero(stats.draw_labels, axis=0)
+    assert (exact.can_join == (d > 2)).all() and (inexact.can_join == (d >= 2)).all()
+
+
+def test_engine_counts_match_recount():
+    """The risk counts of support labels from the engine's (point, draw)
+    entries equal _risk_counts, for candidates with a few or many ids, in
+    any order and with gaps."""
+    rng = np.random.default_rng(23)
+    checked = 0
+    for trial in range(40):
+        n = int(rng.integers(2, 30)) if trial % 2 else int(rng.integers(100, 300))
+        draws = random_draws(rng, n, int(rng.integers(1, 9)), max_k=max(1, n // 8))
+        stats = precompute_stats(draws)
+        u = stats.support.size
+        if u == 0:
+            continue
+        engine = engine_at(stats, np.full(u, -1))
+        ids = rng.choice(np.arange(1, 10 * n), size=max(1, n // 2), replace=False)
+        labels = np.where(rng.random(u) < 0.2, 0, rng.choice(ids, size=u))
+        got = engine.counts(labels)
+        assert got.tolist() == risk_mod._risk_counts(stats, risk_mod._full_labels(stats, labels)).tolist()
+        checked += 1
+    assert checked >= 30
+
+
 def test_engine_table_stays_linear_in_draw_entries(monkeypatch):
     """Fragmented draws and a candidate with ~u/2 clusters keep T at O(S u) entries."""
     m = 120
@@ -639,6 +689,17 @@ def test_search_deterministic():
     assert a.labels == b.labels
 
 
+def test_search_counts_a_seed_active_off_the_support():
+    # point 3 is noise in every draw; a seed that clusters it pays m_ia (n - 1)
+    # in each draw, so the draw itself (risk 0) is the estimate
+    draw = SubPartition([1, 1, 2, 0])
+    wide = SubPartition([1, 1, 2, 2])
+    stats = precompute_stats([draw, draw])
+    assert empirical_risk(wide, stats) == 1.5
+    est = search(stats, cfg=SearchConfig(n_restarts=2, seed=0), seeds=[wide, draw])
+    assert est == draw and empirical_risk(est, stats) == 0.0
+
+
 def test_search_seed_size_mismatch():
     stats = precompute_stats(two_draw_fixture())
     with pytest.raises(ValueError):
@@ -661,19 +722,32 @@ def test_search_config_validation():
         SearchConfig(n_zealous_attempts=-1)
 
 
+# a non-dyadic loss whose noise cost equals active_base for a point active in
+# half the draws, while a * n1 is inexact
+EQUAL_INEXACT = LossParams(a=0.7, b=0.3, m_ai=0.3, m_ia=0.3)
+
+
 @st.composite
 def search_instances(draw):
-    """Small draw sets (S in 1, 2, 3, 7; few labels, so exact ties abound),
-    with or without seeds, under the default, a dyadic non-metric and a
-    non-dyadic loss."""
+    """Small draw sets (S in 1, 2, 3, 4, 7, 8; few labels, so exact ties
+    abound), with no seeds, the draws, or the draws and a seed active
+    everywhere (off the support too), under the default, a dyadic
+    non-metric and two non-dyadic losses. With S even, a point active in S/2 draws
+    costs as much in noise as active_base, under the default loss and under
+    EQUAL_INEXACT."""
     n = draw(st.integers(2, 24))
-    S = draw(st.sampled_from([1, 2, 3, 7]))
+    S = draw(st.sampled_from([1, 2, 3, 4, 7, 8]))
     k = draw(st.integers(1, 4))
     rows = draw(st.lists(st.lists(st.integers(0, k), min_size=n, max_size=n), min_size=S, max_size=S))
     draws = [SubPartition(r) for r in rows]
     p = draw(
         st.sampled_from(
-            [LossParams(), LossParams(a=1.0, b=2.0, m_ai=0.25, m_ia=1.0), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]
+            [
+                LossParams(),
+                LossParams(a=1.0, b=2.0, m_ai=0.25, m_ia=1.0),
+                LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6),
+                EQUAL_INEXACT,
+            ]
         )
     )
     cfg = SearchConfig(
@@ -682,34 +756,81 @@ def search_instances(draw):
         n_zealous_attempts=draw(st.integers(0, 4)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return draws, p, cfg, draw(st.booleans())
+    seeds = draw(st.sampled_from([None, draws, draws + [SubPartition([1] * n)]]))
+    return draws, p, cfg, seeds
 
 
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
 def test_search_matches_per_point_oracle():
-    """Block pricing and the tracked risk give the labels of the search that
-    prices one point at a time and recounts the risk after every attempt."""
+    """Block pricing, the walks that skip the points no cluster can take, the
+    tracked risk and the zealous replay give the labels of the search that
+    prices every point, one at a time, and recounts the risk after every
+    attempt."""
     blocks = []
+    skipped = []  # per walk, the points it did not price
+    equal_walked = []  # per walk under EQUAL_INEXACT, its points with noise == active_base
     price = risk_mod._Engine.price
+    walk = risk_mod._walk
 
     def recording_price(self, lay, j, end):
         blocks.append(end - j)
         return price(self, lay, j, end)
 
+    def recording_walk(engine, order):
+        skipped.append(int(np.count_nonzero(~engine.can_join[order] & (engine.labels[order] <= 0))))
+        if engine.p == EQUAL_INEXACT:
+            equal_walked.append(int(np.count_nonzero((engine.noise_cost == engine.active_base)[order])))
+        return walk(engine, order)
+
     @settings(max_examples=150, deadline=None)
     @given(search_instances())
     def check(instance):
-        draws, p, cfg, with_seeds = instance
+        draws, p, cfg, seeds = instance
         stats = precompute_stats(draws)
-        seeds = draws if with_seeds else None
         assert search(stats, p, cfg, seeds).labels == oracle_search(stats, p, cfg, seeds).labels
 
     # a low threshold, so both rows of N and counted members price
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(risk_mod, "_WIDE", 2)
         mp.setattr(risk_mod._Engine, "price", recording_price)
+        mp.setattr(risk_mod, "_walk", recording_walk)
         check()
     assert max(blocks) >= 2
+    assert max(skipped) >= 2
+    assert max(equal_walked) >= 1
+
+
+def test_rejected_zealous_attempt_restores_the_state():
+    """A rejected zealous attempt leaves the state it started from: moved
+    back member by member, the same labels, table and widths; or, when a
+    fresh id rebuilt the table during the attempt, a rebuild from them."""
+    rng = np.random.default_rng(43)
+    replayed = rebuilt = 0
+    for _ in range(150):
+        draws = random_draws(rng, int(rng.integers(6, 30)), int(rng.integers(1, 8)), max_k=5)
+        stats = precompute_stats(draws)
+        u = stats.support.size
+        if u == 0:
+            continue
+        engine = engine_at(stats, rng.integers(0, 3, size=u))
+        for _ in range(4):
+            cells = [0] + engine.live_ids().tolist()
+            members = np.flatnonzero(engine.labels == cells[int(rng.integers(len(cells)))])
+            if members.size == 0:
+                continue
+            table, before = engine.T, copy.deepcopy(engine)
+            counts = risk_mod._risk_counts(stats, risk_mod._full_labels(stats, engine.labels))
+            if risk_mod._zealous(engine, rng.permutation(members), counts) is not counts:
+                continue  # accepted
+            if engine.T is table:
+                replayed += 1
+                ref = before
+            else:
+                rebuilt += 1
+                ref = engine_at(stats, before.labels)
+            assert np.array_equal(engine.labels, ref.labels)
+            assert np.array_equal(engine.T, ref.T) and np.array_equal(engine.sizes, ref.sizes)
+    assert replayed >= 100 and rebuilt >= 10
 
 
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
