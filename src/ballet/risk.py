@@ -21,7 +21,7 @@ whose decision changes the state, which gives the same decisions, ties
 included, as pricing one point at a time. It tracks each restart's risk from
 the same costs instead of recounting it.
 
-Two more shortcuts leave every decision as it was:
+Three more shortcuts leave every decision as it was:
 - A point active in d draws costs (n-1) m_ai d in noise, and at least
   (n-1) m_ia (S-d) in any cluster. When noise is no dearer, it wins, ties
   included, in every state. Such a point goes to noise as soon as a walk
@@ -29,8 +29,16 @@ Two more shortcuts leave every decision as it was:
   under the default weights that is every point active in at most half
   the draws. The test is exact under dyadic weights, and under other
   weights it leaves a margin for the rounding of the costs.
-- A rejected zealous attempt moves its members back one by one, which
-  restores the count table exactly, rather than rebuilding it in O(S u).
+- A zealous attempt is first bounded from one priced block: each member in
+  its cheapest cell against the state without the destroyed cell. A member
+  placed earlier only raises the costs of the later ones (the loss weights
+  are positive), so the walked attempt's risk is at least the bound's.
+  When the bound's risk does not beat the state's, the attempt is rejected
+  unwalked. This is used only when every risk is an exact float, as under
+  dyadic weights; otherwise each attempt is walked.
+- A rejected zealous attempt that was walked moves its members back one by
+  one, which restores the count table exactly, rather than rebuilding it
+  in O(S u). The risk it removes is counted from the members' draw cells.
 """
 
 from __future__ import annotations
@@ -170,8 +178,12 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_restarts < 1 or self.n_sweeten_passes < 1 or self.n_zealous_attempts < 0:
-            raise ValueError("restarts and sweetening passes must be >= 1, zealous attempts >= 0")
+        for name, low in (("n_restarts", 1), ("n_sweeten_passes", 1), ("n_zealous_attempts", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"SearchConfig.{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"SearchConfig.{name} must be >= {low}, got {value}")
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -204,13 +216,21 @@ class _Layout(NamedTuple):
     members: np.ndarray
     mstart: np.ndarray
 
+    def capped(self, j: int, end: int, width: int) -> int:
+        """end, or less, so that order[j:end] gathers at most _BLOCK_ENTRIES
+        counts from a table this wide (one point at least)."""
+        cap = self.bounds[2 * j] + _BLOCK_ENTRIES // width
+        if self.bounds[2 * end] > cap:
+            end = j + max(1, int(np.searchsorted(self.bounds[2 * j : 2 * end + 1 : 2], cap, side="right")) - 1)
+        return end
+
 
 _WIDE = 16  # a draw cell gets a row of N once _WIDE times its size reaches the table width
 _BLOCK_ENTRIES = 1 << 16  # counts one block's pricing gathers from T (one point at least)
 _EPS = 2.0**-53  # unit roundoff of float64
 
 
-def _always_noise(noise: np.ndarray, base: np.ndarray, n: int, S: int, u: int, p: LossParams) -> np.ndarray:
+def _always_noise(noise: np.ndarray, base: np.ndarray, q: int, reach: Fraction) -> np.ndarray:
     """The points whose noise cost no cluster cost undercuts, as price() computes them.
 
     Joining id h costs base + a (sum(n1) - n1[h]) + b (both[h] - n1[h])
@@ -227,9 +247,6 @@ def _always_noise(noise: np.ndarray, base: np.ndarray, n: int, S: int, u: int, p
       it, so noise must win by 8 eps reach, which also covers the rounding
       of the test itself. A point left out here is priced as before.
     """
-    weights = [Fraction(w) for w in (p.a, p.b, p.m_ai, p.m_ia)]
-    q = max(w.denominator for w in weights)
-    reach = (n - 1) * S * max(weights[2:]) + (2 * weights[0] + weights[1]) * S * u
     slack = 0.0 if q * reach < 2**53 else 8 * _EPS * float(reach)
     return noise <= base - slack
 
@@ -269,7 +286,17 @@ class _Engine:
         self._n = stats.n
         self.noise_cost = (stats.n - 1) * p.m_ai * draw_active
         self.active_base = (stats.n - 1) * p.m_ia * (S - draw_active)
-        self.can_join = ~_always_noise(self.noise_cost, self.active_base, stats.n, S, u, p)
+        # every weight is a multiple of 1/q (a power of two), and every term
+        # of a cost is below reach
+        weights = [Fraction(w) for w in (p.a, p.b, p.m_ai, p.m_ia)]
+        q = max(w.denominator for w in weights)
+        reach = (stats.n - 1) * S * max(weights[2:]) + (2 * weights[0] + weights[1]) * S * u
+        self.can_join = ~_always_noise(self.noise_cost, self.active_base, q, reach)
+        # every risk is below u reach (its noise terms below u (n-1) S
+        # max(m_ai, m_ia), its pair terms below u (2a + b) S u); when q times
+        # (u + 1) reach is below 2^53, every risk, and every sum risk() forms
+        # on the way, is an exact float
+        self.exact_risks = q * (u + 1) * reach < 2**53
         self._S = S
         # (point, draw) entries where the point is active, grouped by point
         self._point, self._draws = np.nonzero(L.T)
@@ -299,8 +326,10 @@ class _Engine:
         self._n_wide = n_wide
         u = self.labels.size
         zero = n_wide + self._S
-        rowmap = np.append(np.where(wide, np.cumsum(wide) - 1, zero), zero)
-        self._nrow = rowmap[self._cell]
+        # the row of N of each cell (the zero row for a narrow one), and of
+        # each entry (the zero row for one alone in its cell, at index -1)
+        self._cell_row = np.append(np.where(wide, np.cumsum(wide) - 1, zero), zero)
+        self._nrow = self._cell_row[self._cell]
         # point i prices from rows[pptr[i] : pptr[i + 1]]: the zero row (so
         # its N rows are never empty), its wide cells' rows of N, then from
         # pmid[i] its rows of A. A move updates all of them but the zero row.
@@ -473,19 +502,36 @@ class _Engine:
         return np.array([0, self._S - d, int(n1.sum()) - n1h, both - n1h])
 
     def removal_counts(self, members: np.ndarray) -> np.ndarray:
-        """The _risk_counts lost when members, the whole of one cell, are unassigned."""
+        """The _risk_counts lost when members, the whole of one cell, are unassigned.
+
+        Only the draw cells holding a member lose pairs, so they are counted
+        from the members' own (point, draw) entries: the members in each
+        such cell, and its active points (the row of N of a wide cell,
+        summed; the labels of a narrow cell's members). The pairs of members
+        active in a draw come from the rows of A in the cell's column.
+        """
+        d = self._n_active[members]
         h = int(self.labels[members[0]])
         if h == 0:
-            return np.array([int(self._n_active[members].sum()), 0, 0, 0])
-        lab = self.labels[self._point]
-        shared = self._cell >= 0
-        in_h = np.bincount(self._cell[shared & (lab == h)], minlength=self._cell_size.size)
-        in_any = np.bincount(self._cell[shared & (lab > 0)], minlength=self._cell_size.size)
+            return np.array([int(d.sum()), 0, 0, 0])
+        cells = self._cell[_ranges(self._ptr[members], d)]
+        in_h = np.bincount(cells[cells >= 0])
+        cells = in_h.nonzero()[0]
+        in_h = in_h[cells]
+        rows = self._cell_row[cells]
+        wide = rows != self._n_wide + self._S
+        in_any = np.empty_like(in_h)
+        in_any[wide] = self.T[rows[wide]].sum(axis=1)
+        narrow = cells[~wide]
+        if narrow.size:
+            lens = self._cell_size[narrow]
+            hit = (self.labels[self._members[_ranges(self._cell_start[narrow], lens)]] > 0).astype(np.int64)
+            in_any[~wide] = np.add.reduceat(hit, np.cumsum(lens) - lens)
         # pairs of a member and another active point together in a draw
         # (split), and pairs of members both active in a draw but apart (joined)
         split = int(in_h @ (in_any - in_h))
         joined = _pairs(self.T[self._n_wide : self._n_wide + self._S, h]) - _pairs(in_h)
-        return np.array([0, int((self._S - self._n_active[members]).sum()), split, joined])
+        return np.array([0, int((self._S - d).sum()), split, joined])
 
 
 def _walk(engine: _Engine, order: np.ndarray) -> tuple[bool, np.ndarray]:
@@ -519,12 +565,8 @@ def _walk(engine: _Engine, order: np.ndarray) -> tuple[bool, np.ndarray]:
         if engine._n_wide != n_wide:  # new wide cells move the pricing rows
             n_wide, first = engine._n_wide, pos
             lay = engine.layout(order[first:])
-        # at most size points, gathering at most _BLOCK_ENTRIES counts (one point at least)
         j = pos - first
-        end = min(lay.order.size, j + size)
-        cap = lay.bounds[2 * j] + _BLOCK_ENTRIES // engine.sizes.size
-        if lay.bounds[2 * end] > cap:
-            end = j + max(1, int(np.searchsorted(lay.bounds[2 * j : 2 * end + 1 : 2], cap, side="right")) - 1)
+        end = lay.capped(j, min(lay.order.size, j + size), engine.sizes.size)
         priced = engine.price(lay, j, end)
         change = (priced.costs.min(axis=1) < priced.keep).nonzero()[0]
         r = int(change[0]) if change.size else end - j
@@ -548,15 +590,43 @@ def _walk(engine: _Engine, order: np.ndarray) -> tuple[bool, np.ndarray]:
     return moved, delta
 
 
+def _cheapest(engine: _Engine, members: np.ndarray) -> float:
+    """S times the risk the unassigned members add, each in its cheapest
+    cell against the current state, the members priced a block at a time.
+    A member no cluster can take costs noise, unpriced.
+    """
+    join = engine.can_join[members]
+    total = float(engine.noise_cost[members[~join]].sum())
+    lay = engine.layout(members[join])
+    j = 0
+    while j < lay.order.size:
+        end = lay.capped(j, lay.order.size, engine.sizes.size)
+        total += float(engine.price(lay, j, end).costs.min(axis=1).sum())
+        j = end
+    return total
+
+
 def _zealous(engine: _Engine, members: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Destroy the cell of members (all of it), reassign them in the given
     order, and keep the result if its risk is strictly lower.
 
-    A rejected attempt moves each member that left its cell back, which
-    restores the table count for count, ids and width included. Only when a
-    fresh id rebuilt the table during the attempt (renumbering the ids) is
-    the state rebuilt from the labels instead. Takes and returns the
-    _risk_counts of the state.
+    The attempt is first bounded without a walk: the risk of the state
+    without the cell plus each member's cheapest cost against it
+    (_cheapest). As earlier members join cells, a later member's costs only
+    rise: joining an id h' that took a member sharing its cell in C draws,
+    and both active in D >= C, costs b (D - C) more, any other id or a new
+    cluster a C more (all weights positive), and noise the same. So each
+    member's cost at its turn is at least its first-priced minimum, and the
+    bound at most the walked attempt's risk. When every risk and cost is an
+    exact float (engine.exact_risks) and the bound is not below the state's
+    risk, the attempt is rejected unwalked: the cell's column of T, its size
+    and its members' labels are put back.
+
+    A walked attempt that is rejected moves each member that left its cell
+    back, which restores the table count for count, ids and width included.
+    Only when a fresh id rebuilt the table during the attempt (renumbering
+    the ids) is the state rebuilt from the labels instead. Takes and returns
+    the _risk_counts of the state.
     """
     snapshot = engine.labels.copy()
     target = int(snapshot[members[0]])
@@ -564,9 +634,15 @@ def _zealous(engine: _Engine, members: np.ndarray, counts: np.ndarray) -> np.nda
     table = engine.T
     # column target of T counts exactly the members, and column 0 (noise)
     # counts nothing; the dead id keeps the ids' order
+    column, size = table[:, target].copy(), engine.sizes[target]
     table[:, target] = 0
     engine.sizes[target] = 0
     engine.labels[members] = -1
+    if engine.exact_risks and not engine.risk(trial) + _cheapest(engine, members) < engine.risk(counts):
+        table[:, target] = column
+        engine.sizes[target] = size
+        engine.labels[members] = target
+        return counts
     trial += _walk(engine, members)[1]
     if engine.risk(trial) < engine.risk(counts):
         return trial
@@ -610,10 +686,13 @@ def search(
 
     The walks price only the points a cluster can take, or that sit in a
     cluster: noise is the cheapest cell in every state for the others (see
-    _always_noise), so they go to, and stay in, noise unpriced. A rejected
-    zealous attempt is undone by moving its members back, with a rebuild
-    only when a fresh id renumbered the ids during the attempt. Neither
-    changes a decision or a draw of the restarts' generators.
+    _always_noise), so they go to, and stay in, noise unpriced. A zealous
+    attempt whose bound (each member in its cheapest cell, priced once)
+    cannot beat the state's risk is rejected without a walk, when every risk
+    is an exact float (see _zealous). A walked attempt that is rejected is
+    undone by moving its members back, with a rebuild only when a fresh id
+    renumbered the ids during the attempt. None of these changes a decision
+    or a draw of the restarts' generators.
     """
     engine = _Engine(stats, p)
     u = stats.support.size

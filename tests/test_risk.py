@@ -720,6 +720,28 @@ def test_search_config_validation():
         SearchConfig(n_sweeten_passes=0)
     with pytest.raises(ValueError):
         SearchConfig(n_zealous_attempts=-1)
+    assert SearchConfig(n_restarts=np.int64(2), seed=np.uint64(2**64 - 1), n_zealous_attempts=0).n_restarts == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_restarts", 2.5),
+        ("n_sweeten_passes", 2.5),
+        ("n_zealous_attempts", 1.5),
+        ("seed", 3.0),
+        ("n_restarts", True),
+        ("n_zealous_attempts", False),
+        ("n_restarts", "2"),
+        ("seed", None),
+        ("seed", -1),
+    ],
+)
+def test_search_config_rejects_values_search_cannot_run(field, value):
+    """Bools, non-integers and a negative seed fail at construction, naming
+    the field, not later inside search."""
+    with pytest.raises(ValueError, match=f"SearchConfig.{field} "):
+        SearchConfig(**{field: value})
 
 
 # a non-dyadic loss whose noise cost equals active_base for a point active in
@@ -763,14 +785,16 @@ def search_instances(draw):
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
 def test_search_matches_per_point_oracle():
     """Block pricing, the walks that skip the points no cluster can take, the
-    tracked risk and the zealous replay give the labels of the search that
-    prices every point, one at a time, and recounts the risk after every
-    attempt."""
+    tracked risk, the zealous bound and the zealous replay give the labels
+    of the search that prices every point, one at a time, walks every
+    zealous attempt and recounts the risk after every attempt."""
     blocks = []
     skipped = []  # per walk, the points it did not price
     equal_walked = []  # per walk under EQUAL_INEXACT, its points with noise == active_base
+    bounded = []  # per zealous attempt, whether it ended without a walk
     price = risk_mod._Engine.price
     walk = risk_mod._walk
+    zealous = risk_mod._zealous
 
     def recording_price(self, lay, j, end):
         blocks.append(end - j)
@@ -781,6 +805,12 @@ def test_search_matches_per_point_oracle():
         if engine.p == EQUAL_INEXACT:
             equal_walked.append(int(np.count_nonzero((engine.noise_cost == engine.active_base)[order])))
         return walk(engine, order)
+
+    def recording_zealous(engine, members, counts):
+        walks = len(skipped)
+        out = zealous(engine, members, counts)
+        bounded.append(len(skipped) == walks)
+        return out
 
     @settings(max_examples=150, deadline=None)
     @given(search_instances())
@@ -794,35 +824,52 @@ def test_search_matches_per_point_oracle():
         mp.setattr(risk_mod, "_WIDE", 2)
         mp.setattr(risk_mod._Engine, "price", recording_price)
         mp.setattr(risk_mod, "_walk", recording_walk)
+        mp.setattr(risk_mod, "_zealous", recording_zealous)
         check()
     assert max(blocks) >= 2
     assert max(skipped) >= 2
     assert max(equal_walked) >= 1
+    assert any(bounded)
 
 
-def test_rejected_zealous_attempt_restores_the_state():
-    """A rejected zealous attempt leaves the state it started from: moved
-    back member by member, the same labels, table and widths; or, when a
-    fresh id rebuilt the table during the attempt, a rebuild from them."""
+def test_rejected_zealous_attempt_restores_the_state(monkeypatch):
+    """A rejected zealous attempt leaves the state it started from: bounded
+    (rejected unwalked, its cell put back) or moved back member by member,
+    the same labels, table and widths; or, when a fresh id rebuilt the table
+    during the attempt, a rebuild from them. Under the default loss the
+    bound rejects most attempts; under a non-dyadic loss it is off, so every
+    rejection there is walked."""
+    walks = []
+    walk = risk_mod._walk
+
+    def counted_walk(engine, order):
+        walks.append(order.size)
+        return walk(engine, order)
+
+    monkeypatch.setattr(risk_mod, "_walk", counted_walk)
     rng = np.random.default_rng(43)
-    replayed = rebuilt = 0
-    for _ in range(150):
+    params = [LossParams(), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]
+    bounded = replayed = rebuilt = 0
+    for trial in range(200):
         draws = random_draws(rng, int(rng.integers(6, 30)), int(rng.integers(1, 8)), max_k=5)
         stats = precompute_stats(draws)
         u = stats.support.size
         if u == 0:
             continue
-        engine = engine_at(stats, rng.integers(0, 3, size=u))
+        engine = engine_at(stats, rng.integers(0, 3, size=u), params[trial % 2])
         for _ in range(4):
             cells = [0] + engine.live_ids().tolist()
             members = np.flatnonzero(engine.labels == cells[int(rng.integers(len(cells)))])
             if members.size == 0:
                 continue
-            table, before = engine.T, copy.deepcopy(engine)
+            table, before, n_walks = engine.T, copy.deepcopy(engine), len(walks)
             counts = risk_mod._risk_counts(stats, risk_mod._full_labels(stats, engine.labels))
             if risk_mod._zealous(engine, rng.permutation(members), counts) is not counts:
                 continue  # accepted
-            if engine.T is table:
+            if engine.T is table and len(walks) == n_walks:
+                bounded += 1
+                ref = before
+            elif engine.T is table:
                 replayed += 1
                 ref = before
             else:
@@ -830,7 +877,88 @@ def test_rejected_zealous_attempt_restores_the_state():
                 ref = engine_at(stats, before.labels)
             assert np.array_equal(engine.labels, ref.labels)
             assert np.array_equal(engine.T, ref.T) and np.array_equal(engine.sizes, ref.sizes)
+    assert bounded >= 100
     assert replayed >= 100 and rebuilt >= 10
+
+
+def test_zealous_bound_never_exceeds_walked_risk(monkeypatch):
+    """The bound that rejects a zealous attempt unwalked, each member in its
+    cheapest cell against the state without the cell, never has a higher
+    risk than the same attempt walked to the end, accepted or not: over
+    random and walked states, every target (noise included), and the
+    dyadic losses of search_instances."""
+    rng = np.random.default_rng(44)
+    params = [LossParams(), LossParams(a=1.0, b=2.0, m_ai=0.25, m_ia=1.0)]
+    cheapest = risk_mod._cheapest
+    seen = []  # per attempt, the bound's cost and the walked attempt's counts
+
+    def walked_too(engine, members):
+        # the same attempt walked in full, from a rebuild of the state without the cell
+        walked = engine_at(stats, engine.labels, engine.p)
+        seen.append((cheapest(engine, members), risk_mod._walk(walked, members)[1]))
+        return seen[-1][0]
+
+    monkeypatch.setattr(risk_mod, "_cheapest", walked_too)
+    accepted = rejected = 0
+    for trial in range(120):
+        draws = random_draws(rng, int(rng.integers(2, 30)), int(rng.choice([1, 2, 3, 4, 7, 8])), max_k=4)
+        stats = precompute_stats(draws)
+        u = stats.support.size
+        if u == 0:
+            continue
+        p = params[trial % 2]
+        if trial % 4 < 2:
+            engine = engine_at(stats, rng.integers(0, 4, size=u), p)
+        else:  # an incremental assignment, whose cells are harder to improve on
+            engine = engine_at(stats, np.full(u, -1), p)
+            risk_mod._walk(engine, rng.permutation(u))
+        assert engine.exact_risks
+        for target in [0] + engine.live_ids().tolist():
+            members = np.flatnonzero(engine.labels == target)
+            if members.size == 0:
+                continue
+            counts = engine.counts(engine.labels)
+            without = engine.labels.copy()
+            without[members] = 0
+            trial_counts = engine.counts(without) - [int(engine._n_active[members].sum()), 0, 0, 0]
+            out = risk_mod._zealous(engine, rng.permutation(members), counts)
+            bound, walked = seen.pop()
+            assert engine.risk(trial_counts) + bound <= engine.risk(trial_counts + walked)
+            if out is counts:
+                rejected += 1
+            else:
+                accepted += 1
+                break  # the state changed; its other cells are stale
+    assert accepted >= 30 and rejected >= 100
+
+
+def test_removal_counts_match_recount(monkeypatch):
+    """What unassigning a whole cell takes off the risk counts, counted from
+    its members' draw cells (rows of N and counted members both), equals
+    the difference of two recounts."""
+    monkeypatch.setattr(risk_mod, "_WIDE", 2)
+    rng = np.random.default_rng(45)
+    wide = narrow = checked = 0
+    for _ in range(60):
+        draws = random_draws(rng, int(rng.integers(2, 40)), int(rng.integers(1, 8)), max_k=4)
+        stats = precompute_stats(draws)
+        u = stats.support.size
+        if u == 0:
+            continue
+        engine = engine_at(stats, rng.integers(0, 5, size=u))
+        wide += engine._n_wide > 0
+        narrow += engine._nlen.size > 0
+        counts = engine.counts(engine.labels)
+        for target in [0] + engine.live_ids().tolist():
+            members = np.flatnonzero(engine.labels == target)
+            if members.size == 0:
+                continue
+            without = engine.labels.copy()
+            without[members] = 0
+            lost = counts - engine.counts(without) + [int(engine._n_active[members].sum()), 0, 0, 0]
+            assert engine.removal_counts(members).tolist() == lost.tolist()
+            checked += 1
+    assert checked >= 150 and wide >= 10 and narrow >= 10
 
 
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
