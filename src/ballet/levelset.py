@@ -7,9 +7,13 @@ is a level set of a k-NN or uniform-kernel density under the closed (<= eps)
 graph, so surrogate_cluster and active_set_components also take that
 convention, for the density equivalences.
 
-Every component computation goes through one engine: a kd-tree pair list of
-the graph's edges, masked to the active points and labelled by
-scipy.sparse.csgraph.connected_components.
+Every component computation goes through one engine, _component_labels: a
+kd-tree pair list of the graph's edges and one active mask, or a stack of
+masks (one per posterior draw). The engine keeps only the points active in
+some mask, groups the pairs among them by first endpoint once, and then, per
+mask, builds the CSR graph of the pairs whose two ends are active and labels
+it with scipy.sparse.csgraph.connected_components. No graph over all n points
+is built, so a mask costs time in its active points and pairs only.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
@@ -155,13 +159,34 @@ def _check_pair_budget(points: np.ndarray, delta: float) -> None:
 
 
 def _component_labels(n: int, pairs: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Full-length labels: 0 for inactive points, else 1 + the component id of
-    the point in the graph of the pairs whose two ends are both active."""
-    keep = active[pairs[:, 0]] & active[pairs[:, 1]]
-    edges = pairs[keep]
-    graph = coo_matrix((np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    _, comp = connected_components(graph, directed=False)
-    return np.where(active, comp + 1, 0)
+    """Labels of the shape of `active`, one mask (n,) or a stack of masks (S, n):
+    in each row, 0 for inactive points, else 1 + the component id of the point
+    in the graph of the pairs whose two ends are both active in that row.
+
+    The graph is built on the points active in some row only, indexed locally,
+    from the pairs among them grouped by first endpoint once; each row keeps
+    its own pairs in that order, which is already the CSR layout.
+    """
+    active = np.asarray(active, dtype=bool)
+    rows = active.reshape(-1, n)
+    live = rows.any(axis=0)
+    nodes = np.flatnonzero(live)
+    m = nodes.size
+    pairs = pairs[live[pairs[:, 0]] & live[pairs[:, 1]]]
+    local = np.zeros(n, dtype=np.int32)
+    local[nodes] = np.arange(m, dtype=np.int32)
+    first = local[pairs[:, 0]]
+    order = np.argsort(first)
+    first, second = first[order], local[pairs[order, 1]]
+    labels = np.zeros(rows.shape, dtype=np.int64)
+    for row, on in zip(labels, rows[:, nodes]):
+        kept = on[first] & on[second]
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(first[kept], minlength=m), out=indptr[1:])
+        graph = csr_matrix((np.ones(indptr[-1]), second[kept], indptr), shape=(m, m))
+        _, comp = connected_components(graph, directed=False)
+        row[nodes[on]] = comp[on] + 1
+    return labels.reshape(active.shape)
 
 
 def _active_indices(active: Sequence[int], n: int) -> np.ndarray:

@@ -78,14 +78,15 @@ def draw_clusterings(
     """Per-draw level-lambda surrogate clusterings of the ensemble.
 
     Every draw's delta graph is a subgraph of the one on the union of the
-    draws' active sets, so that pair list is built once and masked per draw.
+    draws' active sets, so that pair list is built once, and the S x n stack
+    of active masks is labelled in one engine call on the union's points.
     """
     if ensemble.n != ps.n:
         raise InfeasibleError(f"ensemble has n={ensemble.n} but point set has n={ps.n}")
     active = ensemble.values >= lam
     union = np.flatnonzero(active.any(axis=0))
     pairs = union[_delta_pairs(ps.points[union], delta, closed=False)]
-    return [SubPartition(_component_labels(ps.n, pairs, mask)) for mask in active]
+    return [SubPartition(row) for row in _component_labels(ps.n, pairs, active)]
 
 
 @dataclass(frozen=True, eq=False)

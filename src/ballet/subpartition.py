@@ -4,7 +4,7 @@ A sub-partition of items 0..n-1 assigns each item either to the noise set
 (label 0) or to one of k clusters (labels 1..k). Two sub-partitions are equal
 when they have the same active set and induce the same grouping on it; the
 canonical form renumbers clusters by first occurrence, so equality and hashing
-reduce to label-tuple equality.
+reduce to equality of the canonical label arrays.
 """
 
 from __future__ import annotations
@@ -94,17 +94,19 @@ def _canonical_labels(labels: Iterable[int]) -> np.ndarray:
 
 
 class SubPartition:
-    """Immutable allocation vector; 0 = noise, 1..k = clusters (canonical order)."""
+    """Immutable allocation vector; 0 = noise, 1..k = clusters (canonical order).
 
-    __slots__ = ("_labels", "_array", "_hash")
+    The canonical int64 label array is the one representation; the labels
+    tuple is built when asked for, and the hash is that of the array's bytes.
+    """
+
+    __slots__ = ("_array", "_hash")
 
     def __init__(self, labels: Iterable[int]):
         arr = _canonical_labels(labels)
         arr.setflags(write=False)
-        canon = tuple(arr.tolist())
-        object.__setattr__(self, "_labels", canon)
         object.__setattr__(self, "_array", arr)
-        object.__setattr__(self, "_hash", hash(canon))
+        object.__setattr__(self, "_hash", hash(arr.tobytes()))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("SubPartition is immutable")
@@ -115,7 +117,7 @@ class SubPartition:
 
     @property
     def labels(self) -> tuple[int, ...]:
-        return self._labels
+        return tuple(self._array.tolist())
 
     @property
     def labels_array(self) -> np.ndarray:
@@ -123,7 +125,7 @@ class SubPartition:
 
     @property
     def n(self) -> int:
-        return len(self._labels)
+        return self._array.size
 
     @property
     def k(self) -> int:
@@ -148,18 +150,18 @@ class SubPartition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubPartition):
             return NotImplemented
-        return self._labels == other._labels
+        return self._hash == other._hash and np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"SubPartition({list(self._labels)!r})"
+        return f"SubPartition({self._array.tolist()!r})"
 
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "labels": list(self._labels)}
+        return {"n": self.n, "labels": self._array.tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -179,7 +181,7 @@ class SubPartition:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
-            for v in self._labels:
+            for v in self._array.tolist():
                 fh.write(f"{v}\n")
 
     @classmethod

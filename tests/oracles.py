@@ -127,6 +127,21 @@ def oracle_components(points: np.ndarray, active: np.ndarray, delta: float, clos
     return labels
 
 
+def oracle_coo_component_labels(n: int, pairs: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Reference for levelset._component_labels, one active mask (n,) at a
+    time: an n x n COO graph of the pairs whose two ends are active, labelled
+    by connected_components over all n points. Full-length labels: 0
+    inactive, else 1 + the component id."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    keep = active[pairs[:, 0]] & active[pairs[:, 1]]
+    edges = pairs[keep]
+    graph = coo_matrix((np.ones(len(edges), dtype=np.int8), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    _, comp = connected_components(graph, directed=False)
+    return np.where(active, comp + 1, 0)
+
+
 def oracle_dbscan(points: np.ndarray, eps: float, min_pts: int, include_self: bool = True, classic: bool = False):
     """DBSCAN* (or DBSCAN with borders) from the full pairwise squared-distance matrix.
 

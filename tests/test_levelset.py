@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ballet.levelset as levelset
 from ballet.levelset import (
     AdaptiveDeltaConfig,
     PointSet,
+    _component_labels,
     _delta_pairs,
     _knn_distance_at,
     active_set_components,
@@ -23,7 +26,7 @@ from ballet.levelset import (
     unit_ball_volume,
 )
 from ballet.subpartition import SubPartition
-from oracles import oracle_components, oracle_dbscan, oracle_knn_distance
+from oracles import oracle_components, oracle_coo_component_labels, oracle_dbscan, oracle_knn_distance
 
 
 def pts1d(*xs):
@@ -309,6 +312,55 @@ def test_neighborhood_graph_strict_and_components():
     assert _delta_pairs(ps.points, 0.15, closed=False).tolist() == [[0, 1], [1, 2]]
     assert active_set_components(ps, [0, 1, 2, 3], delta=0.15) == SubPartition([1, 1, 1, 2])
     assert active_set_components(ps, [0, 2, 3], delta=0.15) == SubPartition([1, 0, 2, 3])
+
+
+@st.composite
+def mask_stacks(draw):
+    """Integer-lattice points with exact duplicates, the delta = 1 pair list of
+    every point under the open or the closed graph (so the lattice's axis
+    neighbours sit exactly at delta), and a stack of masks: each row empty,
+    all active or random, over the points that are not always inactive."""
+    d = draw(st.integers(1, 2))
+    side = draw(st.integers(2, {1: 12, 2: 5}[d]))
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    keep = draw(st.lists(st.booleans(), min_size=len(grid), max_size=len(grid)))
+    base = grid[np.asarray(keep, dtype=bool)].astype(float)
+    if len(base) == 0:
+        base = grid[:1].astype(float)
+    dups = draw(st.lists(st.integers(0, len(base) - 1), max_size=4))
+    pts = np.concatenate([base, base[dups]])
+    pts = pts[np.asarray(draw(st.permutations(range(len(pts)))), dtype=int)]
+    n = len(pts)
+    closed = draw(st.booleans())
+    dead = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["empty", "all", "random"]), min_size=1, max_size=4)):
+        if kind == "empty":
+            rows.append(np.zeros(n, dtype=bool))
+        elif kind == "all":
+            rows.append(~dead)
+        else:
+            rows.append(np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool) & ~dead)
+    return pts, closed, np.stack(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask_stacks())
+def test_component_engine_matches_coo_engine_and_closure(instance):
+    pts, closed, masks = instance
+    n = len(pts)
+    # the pairs of every point, so some touch points that no row activates
+    pairs = _delta_pairs(pts, 1.0, closed)
+    stacked = _component_labels(n, pairs, masks)
+    assert stacked.shape == masks.shape
+    for mask, got in zip(masks, stacked):
+        expect = SubPartition(oracle_components(pts, np.flatnonzero(mask), 1.0, closed=closed))
+        assert SubPartition(got) == expect
+        assert SubPartition(oracle_coo_component_labels(n, pairs, mask)) == expect
+        one = _component_labels(n, pairs, mask)
+        assert one.shape == (n,)
+        assert SubPartition(one) == expect
+        assert SubPartition(_component_labels(n, pairs, mask[None, :])[0]) == expect
 
 
 # -- DBSCAN -------------------------------------------------------------------

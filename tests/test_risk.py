@@ -2,11 +2,12 @@ import copy
 import json
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballet.risk as risk_mod
@@ -782,6 +783,30 @@ def search_instances(draw):
     return draws, p, cfg, seeds
 
 
+def zealous_win():
+    """A search (S = 3, n = 12, default loss, no seeds) whose best state comes
+    from an accepted zealous attempt. A bound that rejects too much, priced
+    with the destroyed cell still counted or from each member's kept cost
+    instead of its cheapest, rejects that attempt and returns other labels."""
+    rows = [
+        [0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 0, 0],
+        [2, 1, 2, 0, 0, 2, 1, 1, 2, 1, 1, 2],
+        [2, 2, 2, 1, 2, 0, 2, 1, 1, 0, 2, 1],
+    ]
+    cfg = SearchConfig(n_restarts=3, n_sweeten_passes=1, n_zealous_attempts=4, seed=3575949398)
+    return [SubPartition(r) for r in rows], LossParams(), cfg, None
+
+
+def test_accepted_zealous_attempt_wins_the_search():
+    """The restarts' generators draw the same states up to the zealous
+    attempts, so a lower risk with them than without is an accepted attempt's."""
+    draws, p, cfg, seeds = zealous_win()
+    stats = precompute_stats(draws)
+    walked = search(stats, p, cfg, seeds)
+    unwalked = search(stats, p, replace(cfg, n_zealous_attempts=0), seeds)
+    assert empirical_risk(walked, stats, p) < empirical_risk(unwalked, stats, p)
+
+
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
 def test_search_matches_per_point_oracle():
     """Block pricing, the walks that skip the points no cluster can take, the
@@ -814,6 +839,7 @@ def test_search_matches_per_point_oracle():
 
     @settings(max_examples=150, deadline=None)
     @given(search_instances())
+    @example(zealous_win())
     def check(instance):
         draws, p, cfg, seeds = instance
         stats = precompute_stats(draws)
