@@ -10,7 +10,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .credible import compute_credible_ball
 from .density import HistogramMixtureConfig, build_ensemble
@@ -20,6 +19,7 @@ from .levelset import (
     AdaptiveDeltaConfig,
     PointSet,
     _check_pair_budget,
+    _knn_distance_at,
     adaptive_delta,
     dbscan_star,
     default_k_dbscan,
@@ -32,7 +32,7 @@ from .risk import (
     plugin_estimate,
 )
 from .subpartition import SubPartition
-from .util import cpu_count, order_statistic_ceil, spawn_rngs
+from .util import order_statistic_ceil, spawn_rngs
 
 __all__ = [
     "EVAL_SCHEMA",
@@ -374,8 +374,9 @@ def dbscan_parameters(ps: PointSet, cfg: DbscanStudyConfig) -> tuple[int, float]
     Eps is the ceil((1 - nu) * n)-th smallest of the distances from each point
     to its MinPts-th nearest dataset point, a data point counting as its own
     first neighbor -- the same inclusive convention as the core-point test;
-    the k-NN query runs on every CPU of the process. A given Eps whose graph
-    would not fit the pair budget is an InfeasibleError.
+    the k-NN query runs on every CPU of the process from 2000 query points
+    up. A given Eps whose graph would not fit the pair budget is an
+    InfeasibleError.
     """
     k = default_k_dbscan(ps.n) if cfg.min_pts is None else int(cfg.min_pts)
     if not 1 <= k <= ps.n:
@@ -383,9 +384,8 @@ def dbscan_parameters(ps: PointSet, cfg: DbscanStudyConfig) -> tuple[int, float]
     if cfg.eps is not None:
         _check_pair_budget(ps.points, cfg.eps)
         return k, float(cfg.eps)
-    dists, _ = cKDTree(ps.points).query(ps.points, k=k, workers=cpu_count())
-    radii = np.asarray(dists, dtype=np.float64)
-    radii = radii[:, -1] if k > 1 else radii.ravel()
+    # MinPts = 1 counts the point itself only, at distance 0
+    radii = _knn_distance_at(ps, np.arange(ps.n), k - 1) if k > 1 else np.zeros(ps.n)
     eps = order_statistic_ceil(radii, 1.0 - cfg.nu)
     if not eps > 0:
         raise ConfigError(

@@ -4,9 +4,13 @@ The empirical risk of a candidate sub-partition is its IA-Binder loss averaged
 over S posterior draw clusterings. Every sum in that loss is a per-draw
 contingency count: how many members of a candidate cluster fall in each
 cluster of each draw. So the only pair data kept is the S x u matrix of draw
-labels on the support {i : alpha_i > 0}. A never-active point pairs with
-nothing, and it is noise-optimal in every candidate evaluation, which keeps
-the search exact while skipping it.
+labels on the support {i : alpha_i > 0}, and the same data as (point, draw)
+entries grouped into draw cells, built once per stats object on first use
+(CoClusteringStats.cells). Every risk count reads the cells: _risk_counts
+for a whole candidate (the risk of an estimate, the search's all-noise start
+and its seeds), and the search's engine for point moves. A never-active
+point pairs with nothing, and it is noise-optimal in every candidate
+evaluation, which keeps the search exact while skipping it.
 
 Risks and search costs are computed in units of 1/S, as integer counts times
 the loss weights. They are exact for dyadic weights (the defaults), so equal
@@ -46,6 +50,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -53,7 +58,7 @@ import numpy as np
 from .density import DensityDrawEnsemble
 from .errors import InfeasibleError, SearchPassCapWarning
 from .levelset import PointSet, _component_labels, _delta_pairs, surrogate_cluster
-from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _weighted_loss
+from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _pairs, _weighted_loss
 from .util import spawn_rngs
 
 __all__ = [
@@ -89,6 +94,27 @@ def draw_clusterings(
     return [SubPartition(row) for row in _component_labels(ps.n, pairs, active)]
 
 
+class _DrawCells(NamedTuple):
+    """The S draw clusterings as (point, draw) entries and draw cells, on the support.
+
+    point and draws list the entries where the point is active, grouped by
+    point: point i's are ptr[i] : ptr[i + 1], n_active[i] of them. cell is
+    each entry's cell of two or more points (-1 if the point is alone in
+    its draw cluster); a cell c has size[c] members, members[start[c] :
+    start[c] + size[c]]. n_shared[i] counts point i's entries in such cells.
+    """
+
+    point: np.ndarray
+    draws: np.ndarray
+    n_active: np.ndarray
+    ptr: np.ndarray
+    cell: np.ndarray
+    size: np.ndarray
+    start: np.ndarray
+    members: np.ndarray
+    n_shared: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class CoClusteringStats:
     """S draw clusterings on the support.
@@ -96,6 +122,10 @@ class CoClusteringStats:
     alpha[i] is the fraction of draws in which point i is active (all n
     points); support lists the points with alpha > 0; draw_labels is the
     S x u matrix of draw labels restricted to the support (0 inactive).
+    cells is the same data as (point, draw) entries and the draw cells of
+    two or more points (_DrawCells), which every risk count reads; it is
+    built on first use and kept, so the search and the risk of its result
+    share it.
     """
 
     n: int
@@ -103,6 +133,32 @@ class CoClusteringStats:
     alpha: np.ndarray
     support: np.ndarray
     draw_labels: np.ndarray
+
+    @cached_property
+    def cells(self) -> _DrawCells:
+        L = self.draw_labels
+        n_active = np.count_nonzero(L, axis=0)
+        point, draws = np.nonzero(L.T)
+        G = int(L.max(initial=0)) + 1
+        _, cell, size = np.unique(draws * G + L[draws, point], return_inverse=True, return_counts=True)
+        multi = size > 1
+        cell = np.where(multi[cell], (np.cumsum(multi) - 1)[cell], -1)
+        size = size[multi]
+        shared = cell >= 0
+        cells = _DrawCells(
+            point=point,
+            draws=draws,
+            n_active=n_active,
+            ptr=np.concatenate([[0], np.cumsum(n_active)]),
+            cell=cell,
+            size=size,
+            start=np.cumsum(size) - size,
+            members=point[shared][np.argsort(cell[shared], kind="stable")],
+            n_shared=np.bincount(point[shared], minlength=L.shape[1]),
+        )
+        for a in cells:
+            a.setflags(write=False)  # shared by every engine and count on these stats
+        return cells
 
 
 def precompute_stats(clusterings: Sequence[SubPartition]) -> CoClusteringStats:
@@ -124,11 +180,6 @@ def precompute_stats(clusterings: Sequence[SubPartition]) -> CoClusteringStats:
 # -- risk ---------------------------------------------------------------------
 
 
-def _pairs(counts: np.ndarray) -> int:
-    """Number of unordered pairs within groups of the given sizes."""
-    return int((counts * (counts - 1) // 2).sum())
-
-
 def _risk_counts(stats: CoClusteringStats, labels: np.ndarray) -> np.ndarray:
     """The counts the risk of full-length labels weighs, summed over draws.
 
@@ -136,26 +187,28 @@ def _risk_counts(stats: CoClusteringStats, labels: np.ndarray) -> np.ndarray:
     as noise (weight m_ai); candidate-active points counted in each draw
     where they are inactive (m_ia; an off-support point in all S); and,
     over pairs active in both, pairs together in the draw but apart in the
-    candidate (a) and the reverse (b), from the (draw, draw cluster,
-    candidate cluster) counts.
+    candidate (a) and the reverse (b). They come from the (point, draw)
+    entries of stats.cells: only the entries of multi-point cells pair
+    within a draw cell, so the pairs together in a draw, and together in
+    both, count over those.
     """
-    L = stats.draw_labels
-    draw_active = np.count_nonzero(L, axis=0)
+    cells = stats.cells
     cand = labels[stats.support]
     act = cand > 0
-    missed = int(draw_active[~act].sum())
-    extra = stats.S * int(np.count_nonzero(labels)) - int(draw_active[act].sum())
-    cols = np.flatnonzero(act)
-    _, h = np.unique(cand[cols], return_inverse=True)
-    Lc = L[:, cols]
-    s, j = np.nonzero(Lc)
-    G = int(L.max(initial=0)) + 1
-    H = int(h.max(initial=0)) + 1
-    cell = s * G + Lc[s, j]
-    hj = h[j]
+    ids, inv = np.unique(cand[act], return_inverse=True)
+    H = ids.size + 1
+    h = np.zeros(cand.size, dtype=np.int64)
+    h[act] = inv + 1
+    he = h[cells.point]
+    hit = he > 0
+    shared = hit & (cells.cell >= 0)
+    cell = cells.cell[shared]
     together_draw = _pairs(np.bincount(cell))
-    together_cand = _pairs(np.bincount(s * H + hj))
-    together_both = _pairs(np.unique(cell * H + hj, return_counts=True)[1])
+    together_cand = _pairs(np.bincount(cells.draws[hit] * H + he[hit]))
+    together_both = _pairs(np.unique(cell * H + he[shared], return_counts=True)[1])
+    d = cells.n_active
+    missed = int(d[~act].sum())
+    extra = stats.S * int(np.count_nonzero(labels)) - int(d[act].sum())
     return np.array([missed, extra, together_draw - together_both, together_cand - together_both])
 
 
@@ -280,9 +333,9 @@ class _Engine:
     """
 
     def __init__(self, stats: CoClusteringStats, p: LossParams):
-        L = stats.draw_labels
-        S, u = L.shape
-        draw_active = np.count_nonzero(L, axis=0)
+        S, u = stats.S, stats.support.size
+        cells = stats.cells  # the (point, draw) entries and draw cells, read in place
+        draw_active = cells.n_active
         self.p = p
         self._n = stats.n
         self.noise_cost = (stats.n - 1) * p.m_ai * draw_active
@@ -299,22 +352,9 @@ class _Engine:
         # on the way, is an exact float
         self.exact_risks = q * (u + 1) * reach < 2**53
         self._S = S
-        # (point, draw) entries where the point is active, grouped by point
-        self._point, self._draws = np.nonzero(L.T)
-        self._n_active = draw_active
-        self._ptr = np.concatenate([[0], np.cumsum(draw_active)])
-        # cells of two or more points: the cell of each entry (-1 if alone),
-        # and the members grouped by cell
-        G = int(L.max(initial=0)) + 1
-        key = self._draws * G + L[self._draws, self._point]
-        _, cell, size = np.unique(key, return_inverse=True, return_counts=True)
-        multi = size > 1
-        self._cell = np.where(multi[cell], (np.cumsum(multi) - 1)[cell], -1)
-        self._cell_size = size[multi]
-        self._cell_start = np.cumsum(self._cell_size) - self._cell_size
-        shared = self._cell >= 0
-        self._members = self._point[shared][np.argsort(self._cell[shared], kind="stable")]
-        self._n_shared = np.bincount(self._point[shared], minlength=u)  # an assigned point's own n1 count
+        self._point, self._draws, self._n_active, self._ptr = cells.point, cells.draws, draw_active, cells.ptr
+        self._cell, self._cell_size, self._cell_start = cells.cell, cells.size, cells.start
+        self._members, self._n_shared = cells.members, cells.n_shared  # n_shared: an assigned point's own n1 count
         self._n_wide = -1
         self.reset(np.full(u, -1))
 
@@ -469,29 +509,6 @@ class _Engine:
     def risk(self, counts: np.ndarray) -> float:
         """S times the risk of a state with these _risk_counts: the loss summed over draws."""
         return _weighted_loss(self._n, *counts.tolist(), self.p)
-
-    def counts(self, labels: np.ndarray) -> np.ndarray:
-        """The _risk_counts of support labels (0 noise, >0 clusters), from the (point, draw) entries.
-
-        Only the entries of multi-point cells pair within a draw cell, so
-        the pairs together in a draw, and together in both, count over those.
-        """
-        act = labels > 0
-        ids, inv = np.unique(labels[act], return_inverse=True)
-        H = ids.size + 1
-        h = np.zeros(labels.size, dtype=np.int64)
-        h[act] = inv + 1
-        he = h[self._point]
-        hit = he > 0
-        shared = hit & (self._cell >= 0)
-        cell = self._cell[shared]
-        together_draw = _pairs(np.bincount(cell))
-        together_cand = _pairs(np.bincount(self._draws[hit] * H + he[hit]))
-        together_both = _pairs(np.unique(cell * H + he[shared], return_counts=True)[1])
-        d = self._n_active
-        missed = int(d[~act].sum())
-        extra = int((self._S - d[act]).sum())
-        return np.array([missed, extra, together_draw - together_both, together_cand - together_both])
 
     def point_counts(self, i: int, h: int, priced: _Prices, r: int) -> np.ndarray:
         """The _risk_counts that point i, row r of priced, adds with label h (0 noise)."""
@@ -662,6 +679,47 @@ def _full_labels(stats: CoClusteringStats, labels_sup: np.ndarray) -> np.ndarray
     return full
 
 
+def _restart(
+    engine: _Engine,
+    rng: np.random.Generator,
+    seeds: Sequence[tuple[np.ndarray, np.ndarray]],
+    cfg: SearchConfig,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One restart of search, drawing from rng only.
+
+    With seeds (support labels with their _risk_counts) it starts from one
+    of them drawn at random, otherwise from an incremental assignment in
+    random order; then it runs the sweetening passes and the zealous
+    attempts. Returns the restart's _risk_counts, its support labels, and
+    whether its last allowed sweetening pass still moved a point.
+    """
+    u = engine.labels.size
+    if seeds:
+        start, counts = seeds[int(rng.integers(len(seeds)))]
+        engine.reset(start)
+    else:
+        engine.reset(np.full(u, -1))
+        counts = _walk(engine, rng.permutation(u))[1]
+    # sweetening; each pass renumbers so the table is 2(k + 1) wide for
+    # the k live clusters, not as wide as a seed's or the last pass's;
+    # ids keep their order
+    for _ in range(cfg.n_sweeten_passes):
+        engine.reset(engine.labels)
+        moved, delta = _walk(engine, rng.permutation(u))
+        counts = counts + delta  # a new array: counts may be a seed's
+        if not moved:
+            break
+    # zealous updates
+    for _ in range(cfg.n_zealous_attempts):
+        cells = [0] + engine.live_ids().tolist()
+        target = cells[int(rng.integers(len(cells)))]
+        members = np.flatnonzero(engine.labels == target)
+        if members.size:
+            counts = _zealous(engine, rng.permutation(members), counts)
+    # a pass that moved a point was the last allowed one
+    return counts, engine.labels.copy(), moved
+
+
 def search(
     stats: CoClusteringStats,
     p: LossParams = DEFAULT_LOSS_PARAMS,
@@ -696,61 +754,37 @@ def search(
     or a draw of the restarts' generators.
     """
     engine = _Engine(stats, p)
-    u = stats.support.size
     seed_list = list(seeds) if seeds is not None else []
     for s in seed_list:
         if s.n != stats.n:
             raise ValueError(f"seed clustering has n={s.n}, stats have n={stats.n}")
 
     best_sp = SubPartition.all_noise(stats.n)
-    best_risk = engine.risk(engine.counts(np.zeros(u, dtype=np.int64)))
-    seed_starts, seed_counts = [], []
+    best_risk = engine.risk(_risk_counts(stats, best_sp.labels_array))
+    seed_starts = []
     for s in seed_list:
-        # a seed active off the support restarts from its support labels
-        # alone; each off-support point it activates is extra in all S draws
-        start = s.labels_array[stats.support]
-        counts = engine.counts(start)
-        off = np.count_nonzero(s.labels_array) - np.count_nonzero(start)
-        risk = engine.risk(counts + np.array([0, stats.S * off, 0, 0]))
+        counts = _risk_counts(stats, s.labels_array)
+        risk = engine.risk(counts)
         if risk < best_risk:
             best_sp, best_risk = s, risk
-        seed_starts.append(start)
-        seed_counts.append(counts)
+        # a seed active off the support restarts from its support labels
+        # alone, without the extra counts of its off-support points (S each)
+        start = s.labels_array[stats.support]
+        off = np.count_nonzero(s.labels_array) - np.count_nonzero(start)
+        seed_starts.append((start, counts - [0, stats.S * off, 0, 0]))
 
     rngs = spawn_rngs(cfg.seed, cfg.n_restarts)
-    for restart, rng in enumerate(rngs):
-        if restart % 2 == 1 and seed_list:
-            t = int(rng.integers(len(seed_list)))
-            engine.reset(seed_starts[t])
-            counts = seed_counts[t]
-        else:
-            engine.reset(np.full(u, -1))
-            counts = _walk(engine, rng.permutation(u))[1]
-        # sweetening; each pass renumbers so the table is 2(k + 1) wide for
-        # the k live clusters, not as wide as a seed's or the last pass's;
-        # ids keep their order
-        for _ in range(cfg.n_sweeten_passes):
-            engine.reset(engine.labels)
-            moved, delta = _walk(engine, rng.permutation(u))
-            counts = counts + delta  # a new array: counts may be a seed's
-            if not moved:
-                break
-        else:
+    restarts = (_restart(engine, rng, seed_starts if r % 2 == 1 else [], cfg) for r, rng in enumerate(rngs))
+    for restart, (counts, labels, capped) in enumerate(restarts):
+        if capped:
             warnings.warn(
                 f"search restart {restart} still moved points in its last of "
                 f"{cfg.n_sweeten_passes} sweetening passes",
                 SearchPassCapWarning,
             )
-        # zealous updates
-        for _ in range(cfg.n_zealous_attempts):
-            cells = [0] + engine.live_ids().tolist()
-            target = cells[int(rng.integers(len(cells)))]
-            members = np.flatnonzero(engine.labels == target)
-            if members.size:
-                counts = _zealous(engine, rng.permutation(members), counts)
         if engine.risk(counts) < best_risk:
             best_risk = engine.risk(counts)
-            best_sp = SubPartition(_full_labels(stats, engine.labels))
+            best_sp = SubPartition(_full_labels(stats, labels))
     return best_sp
 
 

@@ -111,6 +111,10 @@ class SubPartition:
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("SubPartition is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the canonical array, past the guard
+        return (type(self), (self._array,))
+
     @classmethod
     def all_noise(cls, n: int) -> "SubPartition":
         return cls([0] * n)
@@ -199,6 +203,11 @@ def _check_same_n(c1: SubPartition, c2: SubPartition) -> None:
         raise ValueError(f"sub-partitions over different item counts: {c1.n} != {c2.n}")
 
 
+def _pairs(counts: np.ndarray) -> int:
+    """Number of unordered pairs within groups of the given sizes."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
 def _pair_disagreement_counts(g1: np.ndarray, g2: np.ndarray) -> tuple[int, int]:
     """Counts over pairs active in both: (together in 1 / apart in 2, apart in 1 / together in 2).
 
@@ -208,15 +217,11 @@ def _pair_disagreement_counts(g1: np.ndarray, g2: np.ndarray) -> tuple[int, int]
     """
     if g1.size < 2:
         return 0, 0
-
-    def same_pairs(sizes: np.ndarray) -> int:
-        return int((sizes * (sizes - 1) // 2).sum())
-
-    s1 = same_pairs(np.bincount(g1))
-    s2 = same_pairs(np.bincount(g2))
+    s1 = _pairs(np.bincount(g1))
+    s2 = _pairs(np.bincount(g2))
     k2 = int(g2.max()) + 1
     joint = g1.astype(np.int64) * k2 + g2
-    s12 = same_pairs(np.bincount(joint))
+    s12 = _pairs(np.bincount(joint))
     return s1 - s12, s2 - s12
 
 

@@ -327,21 +327,55 @@ def oracle_best_assignment(engine, i):
     return engine.label_of(pick, ids), float(costs[pick])
 
 
+def oracle_risk_counts(stats, labels) -> np.ndarray:
+    """The four counts risk._risk_counts returns for full-length labels,
+    recounted from the dense S x u draw-label matrix.
+
+    [missed, extra, split, joined]: draw-active points the candidate leaves
+    as noise; candidate-active points counted in each draw where they are
+    inactive (an off-support point in all S); and, over pairs active in
+    both, pairs together in the draw but apart in the candidate and the
+    reverse, from the (draw, draw cluster, candidate cluster) counts.
+    """
+
+    def pairs(counts):
+        return int((counts * (counts - 1) // 2).sum())
+
+    L = stats.draw_labels
+    draw_active = np.count_nonzero(L, axis=0)
+    cand = labels[stats.support]
+    act = cand > 0
+    missed = int(draw_active[~act].sum())
+    extra = stats.S * int(np.count_nonzero(labels)) - int(draw_active[act].sum())
+    cols = np.flatnonzero(act)
+    _, h = np.unique(cand[cols], return_inverse=True)
+    Lc = L[:, cols]
+    s, j = np.nonzero(Lc)
+    G = int(L.max(initial=0)) + 1
+    H = int(h.max(initial=0)) + 1
+    cell = s * G + Lc[s, j]
+    hj = h[j]
+    together_draw = pairs(np.bincount(cell))
+    together_cand = pairs(np.bincount(s * H + hj))
+    together_both = pairs(np.unique(cell * H + hj, return_counts=True)[1])
+    return np.array([missed, extra, together_draw - together_both, together_cand - together_both])
+
+
 def oracle_search(stats, p, cfg, seeds=None):
     """The risk search priced one point at a time: the reference for risk.search.
 
     Unlike the rest of this module it drives the package's search engine,
     through oracle_candidate_costs and move only, and recounts the risk
-    from its _risk_counts after every restart and zealous attempt. So it
+    from oracle_risk_counts after every restart and zealous attempt. So it
     checks that block pricing and the tracked risk leave every decision
     unchanged.
     """
-    from ballet.risk import _Engine, _full_labels, _risk_counts
+    from ballet.risk import _Engine, _full_labels
     from ballet.subpartition import SubPartition, _weighted_loss
     from ballet.util import spawn_rngs
 
     def scaled_risk(labels):
-        return _weighted_loss(stats.n, *_risk_counts(stats, labels).tolist(), p)
+        return _weighted_loss(stats.n, *oracle_risk_counts(stats, labels).tolist(), p)
 
     engine = _Engine(stats, p)
     u = stats.support.size

@@ -357,6 +357,14 @@ def test_dbscan_single_cluster(moons_dir):
     assert d["min_pts"] == 1 and d["eps"] == 99.0
 
 
+def test_dbscan_min_pts_1_exits_2(moons_dir, capsys):
+    """MinPts = 1 counts each point alone, so every radius, and Eps, is 0."""
+    rc = main(["dbscan", "--data", str(moons_dir / "points.csv"), "--nu", "0.10",
+               "--min-pts", "1", "--out", str(moons_dir / "run_dbscan_min1")])
+    assert rc == 2
+    assert "resolved Eps=0.0 is not positive (min_pts=1" in capsys.readouterr().err
+
+
 def test_dbscan_noise_fraction_map(moons_dir):
     out = moons_dir / "run_dbscan2"
     rc = main(["dbscan", "--data", str(moons_dir / "points.csv"), "--nu", "0.10",

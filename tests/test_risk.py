@@ -38,6 +38,7 @@ from oracles import (
     oracle_components,
     oracle_ia_binder_loss,
     oracle_pair_frequencies,
+    oracle_risk_counts,
     oracle_search,
     random_subpartition,
 )
@@ -351,6 +352,11 @@ def engine_at(stats, labels_sup, p=LossParams()):
     return engine
 
 
+def recount(stats, labels_sup):
+    """The risk counts of support labels, recounted from the dense draw-label matrix."""
+    return oracle_risk_counts(stats, risk_mod._full_labels(stats, labels_sup))
+
+
 def full_labels(stats, labels_sup):
     """Full-length labels with every off-support point unassigned."""
     out = [-1] * stats.n
@@ -542,26 +548,41 @@ def test_always_noise_is_exact_or_walked():
     assert (exact.can_join == (d > 2)).all() and (inexact.can_join == (d >= 2)).all()
 
 
-def test_engine_counts_match_recount():
-    """The risk counts of support labels from the engine's (point, draw)
-    entries equal _risk_counts, for candidates with a few or many ids, in
-    any order and with gaps."""
-    rng = np.random.default_rng(23)
-    checked = 0
-    for trial in range(40):
-        n = int(rng.integers(2, 30)) if trial % 2 else int(rng.integers(100, 300))
-        draws = random_draws(rng, n, int(rng.integers(1, 9)), max_k=max(1, n // 8))
-        stats = precompute_stats(draws)
-        u = stats.support.size
-        if u == 0:
-            continue
-        engine = engine_at(stats, np.full(u, -1))
-        ids = rng.choice(np.arange(1, 10 * n), size=max(1, n // 2), replace=False)
-        labels = np.where(rng.random(u) < 0.2, 0, rng.choice(ids, size=u))
-        got = engine.counts(labels)
-        assert got.tolist() == risk_mod._risk_counts(stats, risk_mod._full_labels(stats, labels)).tolist()
-        checked += 1
-    assert checked >= 30
+@st.composite
+def count_instances(draw):
+    """Draws on n points (S in 1, 2, 3, 5, 8; few labels, one point no draw
+    activates), a candidate on the same points with raw ids and gaps,
+    active on and off the support, and a loss, dyadic or EQUAL_INEXACT."""
+    n = draw(st.integers(1, 30))
+    S = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    k = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, k), min_size=n, max_size=n), min_size=S, max_size=S))
+    dead = draw(st.integers(0, n - 1))
+    draws = [SubPartition([0 if i == dead else v for i, v in enumerate(r)]) for r in rows]
+    ids = st.sampled_from([0, 0, 2, 3, 7, 40, 1000])
+    labels = np.array(draw(st.lists(ids, min_size=n, max_size=n)), dtype=np.int64)
+    p = draw(st.sampled_from([LossParams(), EQUAL_INEXACT]))
+    return draws, labels, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_instances())
+def test_risk_counts_match_dense_recount(inst):
+    """The risk counts from the draw cells equal the recount from the dense
+    draw-label matrix, for the drawn candidate (raw ids with gaps, points
+    active off the support) and the all-noise one; and the risk is the mean
+    draw loss, bit for bit under the default loss."""
+    draws, labels, p = inst
+    stats = precompute_stats(draws)
+    S, n = stats.S, stats.n
+    for cand in (labels, np.zeros(n, dtype=np.int64)):
+        assert risk_mod._risk_counts(stats, cand).tolist() == oracle_risk_counts(stats, cand).tolist()
+        c = SubPartition(cand)
+        mean_loss = math.fsum(ia_binder_loss(d, c, p) for d in draws) / S
+        if p == LossParams():
+            assert empirical_risk(c, stats, p) == mean_loss
+        else:
+            assert empirical_risk(c, stats, p) == pytest.approx(mean_loss, rel=1e-12, abs=1e-12)
 
 
 def test_engine_table_stays_linear_in_draw_entries(monkeypatch):
@@ -840,6 +861,9 @@ def test_search_matches_per_point_oracle():
     @settings(max_examples=150, deadline=None)
     @given(search_instances())
     @example(zealous_win())
+    # point 0 is active in S/2 draws, so under EQUAL_INEXACT its noise cost
+    # equals active_base and it is walked, whatever the drawn instances hold
+    @example(([SubPartition([1, 1, 0]), SubPartition([0, 1, 1])], EQUAL_INEXACT, SearchConfig(n_restarts=1), None))
     def check(instance):
         draws, p, cfg, seeds = instance
         stats = precompute_stats(draws)
@@ -889,7 +913,7 @@ def test_rejected_zealous_attempt_restores_the_state(monkeypatch):
             if members.size == 0:
                 continue
             table, before, n_walks = engine.T, copy.deepcopy(engine), len(walks)
-            counts = risk_mod._risk_counts(stats, risk_mod._full_labels(stats, engine.labels))
+            counts = recount(stats, engine.labels)
             if risk_mod._zealous(engine, rng.permutation(members), counts) is not counts:
                 continue  # accepted
             if engine.T is table and len(walks) == n_walks:
@@ -943,10 +967,10 @@ def test_zealous_bound_never_exceeds_walked_risk(monkeypatch):
             members = np.flatnonzero(engine.labels == target)
             if members.size == 0:
                 continue
-            counts = engine.counts(engine.labels)
+            counts = recount(stats, engine.labels)
             without = engine.labels.copy()
             without[members] = 0
-            trial_counts = engine.counts(without) - [int(engine._n_active[members].sum()), 0, 0, 0]
+            trial_counts = recount(stats, without) - [int(engine._n_active[members].sum()), 0, 0, 0]
             out = risk_mod._zealous(engine, rng.permutation(members), counts)
             bound, walked = seen.pop()
             assert engine.risk(trial_counts) + bound <= engine.risk(trial_counts + walked)
@@ -974,14 +998,14 @@ def test_removal_counts_match_recount(monkeypatch):
         engine = engine_at(stats, rng.integers(0, 5, size=u))
         wide += engine._n_wide > 0
         narrow += engine._nlen.size > 0
-        counts = engine.counts(engine.labels)
+        counts = recount(stats, engine.labels)
         for target in [0] + engine.live_ids().tolist():
             members = np.flatnonzero(engine.labels == target)
             if members.size == 0:
                 continue
             without = engine.labels.copy()
             without[members] = 0
-            lost = counts - engine.counts(without) + [int(engine._n_active[members].sum()), 0, 0, 0]
+            lost = counts - recount(stats, without) + [int(engine._n_active[members].sum()), 0, 0, 0]
             assert engine.removal_counts(members).tolist() == lost.tolist()
             checked += 1
     assert checked >= 150 and wide >= 10 and narrow >= 10
@@ -1017,13 +1041,10 @@ def test_tracked_risk_equals_recount(monkeypatch):
         draws = random_draws(rng, int(rng.integers(6, 40)), int(rng.integers(1, 8)), max_k=5)
         stats = precompute_stats(draws)
 
-        def recount(engine):
-            return risk_mod._risk_counts(stats, risk_mod._full_labels(stats, engine.labels)).tolist()
-
         def checked(engine, members, counts):
-            assert counts.tolist() == recount(engine)
+            assert counts.tolist() == recount(stats, engine.labels).tolist()
             out = zealous(engine, members, counts)
-            assert out.tolist() == recount(engine)
+            assert out.tolist() == recount(stats, engine.labels).tolist()
             checks.append(out)
             return out
 

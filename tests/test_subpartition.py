@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -53,6 +55,19 @@ def test_active_noise_indices():
     assert not sp.is_all_noise
     assert SubPartition.all_noise(3).is_all_noise
     assert sp.clusters() == [frozenset({1}), frozenset({3, 4})]
+
+
+@given(labels_strategy)
+def test_pickle_and_deepcopy_round_trip(labels):
+    """Pickle and copy rebuild a SubPartition from its canonical array, past
+    the immutability guard: an equal object with an equal hash."""
+    sp = SubPartition([v * 3 for v in labels])
+    for other in (pickle.loads(pickle.dumps(sp)), copy.deepcopy(sp), copy.copy(sp)):
+        assert type(other) is SubPartition
+        assert other == sp and hash(other) == hash(sp)
+        assert other.labels == sp.labels
+    with pytest.raises(AttributeError, match="immutable"):
+        pickle.loads(pickle.dumps(sp))._array = None
 
 
 @given(labels_strategy)
