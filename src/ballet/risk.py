@@ -43,14 +43,28 @@ Three more shortcuts leave every decision as it was:
 - A rejected zealous attempt that was walked moves its members back one by
   one, which restores the count table exactly, rather than rebuilding it
   in O(S u). The risk it removes is counted from the members' draw cells.
+
+The search's independent work, each restart and each seed's risk count,
+runs on a fork pool with one worker per CPU (at most one per restart),
+opened and shut inside the call. The workers inherit the engine and the
+draw cells at the fork; only a restart's index and generator, or a seed's
+index, go out, and only counts, support labels and the pass-cap flag come
+back. The parent picks the best in the serial order, so the result does not
+depend on the worker count. The search runs serially below
+_POOLED_MIN_ENTRIES (point, draw) entries times restarts, on one CPU or one
+restart, without the fork start method, and inside a child process.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -59,7 +73,7 @@ from .density import DensityDrawEnsemble
 from .errors import InfeasibleError, SearchPassCapWarning
 from .levelset import PointSet, _component_labels, _delta_pairs, surrogate_cluster
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _pairs, _weighted_loss
-from .util import spawn_rngs
+from .util import cpu_count, spawn_rngs
 
 __all__ = [
     "CoClusteringStats",
@@ -720,6 +734,92 @@ def _restart(
     return counts, engine.labels.copy(), moved
 
 
+class _Work:
+    """A search's independent work, the seeds' risk counts and the restarts,
+    with the engine, stats, seeds and config they read. It is also the odd
+    restarts' seeds sequence: item j is seed j's start, its support labels
+    with their _risk_counts. Each process counts a seed once, so a pool
+    worker counts one again only when a restart draws a seed that another
+    worker counted.
+    """
+
+    def __init__(self, engine: _Engine, stats: CoClusteringStats, seeds: Sequence[SubPartition], cfg: SearchConfig):
+        self.engine, self.stats, self.seeds, self.cfg = engine, stats, seeds, cfg
+        self._counts: dict[int, np.ndarray] = {}
+
+    def seed_counts(self, j: int) -> np.ndarray:
+        """The _risk_counts of seed j, counted once in each process."""
+        if j not in self._counts:
+            self._counts[j] = _risk_counts(self.stats, self.seeds[j].labels_array)
+        return self._counts[j]
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        # a seed active off the support restarts from its support labels
+        # alone, without the extra counts of its off-support points (S each)
+        labels = self.seeds[j].labels_array
+        start = labels[self.stats.support]
+        off = np.count_nonzero(labels) - np.count_nonzero(start)
+        return start, self.seed_counts(j) - [0, self.stats.S * off, 0, 0]
+
+    def restart(self, r: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, bool]:
+        return _restart(self.engine, rng, self if r % 2 == 1 else [], self.cfg)
+
+
+# Below this many (point, draw) entries times restarts a search runs serially:
+# opening and shutting a fork pool takes 10-20 ms. On 2 CPUs, 2 workers took
+# 1.03-1.3x the serial time at 14k-27k entry-restarts and 0.93-0.97x at
+# 34k-44k (sky surveys, n = 300-500, S = 100), 0.6-0.9x from 54k up; the
+# smaller ladder searches (n = 250, S = 30) broke even by 16k.
+_POOLED_MIN_ENTRIES = 40_000
+
+_inherited: Optional[_Work] = None  # a pool worker's search work, set at its start
+
+
+def _inherit(work: _Work) -> None:
+    global _inherited
+    _inherited = work
+
+
+def _call_inherited(method, *args):
+    return method(_inherited, *args)
+
+
+def _search_workers(stats: CoClusteringStats, cfg: SearchConfig) -> int:
+    """Processes to run a search's work on; 1 runs it serially (see search)."""
+    if (
+        stats.cells.point.size * cfg.n_restarts < _POOLED_MIN_ENTRIES
+        or multiprocessing.parent_process() is not None
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return 1
+    return min(cpu_count(), cfg.n_restarts)
+
+
+@contextmanager
+def _work_map(work: _Work, workers: int):
+    """map(method, *iterables) over methods of work, lazily, in order: the
+    built-in map for one worker, else a fork pool's, open until the block
+    ends. The workers inherit work at the fork, unpickled, so only the
+    arguments and the results cross. A worker that dies (a signal, the OOM
+    killer) is an InfeasibleError, raised once every worker is reaped."""
+    if workers == 1:
+        yield lambda method, *its, chunksize=1: map(partial(method, work), *its)
+        return
+    fork = multiprocessing.get_context("fork")
+    try:
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit, initargs=(work,)) as pool:
+            yield lambda method, *its, chunksize=1: pool.map(
+                partial(_call_inherited, method), *its, chunksize=chunksize
+            )
+    except BrokenProcessPool:
+        raise InfeasibleError(
+            "a search worker process ended abruptly (killed by a signal or out of memory)"
+        ) from None
+
+
 def search(
     stats: CoClusteringStats,
     p: LossParams = DEFAULT_LOSS_PARAMS,
@@ -752,8 +852,20 @@ def search(
     undone by moving its members back, with a rebuild only when a fresh id
     renumbered the ids during the attempt. None of these changes a decision
     or a draw of the restarts' generators.
+
+    The restarts and the seeds' risk counts run on a fork pool of
+    min(cpu_count(), n_restarts) workers, opened and shut inside the call,
+    once the restarts' (point, draw) entries reach _POOLED_MIN_ENTRIES. The
+    search runs serially below that, with one worker, without the fork
+    start method, and inside a child process (such as a worker of
+    run_simulation_study), whose parent already uses the CPUs. Each restart
+    draws from its own generator only, and the best is picked here in
+    restart order, seeds first, with a strict <, and the warnings are
+    emitted in restart order: the labels and warnings do not depend on the
+    worker count. A worker that dies (killed by a signal or the OOM killer)
+    raises InfeasibleError once every worker is reaped.
     """
-    engine = _Engine(stats, p)
+    engine = _Engine(stats, p)  # builds stats.cells, so a fork pool's workers inherit both
     seed_list = list(seeds) if seeds is not None else []
     for s in seed_list:
         if s.n != stats.n:
@@ -761,30 +873,26 @@ def search(
 
     best_sp = SubPartition.all_noise(stats.n)
     best_risk = engine.risk(_risk_counts(stats, best_sp.labels_array))
-    seed_starts = []
-    for s in seed_list:
-        counts = _risk_counts(stats, s.labels_array)
-        risk = engine.risk(counts)
-        if risk < best_risk:
-            best_sp, best_risk = s, risk
-        # a seed active off the support restarts from its support labels
-        # alone, without the extra counts of its off-support points (S each)
-        start = s.labels_array[stats.support]
-        off = np.count_nonzero(s.labels_array) - np.count_nonzero(start)
-        seed_starts.append((start, counts - [0, stats.S * off, 0, 0]))
-
+    work = _Work(engine, stats, seed_list, cfg)
     rngs = spawn_rngs(cfg.seed, cfg.n_restarts)
-    restarts = (_restart(engine, rng, seed_starts if r % 2 == 1 else [], cfg) for r, rng in enumerate(rngs))
-    for restart, (counts, labels, capped) in enumerate(restarts):
-        if capped:
-            warnings.warn(
-                f"search restart {restart} still moved points in its last of "
-                f"{cfg.n_sweeten_passes} sweetening passes",
-                SearchPassCapWarning,
-            )
-        if engine.risk(counts) < best_risk:
-            best_risk = engine.risk(counts)
-            best_sp = SubPartition(_full_labels(stats, labels))
+    workers = _search_workers(stats, cfg)
+    with _work_map(work, workers) as run:
+        # the seed counts cost alike, so each worker takes one run of them
+        seed_counts = run(_Work.seed_counts, range(len(seed_list)), chunksize=max(1, -(-len(seed_list) // workers)))
+        restarts = run(_Work.restart, range(cfg.n_restarts), rngs)
+        for s, counts in zip(seed_list, seed_counts):
+            if engine.risk(counts) < best_risk:
+                best_sp, best_risk = s, engine.risk(counts)
+        for restart, (counts, labels, capped) in enumerate(restarts):
+            if capped:
+                warnings.warn(
+                    f"search restart {restart} still moved points in its last of "
+                    f"{cfg.n_sweeten_passes} sweetening passes",
+                    SearchPassCapWarning,
+                )
+            if engine.risk(counts) < best_risk:
+                best_risk = engine.risk(counts)
+                best_sp = SubPartition(_full_labels(stats, labels))
     return best_sp
 
 

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import multiprocessing
+import os
+import signal
 import subprocess
 import sys
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ballet.risk as risk_mod
 from ballet import cli
 from ballet.bench import EVAL_SCHEMA, STUDY_SCHEMA, generate_two_moons
 from ballet.cli import RunConfig, load_run_config, main
@@ -316,6 +320,24 @@ def test_unknown_command_exits_2():
 
 # ---------------------------------------------------------------------------
 # bounds / plugin / dbscan
+
+
+def test_bounds_dead_pool_worker_exit_5(moons_cfg, tmp_path, monkeypatch, capsys):
+    """A search worker killed by a signal ends the run with one error line
+    and exit 5, and no worker outlives it."""
+
+    def die_in_a_worker(*args):
+        if multiprocessing.parent_process() is None:
+            raise AssertionError("the search did not run on a pool")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
+    monkeypatch.setattr(risk_mod, "cpu_count", lambda: 2)
+    monkeypatch.setattr(risk_mod, "_restart", die_in_a_worker)
+    assert main(["bounds", "--config", str(moons_cfg), "--out", str(tmp_path / "out")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("ballet: error: a search worker") and err.count("\n") == 1
+    assert not multiprocessing.active_children()
 
 
 def test_bounds_output(moons_dir, moons_cfg):

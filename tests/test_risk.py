@@ -1,7 +1,13 @@
 import copy
 import json
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -1071,6 +1077,152 @@ def test_no_pass_cap_warning_by_default():
     with warnings.catch_warnings():
         warnings.simplefilter("error", SearchPassCapWarning)
         search(precompute_stats(draws), seeds=draws)
+
+
+# -- fork pool -----------------------------------------------------------------
+
+
+def labels_and_cap_warnings(stats, p, cfg, seeds):
+    """A search's labels and the SearchPassCapWarning messages it emitted, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        labels = search(stats, p, cfg, seeds).labels
+    return labels, [str(w.message) for w in caught if issubclass(w.category, SearchPassCapWarning)]
+
+
+def record_pools(monkeypatch):
+    """The worker count of every search pool opened from here on."""
+    opened = []
+
+    class RecordedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(risk_mod, "ProcessPoolExecutor", RecordedPool)
+    return opened
+
+
+def test_pooled_search_matches_serial(monkeypatch):
+    """With the size gate at 0, a search on 2 or 3 workers gives the serial
+    search's labels and its pass-cap warnings in the same order, and no
+    child process outlives the call."""
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
+    opened = record_pools(monkeypatch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(search_instances())
+    @example(zealous_win())
+    def check(instance):
+        draws, p, cfg, seeds = instance
+        stats = precompute_stats(draws)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(risk_mod, "cpu_count", lambda: cpus)
+            runs.append(labels_and_cap_warnings(stats, p, cfg, seeds))
+            assert not multiprocessing.active_children()
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        capped.append(len(runs[0][1]))
+
+    capped = []
+    check()
+    assert {2, 3} <= set(opened) and max(capped) >= 2
+
+
+def test_pooled_search_reads_results_in_restart_order(monkeypatch):
+    """When the odd restarts finish first, the pick and the order of the
+    pass-cap warnings are still the serial ones."""
+    draws = random_draws(np.random.default_rng(42), 30, 5, max_k=4)
+    stats = precompute_stats(draws)
+    cfg = SearchConfig(n_restarts=4, n_sweeten_passes=1, n_zealous_attempts=0, seed=1)
+    restart = risk_mod._restart
+
+    def even_ones_late(engine, rng, seeds, cfg):
+        if not seeds:  # an even restart
+            time.sleep(0.1)
+        return restart(engine, rng, seeds, cfg)
+
+    monkeypatch.setattr(risk_mod, "_restart", even_ones_late)
+    serial = labels_and_cap_warnings(stats, LossParams(), cfg, draws)
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
+    monkeypatch.setattr(risk_mod, "cpu_count", lambda: 4)
+    assert labels_and_cap_warnings(stats, LossParams(), cfg, draws) == serial
+    assert len(serial[1]) >= 2
+
+
+def test_search_pool_gate(monkeypatch):
+    """A search opens a pool of min(CPUs, restarts) workers from
+    _POOLED_MIN_ENTRIES (point, draw) entries times restarts, none below."""
+    monkeypatch.setattr(risk_mod, "cpu_count", lambda: 3)
+    opened = record_pools(monkeypatch)
+    draws = random_draws(np.random.default_rng(46), 30, 5, max_k=4)
+    stats = precompute_stats(draws)
+    cfg = SearchConfig(n_restarts=2)
+    work = stats.cells.point.size * cfg.n_restarts
+    labels = []
+    for gate in (work + 1, work):
+        monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", gate)
+        labels.append(search(stats, cfg=cfg, seeds=draws).labels)
+    assert opened == [2] and labels[0] == labels[1]
+
+
+def test_search_pools_only_with_several_cpus(monkeypatch):
+    """With the gate at 0 and the CPUs this process may really run on, a
+    search opens a pool when there are several, and none on one CPU (as
+    under taskset -c 0)."""
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
+    opened = record_pools(monkeypatch)
+    draws = random_draws(np.random.default_rng(47), 30, 5, max_k=4)
+    search(precompute_stats(draws), cfg=SearchConfig(n_restarts=4), seeds=draws)
+    cpus = risk_mod.cpu_count()
+    assert opened == ([min(cpus, 4)] if cpus > 1 else [])
+    assert not multiprocessing.active_children()
+
+
+def test_search_in_a_child_process_opens_no_pool(monkeypatch):
+    """A search inside a child process, such as a worker of
+    run_simulation_study, runs serially: its parent already uses the CPUs."""
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
+    monkeypatch.setattr(risk_mod, "cpu_count", lambda: 2)
+    draws = random_draws(np.random.default_rng(48), 30, 5, max_k=4)
+    stats = precompute_stats(draws)
+    cfg = SearchConfig(n_restarts=4)
+    expected = search(stats, cfg=cfg, seeds=draws).labels
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search in a child process opened a pool")
+
+    def child():
+        risk_mod.ProcessPoolExecutor = refuse  # in the child's memory only
+        sys.exit(0 if search(stats, cfg=cfg, seeds=draws).labels == expected else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 0
+
+
+def die_in_a_worker(*args):
+    """A _restart that kills its own process, run only in a pool worker."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("the search did not run on a pool")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_dead_pool_worker_is_an_infeasible_error(monkeypatch):
+    """A pool worker killed by a signal fails the search with an
+    InfeasibleError (exit 5), not a BrokenProcessPool, and every worker is
+    reaped."""
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
+    monkeypatch.setattr(risk_mod, "cpu_count", lambda: 2)
+    monkeypatch.setattr(risk_mod, "_restart", die_in_a_worker)
+    draws = random_draws(np.random.default_rng(49), 30, 5, max_k=4)
+    with pytest.raises(InfeasibleError, match="search worker"):
+        search(precompute_stats(draws), cfg=SearchConfig(n_restarts=4), seeds=draws)
+    assert not multiprocessing.active_children()
 
 
 # -- plugin and pipeline -------------------------------------------------------
