@@ -312,7 +312,8 @@ def _noise_fraction(cfg: RunConfig, why: str) -> float:
 def _prepare(cfg: RunConfig, key: str, values: list[float]) -> tuple[PointSet, DensityDrawEnsemble, list[float], float]:
     """Points, density draws, the lambda of each level value, and delta (adapted at the first lambda).
 
-    A fixed delta whose graph would not fit the pair budget fails before the ensemble is built.
+    A delta whose graph would not fit the pair budget fails before any pair is stored: a fixed
+    one before the ensemble is built, an adapted one as soon as it is adapted.
     """
     ps = _load_points(cfg)
     if not isinstance(cfg.delta, AdaptiveDeltaConfig):
@@ -338,6 +339,7 @@ def _prepare(cfg: RunConfig, key: str, values: list[float]) -> tuple[PointSet, D
         if active.size == 0:
             raise InfeasibleError("no active points at the resolved level; cannot adapt delta")
         delta = adaptive_delta(ps, active, delta)
+        _check_pair_budget(ps.points, delta)
     return ps, ensemble, lams, delta
 
 

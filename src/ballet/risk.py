@@ -7,10 +7,10 @@ cluster of each draw. So the only pair data kept is the S x u matrix of draw
 labels on the support {i : alpha_i > 0}, and the same data as (point, draw)
 entries grouped into draw cells, built once per stats object on first use
 (CoClusteringStats.cells). Every risk count reads the cells: _risk_counts
-for a whole candidate (the risk of an estimate, the search's all-noise start
-and its seeds), and the search's engine for point moves. A never-active
-point pairs with nothing, and it is noise-optimal in every candidate
-evaluation, which keeps the search exact while skipping it.
+for a whole candidate (the risk of an estimate, the search's all-noise start,
+its seeds and a seeded restart's start), and the search's engine for point
+moves. A never-active point pairs with nothing, and it is noise-optimal in
+every candidate evaluation, which keeps the search exact while skipping it.
 
 Risks and search costs are computed in units of 1/S, as integer counts times
 the loss weights. They are exact for dyadic weights (the defaults), so equal
@@ -25,7 +25,7 @@ whose decision changes the state, which gives the same decisions, ties
 included, as pricing one point at a time. It tracks each restart's risk from
 the same costs instead of recounting it.
 
-Three more shortcuts leave every decision as it was:
+Two more shortcuts leave every decision as it was:
 - A point active in d draws costs (n-1) m_ai d in noise, and at least
   (n-1) m_ia (S-d) in any cluster. When noise is no dearer, it wins, ties
   included, in every state. Such a point goes to noise as soon as a walk
@@ -38,11 +38,11 @@ Three more shortcuts leave every decision as it was:
   placed earlier only raises the costs of the later ones (the loss weights
   are positive), so the walked attempt's risk is at least the bound's.
   When the bound's risk does not beat the state's, the attempt is rejected
-  unwalked. This is used only when every risk is an exact float, as under
-  dyadic weights; otherwise each attempt is walked.
-- A rejected zealous attempt that was walked moves its members back one by
-  one, which restores the count table exactly, rather than rebuilding it
-  in O(S u). The risk it removes is counted from the members' draw cells.
+  unwalked, and the destroyed cell's column of the count table is put
+  back. This is used only when every risk is an exact float, as under
+  dyadic weights; otherwise each attempt is walked. The risk an attempt
+  removes is counted from the members' draw cells. A walked attempt that
+  is rejected is undone by rebuilding the table in O(S u).
 
 The search's independent work, each restart and each seed's risk count,
 runs on a fork pool with one worker per CPU (at most one per restart),
@@ -461,14 +461,11 @@ class _Engine:
         bounds = np.zeros(2 * order.size + 1, dtype=np.int64)
         bounds[2::2] = np.cumsum(n_rows)
         bounds[1::2] = bounds[:-1:2] + self._pmid[order] - first
-        if self._nlen.size:
-            n_cells = self._nptr[order + 1] - self._nptr[order]
-            cells = _ranges(self._nptr[order], n_cells)
-            lens = self._nlen[cells]
-            members = self._members[_ranges(self._nstart[cells], lens)]
-            mstart = np.concatenate([[0], np.cumsum(lens)])[np.concatenate([[0], np.cumsum(n_cells)])]
-        else:  # no narrow cells
-            members, mstart = np.zeros(0, dtype=np.int64), np.zeros(order.size + 1, dtype=np.int64)
+        n_cells = self._nptr[order + 1] - self._nptr[order]
+        cells = _ranges(self._nptr[order], n_cells)
+        lens = self._nlen[cells]
+        members = self._members[_ranges(self._nstart[cells], lens)]
+        mstart = np.concatenate([[0], np.cumsum(lens)])[np.concatenate([[0], np.cumsum(n_cells)])]
         return _Layout(order, self._price_rows[_ranges(first, n_rows)], bounds, members, mstart)
 
     def price(self, lay: _Layout, j: int, end: int) -> _Prices:
@@ -652,38 +649,28 @@ def _zealous(engine: _Engine, members: np.ndarray, counts: np.ndarray) -> np.nda
     bound at most the walked attempt's risk. When every risk and cost is an
     exact float (engine.exact_risks) and the bound is not below the state's
     risk, the attempt is rejected unwalked: the cell's column of T, its size
-    and its members' labels are put back.
-
-    A walked attempt that is rejected moves each member that left its cell
-    back, which restores the table count for count, ids and width included.
-    Only when a fresh id rebuilt the table during the attempt (renumbering
-    the ids) is the state rebuilt from the labels instead. Takes and returns
-    the _risk_counts of the state.
+    and its members' labels are put back. A walked attempt that is rejected
+    is undone by rebuilding the state from its labels, which renumbers the
+    ids in their order. Takes and returns the _risk_counts of the state.
     """
     snapshot = engine.labels.copy()
     target = int(snapshot[members[0]])
     trial = counts - engine.removal_counts(members)
-    table = engine.T
     # column target of T counts exactly the members, and column 0 (noise)
     # counts nothing; the dead id keeps the ids' order
-    column, size = table[:, target].copy(), engine.sizes[target]
-    table[:, target] = 0
+    column, size = engine.T[:, target].copy(), engine.sizes[target]
+    engine.T[:, target] = 0
     engine.sizes[target] = 0
     engine.labels[members] = -1
     if engine.exact_risks and not engine.risk(trial) + _cheapest(engine, members) < engine.risk(counts):
-        table[:, target] = column
+        engine.T[:, target] = column
         engine.sizes[target] = size
         engine.labels[members] = target
         return counts
     trial += _walk(engine, members)[1]
     if engine.risk(trial) < engine.risk(counts):
         return trial
-    if engine.T is table:
-        # a member that took a fresh id equal to target is back in place
-        for i in members[engine.labels[members] != target].tolist():
-            engine.move(i, target)
-    else:
-        engine.reset(snapshot)
+    engine.reset(snapshot)
     return counts
 
 
@@ -695,22 +682,26 @@ def _full_labels(stats: CoClusteringStats, labels_sup: np.ndarray) -> np.ndarray
 
 def _restart(
     engine: _Engine,
+    stats: CoClusteringStats,
     rng: np.random.Generator,
-    seeds: Sequence[tuple[np.ndarray, np.ndarray]],
+    seeds: Sequence[SubPartition],
     cfg: SearchConfig,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """One restart of search, drawing from rng only.
 
-    With seeds (support labels with their _risk_counts) it starts from one
-    of them drawn at random, otherwise from an incremental assignment in
-    random order; then it runs the sweetening passes and the zealous
-    attempts. Returns the restart's _risk_counts, its support labels, and
-    whether its last allowed sweetening pass still moved a point.
+    With seeds it starts from the support labels of one of them drawn at
+    random, and recounts the risk of that start (the seed with its points
+    off the support left as noise), otherwise from an incremental
+    assignment in random order; then it runs the sweetening passes and the
+    zealous attempts. Returns the restart's _risk_counts, its support
+    labels, and whether its last allowed sweetening pass still moved a
+    point.
     """
     u = engine.labels.size
     if seeds:
-        start, counts = seeds[int(rng.integers(len(seeds)))]
+        start = seeds[int(rng.integers(len(seeds)))].labels_array[stats.support]
         engine.reset(start)
+        counts = _risk_counts(stats, _full_labels(stats, start))
     else:
         engine.reset(np.full(u, -1))
         counts = _walk(engine, rng.permutation(u))[1]
@@ -720,7 +711,7 @@ def _restart(
     for _ in range(cfg.n_sweeten_passes):
         engine.reset(engine.labels)
         moved, delta = _walk(engine, rng.permutation(u))
-        counts = counts + delta  # a new array: counts may be a seed's
+        counts += delta
         if not moved:
             break
     # zealous updates
@@ -734,38 +725,20 @@ def _restart(
     return counts, engine.labels.copy(), moved
 
 
-class _Work:
+class _Work(NamedTuple):
     """A search's independent work, the seeds' risk counts and the restarts,
-    with the engine, stats, seeds and config they read. It is also the odd
-    restarts' seeds sequence: item j is seed j's start, its support labels
-    with their _risk_counts. Each process counts a seed once, so a pool
-    worker counts one again only when a restart draws a seed that another
-    worker counted.
-    """
+    with the engine, stats, seeds and config they read."""
 
-    def __init__(self, engine: _Engine, stats: CoClusteringStats, seeds: Sequence[SubPartition], cfg: SearchConfig):
-        self.engine, self.stats, self.seeds, self.cfg = engine, stats, seeds, cfg
-        self._counts: dict[int, np.ndarray] = {}
+    engine: _Engine
+    stats: CoClusteringStats
+    seeds: Sequence[SubPartition]
+    cfg: SearchConfig
 
     def seed_counts(self, j: int) -> np.ndarray:
-        """The _risk_counts of seed j, counted once in each process."""
-        if j not in self._counts:
-            self._counts[j] = _risk_counts(self.stats, self.seeds[j].labels_array)
-        return self._counts[j]
-
-    def __len__(self) -> int:
-        return len(self.seeds)
-
-    def __getitem__(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        # a seed active off the support restarts from its support labels
-        # alone, without the extra counts of its off-support points (S each)
-        labels = self.seeds[j].labels_array
-        start = labels[self.stats.support]
-        off = np.count_nonzero(labels) - np.count_nonzero(start)
-        return start, self.seed_counts(j) - [0, self.stats.S * off, 0, 0]
+        return _risk_counts(self.stats, self.seeds[j].labels_array)
 
     def restart(self, r: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, bool]:
-        return _restart(self.engine, rng, self if r % 2 == 1 else [], self.cfg)
+        return _restart(self.engine, self.stats, rng, self.seeds if r % 2 == 1 else [], self.cfg)
 
 
 # Below this many (point, draw) entries times restarts a search runs serially:
@@ -839,9 +812,9 @@ def search(
     SearchPassCapWarning.
 
     Each restart tracks the integer counts its risk weighs from the priced
-    decisions: the incremental assignment (or the seed's counts), the
-    sweetening moves, and each zealous attempt's removal and reassignment.
-    So it compares the same risks as a recount would, for any weights.
+    decisions: the incremental assignment (or a recount of its seed's
+    support labels), the sweetening moves, and each zealous attempt's
+    removal and reassignment. So it compares the same risks as a recount would, for any weights.
 
     The walks price only the points a cluster can take, or that sit in a
     cluster: noise is the cheapest cell in every state for the others (see
@@ -849,9 +822,8 @@ def search(
     attempt whose bound (each member in its cheapest cell, priced once)
     cannot beat the state's risk is rejected without a walk, when every risk
     is an exact float (see _zealous). A walked attempt that is rejected is
-    undone by moving its members back, with a rebuild only when a fresh id
-    renumbered the ids during the attempt. None of these changes a decision
-    or a draw of the restarts' generators.
+    undone by rebuilding the state from its labels. None of these changes a
+    decision or a draw of the restarts' generators.
 
     The restarts and the seeds' risk counts run on a fork pool of
     min(cpu_count(), n_restarts) workers, opened and shut inside the call,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ballet.levelset as levelset_mod
 import ballet.risk as risk_mod
 from ballet import cli
 from ballet.bench import EVAL_SCHEMA, STUDY_SCHEMA, generate_two_moons
@@ -284,13 +285,21 @@ def test_malformed_points_exit_3(tmp_path, capsys, text):
     assert err.startswith("ballet: error: malformed data") and "Warning" not in err
 
 
-def test_radius_joining_most_points_exit_5(tmp_path):
+def test_radius_joining_most_points_exit_5(tmp_path, monkeypatch):
     """A given delta or eps whose pair list would not fit exits 5 after
-    counting the pairs (2e8 here), before the ensemble or a pair is stored."""
+    counting the pairs (2e8 here), before the ensemble or a pair is stored.
+    So does an adapted delta, once adapted: with gamma 0 it is the largest
+    k-NN distance, an outlier's far from the other points."""
     import tracemalloc
 
+    def no_pair_list(*args, **kwargs):
+        raise AssertionError("a pair list was built")
+
+    monkeypatch.setattr(risk_mod, "_delta_pairs", no_pair_list)
+    monkeypatch.setattr(levelset_mod, "_delta_pairs", no_pair_list)
     data = tmp_path / "points.csv"
-    PointSet(np.random.default_rng(0).uniform(size=(20000, 2))).to_csv(data)
+    points = np.random.default_rng(0).uniform(size=(20000, 2))
+    PointSet(points).to_csv(data)
     runs = [
         ["cluster", "--data", str(data), "--nu", "0.9", "--delta", "10"],
         ["dbscan", "--data", str(data), "--eps", "10"],
@@ -303,6 +312,10 @@ def test_radius_joining_most_points_exit_5(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 2**23  # the ensemble alone would take 16 MB
+    outlier = tmp_path / "outlier.csv"
+    PointSet(np.vstack([points, [[1000.0, 1000.0]]])).to_csv(outlier)
+    argv = ["cluster", "--data", str(outlier), "--nu", "0", "--gamma", "0", "--out", str(tmp_path / "out")]
+    assert main(argv) == 5
     assert not (tmp_path / "out").exists()
 
 

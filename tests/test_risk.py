@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import math
 import multiprocessing
@@ -717,15 +718,21 @@ def test_search_deterministic():
     assert a.labels == b.labels
 
 
-def test_search_counts_a_seed_active_off_the_support():
+def test_search_counts_a_seed_active_off_the_support(monkeypatch):
     # point 3 is noise in every draw; a seed that clusters it pays m_ia (n - 1)
-    # in each draw, so the draw itself (risk 0) is the estimate
+    # in each draw, so the draw itself (risk 0) is the estimate, serially and
+    # on a pool
     draw = SubPartition([1, 1, 2, 0])
     wide = SubPartition([1, 1, 2, 2])
     stats = precompute_stats([draw, draw])
     assert empirical_risk(wide, stats) == 1.5
-    est = search(stats, cfg=SearchConfig(n_restarts=2, seed=0), seeds=[wide, draw])
-    assert est == draw and empirical_risk(est, stats) == 0.0
+    cfg = SearchConfig(n_restarts=2, seed=0)
+    assert search(stats, cfg=cfg, seeds=[wide, draw]) == draw
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
+    monkeypatch.setattr(risk_mod, "cpu_count", lambda: 2)
+    opened = record_pools(monkeypatch)
+    est = search(stats, cfg=cfg, seeds=[wide, draw])
+    assert opened == [2] and est == draw and empirical_risk(est, stats) == 0.0
 
 
 def test_search_seed_size_mismatch():
@@ -837,9 +844,10 @@ def test_accepted_zealous_attempt_wins_the_search():
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
 def test_search_matches_per_point_oracle():
     """Block pricing, the walks that skip the points no cluster can take, the
-    tracked risk, the zealous bound and the zealous replay give the labels
-    of the search that prices every point, one at a time, walks every
-    zealous attempt and recounts the risk after every attempt."""
+    tracked risk, the zealous bound and the rebuild that undoes a walked
+    rejection give the labels of the search that prices every point, one at
+    a time, walks every zealous attempt and recounts the risk after every
+    attempt."""
     blocks = []
     skipped = []  # per walk, the points it did not price
     equal_walked = []  # per walk under EQUAL_INEXACT, its points with noise == active_base
@@ -890,11 +898,10 @@ def test_search_matches_per_point_oracle():
 
 def test_rejected_zealous_attempt_restores_the_state(monkeypatch):
     """A rejected zealous attempt leaves the state it started from: bounded
-    (rejected unwalked, its cell put back) or moved back member by member,
-    the same labels, table and widths; or, when a fresh id rebuilt the table
-    during the attempt, a rebuild from them. Under the default loss the
-    bound rejects most attempts; under a non-dyadic loss it is off, so every
-    rejection there is walked."""
+    (rejected unwalked, its cell put back in the same table), the same
+    labels, table and widths; walked, a rebuild from the same labels. Under
+    the default loss the bound rejects most attempts; under a non-dyadic
+    loss it is off, so every rejection there is walked."""
     walks = []
     walk = risk_mod._walk
 
@@ -905,7 +912,7 @@ def test_rejected_zealous_attempt_restores_the_state(monkeypatch):
     monkeypatch.setattr(risk_mod, "_walk", counted_walk)
     rng = np.random.default_rng(43)
     params = [LossParams(), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]
-    bounded = replayed = rebuilt = 0
+    bounded, walked = 0, [0, 0]  # walked rejections per loss
     for trial in range(200):
         draws = random_draws(rng, int(rng.integers(6, 30)), int(rng.integers(1, 8)), max_k=5)
         stats = precompute_stats(draws)
@@ -922,19 +929,16 @@ def test_rejected_zealous_attempt_restores_the_state(monkeypatch):
             counts = recount(stats, engine.labels)
             if risk_mod._zealous(engine, rng.permutation(members), counts) is not counts:
                 continue  # accepted
-            if engine.T is table and len(walks) == n_walks:
+            if len(walks) == n_walks:
                 bounded += 1
-                ref = before
-            elif engine.T is table:
-                replayed += 1
+                assert engine.T is table
                 ref = before
             else:
-                rebuilt += 1
-                ref = engine_at(stats, before.labels)
+                walked[trial % 2] += 1
+                ref = engine_at(stats, before.labels, engine.p)
             assert np.array_equal(engine.labels, ref.labels)
             assert np.array_equal(engine.T, ref.T) and np.array_equal(engine.sizes, ref.sizes)
-    assert bounded >= 100
-    assert replayed >= 100 and rebuilt >= 10
+    assert bounded >= 100 and sum(walked) >= 100 and min(walked) >= 10
 
 
 def test_zealous_bound_never_exceeds_walked_risk(monkeypatch):
@@ -1136,11 +1140,12 @@ def test_pooled_search_reads_results_in_restart_order(monkeypatch):
     stats = precompute_stats(draws)
     cfg = SearchConfig(n_restarts=4, n_sweeten_passes=1, n_zealous_attempts=0, seed=1)
     restart = risk_mod._restart
+    signature = inspect.signature(restart)
 
-    def even_ones_late(engine, rng, seeds, cfg):
-        if not seeds:  # an even restart
+    def even_ones_late(*args, **kwargs):
+        if not signature.bind(*args, **kwargs).arguments["seeds"]:  # an even restart
             time.sleep(0.1)
-        return restart(engine, rng, seeds, cfg)
+        return restart(*args, **kwargs)
 
     monkeypatch.setattr(risk_mod, "_restart", even_ones_late)
     serial = labels_and_cap_warnings(stats, LossParams(), cfg, draws)
