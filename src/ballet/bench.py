@@ -5,7 +5,6 @@ estimate, its credible-ball bounds, the plugin surrogate, and DBSCAN*."""
 from __future__ import annotations
 
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -32,7 +31,7 @@ from .risk import (
     plugin_estimate,
 )
 from .subpartition import SubPartition
-from .util import order_statistic_ceil, spawn_rngs
+from .util import fork_map, order_statistic_ceil, spawn_rngs
 
 __all__ = [
     "EVAL_SCHEMA",
@@ -456,8 +455,8 @@ def run_study_replicate(
     return row
 
 
-def _replicate_star(args) -> dict:
-    return run_study_replicate(*args)
+def _replicate(configs: tuple, seeds: tuple[int, int, int]) -> dict:
+    return run_study_replicate(*configs, seeds)
 
 
 @dataclass(frozen=True)
@@ -498,17 +497,19 @@ def run_simulation_study(
 
     spec.seed is the master seed; every replicate derives its own data,
     ensemble, and search seeds from it, so results do not depend on n_jobs.
+    With n_jobs > 1 the replicates run on min(n_jobs, reps) processes
+    (util.fork_map): this one and workers it forks. Their searches and
+    trees run serially, and only each replicate's row comes back. They run
+    serially without the fork start method and inside a pool task or child
+    process. A worker that dies (killed by a signal or the OOM killer)
+    raises InfeasibleError once every worker is reaped.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
     if n_jobs < 1:
         raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
-    tasks = [(spec, ballet, dbscan, s) for s in _rep_seeds(spec.seed, reps)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(_replicate_star, tasks))
-    else:
-        rows = [run_study_replicate(*t) for t in tasks]
+    tasks = [(s,) for s in _rep_seeds(spec.seed, reps)]
+    rows = fork_map(_replicate, (spec, ballet, dbscan), tasks, n_jobs, "study")
     for i, row in enumerate(rows):
         row["rep"] = i
 

@@ -17,9 +17,9 @@ import numpy as np
 from .density import DensityDrawEnsemble
 from .errors import ConfigError, InfeasibleError
 from .levelset import PointSet
-from .risk import SearchConfig, ballet_estimate, plugin_estimate
+from .risk import SearchConfig, _search_workers, ballet_estimate, plugin_estimate
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition
-from .util import _ceil_count, canonical_json, order_statistic_upper
+from .util import _ceil_count, canonical_json, cpu_count, fork_map, order_statistic_upper
 
 __all__ = [
     "LevelSpec",
@@ -274,6 +274,25 @@ def tree_from_clusterings(
     )
 
 
+# Below this many (point, draw) entries at or above the levels, summed over
+# the levels, a tree estimates its levels serially: forking and reaping a
+# worker costs as much as the smallest trees. On 2 CPUs, 3 levels (noise
+# fractions 0.2, 0.4, 0.6 of two Gaussians, 2 restarts), 2 processes took
+# 1.13x the serial time at 439 entries (n = 40, S = 8), 1.04x at 844
+# (n = 60, S = 10), 0.91x at 1309 (n = 75, S = 12), 0.80-0.89x at
+# 1953-3583 (n = 90-120, S = 15-20) and 0.67x at 12419 (n = 250, S = 30).
+_POOLED_MIN_LEVEL_ENTRIES = 1_000
+
+
+def _level_estimate(state: tuple, lam: float) -> tuple[np.ndarray, list[Warning]]:
+    """One level's ballet estimate: its labels and the warnings it emitted."""
+    ps, ensemble, delta, p, cfg = state
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        estimate = ballet_estimate(ps, ensemble, lam, delta, p=p, cfg=cfg).estimate
+    return estimate.labels_array, [w.message for w in caught]
+
+
 def build_cluster_tree(
     ps: PointSet,
     ensemble: DensityDrawEnsemble,
@@ -284,7 +303,22 @@ def build_cluster_tree(
     cfg: SearchConfig = SearchConfig(),
 ) -> ClusterTree:
     """Estimate one clustering of the draw ensemble per level (estimator
-    "ballet" or "plugin") and link overlaps across rows."""
+    "ballet" or "plugin") and link overlaps across rows.
+
+    With "ballet", each level's ballet_estimate is one task on
+    min(cpu_count(), levels) processes (util.fork_map): this one and workers
+    it forks, once the levels' (point, draw) entries at or above their
+    level, summed, reach _POOLED_MIN_LEVEL_ENTRIES. The workers inherit the
+    points, the ensemble and the config at the fork, and the levels'
+    searches run serially; only each level's labels and the warnings its
+    estimate emitted come back. The levels are estimated serially below
+    that size, when some level's search would run on a pool of its own
+    (see search), on one CPU, without the fork start method, and inside a
+    child process. Either way the warnings are emitted here, in level
+    order, once every level is estimated, so the tree and its warnings do
+    not depend on the worker count. A worker that dies (killed by a signal
+    or the OOM killer) raises InfeasibleError once every worker is reaped.
+    """
     if estimator not in ("ballet", "plugin"):
         raise ValueError(f"estimator must be 'ballet' or 'plugin', got {estimator!r}")
     lams = [float(v) for v in levels]
@@ -292,13 +326,23 @@ def build_cluster_tree(
         raise ValueError("need at least two levels")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("levels must be strictly increasing")
-    clusterings: list[SubPartition] = []
-    for lam in lams:
-        if estimator == "plugin":
-            clusterings.append(plugin_estimate(ps, ensemble, lam, delta))
-        else:
-            clusterings.append(ballet_estimate(ps, ensemble, lam, delta, p=p, cfg=cfg).estimate)
-    return tree_from_clusterings(lams, clusterings)
+    if estimator == "plugin":
+        return tree_from_clusterings(lams, [plugin_estimate(ps, ensemble, lam, delta) for lam in lams])
+    entries = [int(np.count_nonzero(ensemble.values >= lam)) for lam in lams]
+    # a level whose search pools its own restarts keeps every CPU busy, and
+    # as one task it can outlast all the others: on two Gaussians (n = 2000,
+    # S = 100, default SearchConfig) the lowest level's search took 9.3 s of
+    # 14.2 s serially, and level tasks took 1.22x the serial tree's time
+    if sum(entries) < _POOLED_MIN_LEVEL_ENTRIES or _search_workers(max(entries), cfg) > 1:
+        workers = 1
+    else:
+        workers = min(cpu_count(), len(lams))
+    state = (ps, ensemble, delta, p, cfg)
+    estimates = fork_map(_level_estimate, state, [(lam,) for lam in lams], workers, "cluster tree")
+    for _, caught in estimates:
+        for message in caught:
+            warnings.warn(message)
+    return tree_from_clusterings(lams, [SubPartition(labels) for labels, _ in estimates])
 
 
 def persistent_clusters(tree: ClusterTree, strict: bool = True) -> set[tuple[int, int]]:

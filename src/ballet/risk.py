@@ -44,27 +44,19 @@ Two more shortcuts leave every decision as it was:
   removes is counted from the members' draw cells. A walked attempt that
   is rejected is undone by rebuilding the table in O(S u).
 
-The search's independent work, each restart and each seed's risk count,
-runs on a fork pool with one worker per CPU (at most one per restart),
-opened and shut inside the call. The workers inherit the engine and the
-draw cells at the fork; only a restart's index and generator, or a seed's
-index, go out, and only counts, support labels and the pass-cap flag come
-back. The parent picks the best in the serial order, so the result does not
-depend on the worker count. The search runs serially below
-_POOLED_MIN_ENTRIES (point, draw) entries times restarts, on one CPU or one
-restart, without the fork start method, and inside a child process.
+The search's independent work, each seed's risk count and each restart,
+runs on util.fork_map's processes, one per CPU (at most one per restart),
+from _POOLED_MIN_ENTRIES (point, draw) entries times restarts. The workers
+inherit the engine, the draw cells and the restarts' generators at the
+fork; only counts, support labels and the pass-cap flag come back.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -73,7 +65,7 @@ from .density import DensityDrawEnsemble
 from .errors import InfeasibleError, SearchPassCapWarning
 from .levelset import PointSet, _component_labels, _delta_pairs, surrogate_cluster
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _pairs, _weighted_loss
-from .util import cpu_count, spawn_rngs
+from .util import cpu_count, fork_map, spawn_rngs
 
 __all__ = [
     "CoClusteringStats",
@@ -734,63 +726,29 @@ class _Work(NamedTuple):
     seeds: Sequence[SubPartition]
     cfg: SearchConfig
 
-    def seed_counts(self, j: int) -> np.ndarray:
-        return _risk_counts(self.stats, self.seeds[j].labels_array)
+    def task(self, i: int, rng: Optional[np.random.Generator]):
+        """Seed i's _risk_counts without a generator, else restart i's result."""
+        if rng is None:
+            return _risk_counts(self.stats, self.seeds[i].labels_array)
+        return _restart(self.engine, self.stats, rng, self.seeds if i % 2 == 1 else [], self.cfg)
 
-    def restart(self, r: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, bool]:
-        return _restart(self.engine, self.stats, rng, self.seeds if r % 2 == 1 else [], self.cfg)
 
-
-# Below this many (point, draw) entries times restarts a search runs serially:
-# opening and shutting a fork pool takes 10-20 ms. On 2 CPUs, 2 workers took
-# 1.03-1.3x the serial time at 14k-27k entry-restarts and 0.93-0.97x at
-# 34k-44k (sky surveys, n = 300-500, S = 100), 0.6-0.9x from 54k up; the
-# smaller ladder searches (n = 250, S = 30) broke even by 16k.
+# Below this many (point, draw) entries times restarts a search runs serially.
+# Measured on a ProcessPoolExecutor, which took 10-20 ms to open and shut: on
+# 2 CPUs, 2 workers took 1.03-1.3x the serial time at 14k-27k entry-restarts
+# and 0.93-0.97x at 34k-44k (sky surveys, n = 300-500, S = 100), 0.6-0.9x
+# from 54k up; the smaller ladder searches (n = 250, S = 30) broke even by
+# 16k. On fork_map a sky-survey search (n = 300, S = 100, 4 restarts) takes
+# 0.78x at 28k, so this gate is conservative now.
 _POOLED_MIN_ENTRIES = 40_000
 
-_inherited: Optional[_Work] = None  # a pool worker's search work, set at its start
 
-
-def _inherit(work: _Work) -> None:
-    global _inherited
-    _inherited = work
-
-
-def _call_inherited(method, *args):
-    return method(_inherited, *args)
-
-
-def _search_workers(stats: CoClusteringStats, cfg: SearchConfig) -> int:
-    """Processes to run a search's work on; 1 runs it serially (see search)."""
-    if (
-        stats.cells.point.size * cfg.n_restarts < _POOLED_MIN_ENTRIES
-        or multiprocessing.parent_process() is not None
-        or "fork" not in multiprocessing.get_all_start_methods()
-    ):
+def _search_workers(entries: int, cfg: SearchConfig) -> int:
+    """Processes to run the work of a search of `entries` (point, draw)
+    entries on; 1 runs it serially (see search)."""
+    if entries * cfg.n_restarts < _POOLED_MIN_ENTRIES:
         return 1
     return min(cpu_count(), cfg.n_restarts)
-
-
-@contextmanager
-def _work_map(work: _Work, workers: int):
-    """map(method, *iterables) over methods of work, lazily, in order: the
-    built-in map for one worker, else a fork pool's, open until the block
-    ends. The workers inherit work at the fork, unpickled, so only the
-    arguments and the results cross. A worker that dies (a signal, the OOM
-    killer) is an InfeasibleError, raised once every worker is reaped."""
-    if workers == 1:
-        yield lambda method, *its, chunksize=1: map(partial(method, work), *its)
-        return
-    fork = multiprocessing.get_context("fork")
-    try:
-        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_inherit, initargs=(work,)) as pool:
-            yield lambda method, *its, chunksize=1: pool.map(
-                partial(_call_inherited, method), *its, chunksize=chunksize
-            )
-    except BrokenProcessPool:
-        raise InfeasibleError(
-            "a search worker process ended abruptly (killed by a signal or out of memory)"
-        ) from None
 
 
 def search(
@@ -825,17 +783,18 @@ def search(
     undone by rebuilding the state from its labels. None of these changes a
     decision or a draw of the restarts' generators.
 
-    The restarts and the seeds' risk counts run on a fork pool of
-    min(cpu_count(), n_restarts) workers, opened and shut inside the call,
+    The seeds' risk counts and the restarts run on min(cpu_count(),
+    n_restarts) processes (util.fork_map): this one and workers it forks,
     once the restarts' (point, draw) entries reach _POOLED_MIN_ENTRIES. The
     search runs serially below that, with one worker, without the fork
-    start method, and inside a child process (such as a worker of
-    run_simulation_study), whose parent already uses the CPUs. Each restart
-    draws from its own generator only, and the best is picked here in
-    restart order, seeds first, with a strict <, and the warnings are
-    emitted in restart order: the labels and warnings do not depend on the
-    worker count. A worker that dies (killed by a signal or the OOM killer)
-    raises InfeasibleError once every worker is reaped.
+    start method, and inside a pool task or child process (such as a level
+    of build_cluster_tree or a replicate of run_simulation_study), whose
+    parent already uses the CPUs. Each restart draws from its own generator only,
+    and the best is picked here in restart order, seeds first, with a
+    strict <, and the warnings are emitted in restart order: the labels and
+    warnings do not depend on the worker count. A worker that dies (killed
+    by a signal or the OOM killer) raises InfeasibleError once every worker
+    is reaped.
     """
     engine = _Engine(stats, p)  # builds stats.cells, so a fork pool's workers inherit both
     seed_list = list(seeds) if seeds is not None else []
@@ -847,24 +806,23 @@ def search(
     best_risk = engine.risk(_risk_counts(stats, best_sp.labels_array))
     work = _Work(engine, stats, seed_list, cfg)
     rngs = spawn_rngs(cfg.seed, cfg.n_restarts)
-    workers = _search_workers(stats, cfg)
-    with _work_map(work, workers) as run:
-        # the seed counts cost alike, so each worker takes one run of them
-        seed_counts = run(_Work.seed_counts, range(len(seed_list)), chunksize=max(1, -(-len(seed_list) // workers)))
-        restarts = run(_Work.restart, range(cfg.n_restarts), rngs)
-        for s, counts in zip(seed_list, seed_counts):
-            if engine.risk(counts) < best_risk:
-                best_sp, best_risk = s, engine.risk(counts)
-        for restart, (counts, labels, capped) in enumerate(restarts):
-            if capped:
-                warnings.warn(
-                    f"search restart {restart} still moved points in its last of "
-                    f"{cfg.n_sweeten_passes} sweetening passes",
-                    SearchPassCapWarning,
-                )
-            if engine.risk(counts) < best_risk:
-                best_risk = engine.risk(counts)
-                best_sp = SubPartition(_full_labels(stats, labels))
+    workers = _search_workers(stats.cells.point.size, cfg)
+    tasks = [(j, None) for j in range(len(seed_list))] + list(enumerate(rngs))
+    results = fork_map(_Work.task, work, tasks, workers, "search")
+    seed_counts, restarts = results[: len(seed_list)], results[len(seed_list) :]
+    for s, counts in zip(seed_list, seed_counts):
+        if engine.risk(counts) < best_risk:
+            best_sp, best_risk = s, engine.risk(counts)
+    for restart, (counts, labels, capped) in enumerate(restarts):
+        if capped:
+            warnings.warn(
+                f"search restart {restart} still moved points in its last of "
+                f"{cfg.n_sweeten_passes} sweetening passes",
+                SearchPassCapWarning,
+            )
+        if engine.risk(counts) < best_risk:
+            best_risk = engine.risk(counts)
+            best_sp = SubPartition(_full_labels(stats, labels))
     return best_sp
 
 

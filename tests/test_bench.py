@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import ballet.bench as bench_mod
 from ballet.bench import (
     ELLIPSE_RADIUS_SQ,
     MIN_SEMI_AXIS,
@@ -17,11 +18,12 @@ from ballet.bench import (
     run_simulation_study,
 )
 from ballet.density import HistogramMixtureConfig, build_ensemble
-from ballet.errors import ConfigError
+from ballet.errors import ConfigError, InfeasibleError
 from ballet.levels import LevelSpec, resolve_level
 from ballet.levelset import PointSet, adaptive_delta
 from ballet.risk import SearchConfig, ballet_estimate
 from ballet.subpartition import SubPartition
+from pools import die_in_a_worker, no_child_left
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +310,17 @@ def test_study_parallel_matches_serial(tiny_study):
     spec, ballet, dbscan = tiny_study_args()
     par = run_simulation_study(2, spec, ballet, dbscan, n_jobs=2)
     assert par.to_json_dict() == tiny_study.to_json_dict()
+
+
+def test_dead_study_pool_worker_is_an_infeasible_error(monkeypatch):
+    """A replicate worker killed by a signal fails the study with an
+    InfeasibleError (exit 5), not a BrokenProcessPool, and every worker is
+    reaped."""
+    monkeypatch.setattr(bench_mod, "run_study_replicate", die_in_a_worker)
+    spec, ballet, dbscan = tiny_study_args()
+    with pytest.raises(InfeasibleError, match="study worker"):
+        run_simulation_study(2, spec, ballet, dbscan, n_jobs=2)
+    assert no_child_left()
 
 
 def test_study_validation():

@@ -2,9 +2,6 @@
 
 import argparse
 import json
-import multiprocessing
-import os
-import signal
 import subprocess
 import sys
 
@@ -13,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ballet.bench as bench_mod
+import ballet.levels as levels_mod
 import ballet.levelset as levelset_mod
 import ballet.risk as risk_mod
 from ballet import cli
@@ -23,6 +22,7 @@ from ballet.errors import BalletError
 from ballet.levelset import AdaptiveDeltaConfig, PointSet
 from ballet.risk import SearchConfig
 from ballet.subpartition import LossParams, SubPartition
+from pools import die_in_a_worker, no_child_left
 
 
 def write_config(path, **overrides):
@@ -338,19 +338,42 @@ def test_unknown_command_exits_2():
 def test_bounds_dead_pool_worker_exit_5(moons_cfg, tmp_path, monkeypatch, capsys):
     """A search worker killed by a signal ends the run with one error line
     and exit 5, and no worker outlives it."""
-
-    def die_in_a_worker(*args):
-        if multiprocessing.parent_process() is None:
-            raise AssertionError("the search did not run on a pool")
-        os.kill(os.getpid(), signal.SIGKILL)
-
     monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
     monkeypatch.setattr(risk_mod, "cpu_count", lambda: 2)
     monkeypatch.setattr(risk_mod, "_restart", die_in_a_worker)
     assert main(["bounds", "--config", str(moons_cfg), "--out", str(tmp_path / "out")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("ballet: error: a search worker") and err.count("\n") == 1
-    assert not multiprocessing.active_children()
+    assert no_child_left()
+
+
+def test_tree_dead_pool_worker_exit_5(moons_cfg, tmp_path, monkeypatch, capsys):
+    """A level worker of `ballet tree` killed by a signal ends the run with
+    one error line and exit 5, and no worker outlives it."""
+    monkeypatch.setattr(levels_mod, "_POOLED_MIN_LEVEL_ENTRIES", 0)
+    monkeypatch.setattr(levels_mod, "cpu_count", lambda: 2)
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 10**12)  # the levels' searches stay serial
+    monkeypatch.setattr(levels_mod, "ballet_estimate", die_in_a_worker)
+    argv = ["tree", "--config", str(moons_cfg), "--levels", "0.05,0.10,0.20", "--estimator", "ballet",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("ballet: error: a cluster tree worker") and err.count("\n") == 1
+    assert no_child_left()
+
+
+def test_benchmark_dead_pool_worker_exit_5(tmp_path, monkeypatch, capsys):
+    """A replicate worker of `ballet benchmark --jobs 2` killed by a signal
+    ends the run with one error line and exit 5, and no worker outlives it."""
+    monkeypatch.setattr(bench_mod, "run_study_replicate", die_in_a_worker)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"K": 10, "M_prime": 12, "S": 20}, "level": {"nu": 0.85}}))
+    argv = ["benchmark", "--config", str(cfg), "--reps", "2", "--jobs", "2", "--n", "300",
+            "--components", "3", "--out", str(tmp_path / "out")]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("ballet: error: a study worker") and err.count("\n") == 1
+    assert no_child_left()
 
 
 def test_bounds_output(moons_dir, moons_cfg):

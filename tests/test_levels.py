@@ -1,10 +1,19 @@
 import json
+import multiprocessing
+import sys
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ballet.levels as levels_mod
+import ballet.risk as risk_mod
+import ballet.util as util_mod
 from ballet.density import DensityDrawEnsemble, HistogramMixtureConfig, build_ensemble
-from ballet.errors import ConfigError, InfeasibleError
+from ballet.errors import ConfigError, InfeasibleError, SearchPassCapWarning
 from ballet.levels import (
     ClusterTree,
     ElbowResult,
@@ -18,8 +27,10 @@ from ballet.levels import (
     tree_from_clusterings,
 )
 from ballet.levelset import PointSet, surrogate_cluster
-from ballet.subpartition import SubPartition
+from ballet.risk import SearchConfig
+from ballet.subpartition import LossParams, SubPartition
 from oracles import planted_knee_curve
+from pools import die_in_a_worker, no_child_left, record_pools
 
 
 # -- level specs ----------------------------------------------------------------
@@ -284,3 +295,169 @@ def test_tree_from_ensemble_with_both_estimators():
     assert len(tree_ballet.levels) == 2
     assert tree_plugin.clusterings[0].k >= 1
     assert tree_ballet.clusterings[0].k >= 1
+
+
+# -- the tree's fork pool -------------------------------------------------------
+
+
+def tree_and_cap_warnings(ps, ensemble, lams, delta, p, cfg):
+    """A ballet tree's rows, edges and persistent clusters, and the
+    SearchPassCapWarning messages it emitted, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tree = build_cluster_tree(ps, ensemble, lams, delta, p=p, cfg=cfg)
+    rows = [sp.labels for sp in tree.clusterings]
+    caps = [str(w.message) for w in caught if issubclass(w.category, SearchPassCapWarning)]
+    return rows, tree.edges, persistent_clusters(tree, strict=False), caps
+
+
+@st.composite
+def tree_instances(draw):
+    """Small point sets with random draw values (S in 2..8), 2 to 4 levels
+    taken from those values, and a search capped at one sweetening pass,
+    so that some levels warn."""
+    n = draw(st.integers(4, 30))
+    S = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ps = PointSet(rng.normal(0.0, 1.0, (n, 2)))
+    values = rng.gamma(2.0, 1.0, (S, n))
+    lams = np.unique(rng.choice(values.ravel(), draw(st.integers(2, 4)), replace=False))
+    if lams.size < 2:
+        lams = np.array([0.0, float(values.max())])
+    p = draw(st.sampled_from([LossParams(), LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6)]))
+    cfg = SearchConfig(
+        n_restarts=draw(st.integers(1, 4)),
+        n_sweeten_passes=1,
+        n_zealous_attempts=draw(st.integers(0, 3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    delta = draw(st.sampled_from([0.3, 0.8, 1.5]))
+    return ps, DensityDrawEnsemble(values), lams.tolist(), delta, p, cfg
+
+
+def test_pooled_tree_matches_serial(monkeypatch):
+    """With the size gate at 0, a tree on 2 or 3 workers gives the serial
+    tree's rows, edges and persistent clusters and its pass-cap warnings in
+    the same order, and no child process outlives the call."""
+    monkeypatch.setattr(levels_mod, "_POOLED_MIN_LEVEL_ENTRIES", 0)
+    opened = record_pools(monkeypatch)
+
+    @settings(max_examples=30, deadline=None)
+    @given(tree_instances())
+    def check(instance):
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(levels_mod, "cpu_count", lambda: cpus)
+            runs.append(tree_and_cap_warnings(*instance))
+            assert no_child_left()
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        capped.append(len(runs[0][3]))
+
+    capped = []
+    check()
+    assert {2, 3} <= set(opened) and max(capped) >= 2
+
+
+def two_blob_ladder(n=60, S=12, seed=5):
+    rng = np.random.default_rng(seed)
+    ps = PointSet(np.concatenate([rng.normal(0, 0.3, (n // 2, 2)), rng.normal(3, 0.3, (n - n // 2, 2))]))
+    ensemble = build_ensemble(ps, HistogramMixtureConfig(K=4, M_prime=6), S=S, seed=seed)
+    mean = ensemble.posterior_mean()
+    lams = [float(np.quantile(mean, q)) for q in (0.1, 0.4, 0.7)]
+    return ps, ensemble, lams, 0.8
+
+
+def test_pooled_tree_reads_levels_in_order(monkeypatch):
+    """When level 0 finishes last, the rows and the order of the pass-cap
+    warnings are still the serial ones."""
+    ps, ensemble, lams, delta = two_blob_ladder()
+    cfg = SearchConfig(n_restarts=3, n_sweeten_passes=1, n_zealous_attempts=0, seed=2)
+    estimate = levels_mod.ballet_estimate
+
+    def level_0_late(ps, ensemble, lam, *args, **kwargs):
+        if lam == lams[0]:
+            time.sleep(0.2)
+        warnings.warn(f"level {lams.index(lam)}", SearchPassCapWarning)  # marks the level's place
+        return estimate(ps, ensemble, lam, *args, **kwargs)
+
+    monkeypatch.setattr(levels_mod, "ballet_estimate", level_0_late)
+    serial = tree_and_cap_warnings(ps, ensemble, lams, delta, LossParams(), cfg)
+    monkeypatch.setattr(levels_mod, "_POOLED_MIN_LEVEL_ENTRIES", 0)
+    monkeypatch.setattr(levels_mod, "cpu_count", lambda: 3)
+    opened = record_pools(monkeypatch)
+    assert tree_and_cap_warnings(ps, ensemble, lams, delta, LossParams(), cfg) == serial
+    assert opened == [3] and [w for w in serial[3] if w.startswith("level")] == ["level 0", "level 1", "level 2"]
+    assert any(w.startswith("search restart") for w in serial[3])
+
+
+def test_tree_pool_gate(monkeypatch):
+    """A tree opens a pool of min(CPUs, levels) workers from
+    _POOLED_MIN_LEVEL_ENTRIES (point, draw) entries at or above the levels,
+    none below, and none when a level's search would pool its restarts."""
+    monkeypatch.setattr(levels_mod, "cpu_count", lambda: 3)
+    monkeypatch.setattr(risk_mod, "cpu_count", lambda: 2)
+    opened = record_pools(monkeypatch)
+    ps, ensemble, lams, delta = two_blob_ladder()
+    cfg = SearchConfig(n_restarts=2, seed=1)
+    entries = [int(np.count_nonzero(ensemble.values >= lam)) for lam in lams]
+    trees = []
+    for gate in (sum(entries) + 1, sum(entries)):
+        monkeypatch.setattr(levels_mod, "_POOLED_MIN_LEVEL_ENTRIES", gate)
+        trees.append(build_cluster_tree(ps, ensemble, lams, delta, cfg=cfg))
+    assert opened == [3] and trees[0] == trees[1]
+    # the lowest level's search pools its 2 restarts itself, and the tree none
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", max(entries) * cfg.n_restarts)
+    opened.clear()
+    assert build_cluster_tree(ps, ensemble, lams, delta, cfg=cfg) == trees[0]
+    assert opened == [2]
+
+
+def test_tree_pools_only_with_several_cpus(monkeypatch):
+    """With the gate at 0 and the CPUs this process may really run on, a
+    tree opens a pool when there are several, and none on one CPU (as
+    under taskset -c 0)."""
+    monkeypatch.setattr(levels_mod, "_POOLED_MIN_LEVEL_ENTRIES", 0)
+    opened = record_pools(monkeypatch)
+    ps, ensemble, lams, delta = two_blob_ladder()
+    build_cluster_tree(ps, ensemble, lams, delta, cfg=SearchConfig(n_restarts=2))
+    cpus = levels_mod.cpu_count()
+    assert opened == ([min(cpus, 3)] if cpus > 1 else [])
+    assert no_child_left()
+
+
+def test_tree_in_a_child_process_opens_no_pool(monkeypatch):
+    """A tree built inside a child process estimates its levels serially:
+    its parent already uses the CPUs."""
+    monkeypatch.setattr(levels_mod, "_POOLED_MIN_LEVEL_ENTRIES", 0)
+    monkeypatch.setattr(levels_mod, "cpu_count", lambda: 3)
+    ps, ensemble, lams, delta = two_blob_ladder()
+    cfg = SearchConfig(n_restarts=2)
+    expected = build_cluster_tree(ps, ensemble, lams, delta, cfg=cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree in a child process opened a pool")
+
+    def child():
+        util_mod._fork_lanes = refuse  # in the child's memory only
+        sys.exit(0 if build_cluster_tree(ps, ensemble, lams, delta, cfg=cfg) == expected else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == 0
+
+
+def test_dead_tree_pool_worker_is_an_infeasible_error(monkeypatch):
+    """A level worker killed by a signal fails the tree with an
+    InfeasibleError (exit 5), not a BrokenProcessPool, and every worker is
+    reaped."""
+    monkeypatch.setattr(levels_mod, "_POOLED_MIN_LEVEL_ENTRIES", 0)
+    monkeypatch.setattr(levels_mod, "cpu_count", lambda: 2)
+    monkeypatch.setattr(levels_mod, "ballet_estimate", die_in_a_worker)
+    ps, ensemble, lams, delta = two_blob_ladder()
+    with pytest.raises(InfeasibleError, match="cluster tree worker"):
+        build_cluster_tree(ps, ensemble, lams, delta, cfg=SearchConfig(n_restarts=2))
+    assert no_child_left()

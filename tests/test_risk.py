@@ -4,11 +4,10 @@ import json
 import math
 import multiprocessing
 import os
-import signal
 import sys
+import threading
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballet.risk as risk_mod
+import ballet.util as util_mod
 from ballet.errors import DataIOError, InfeasibleError, NumericError, SearchPassCapWarning
 from ballet.levelset import PointSet
 from ballet.risk import (
@@ -39,6 +39,7 @@ from ballet.subpartition import (
     ia_binder_loss,
 )
 
+from pools import TEST_PID, die_in_a_worker, no_child_left, record_pools
 from oracles import (
     oracle_best_assignment,
     oracle_candidate_costs,
@@ -1094,19 +1095,6 @@ def labels_and_cap_warnings(stats, p, cfg, seeds):
     return labels, [str(w.message) for w in caught if issubclass(w.category, SearchPassCapWarning)]
 
 
-def record_pools(monkeypatch):
-    """The worker count of every search pool opened from here on."""
-    opened = []
-
-    class RecordedPool(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            opened.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(risk_mod, "ProcessPoolExecutor", RecordedPool)
-    return opened
-
-
 def test_pooled_search_matches_serial(monkeypatch):
     """With the size gate at 0, a search on 2 or 3 workers gives the serial
     search's labels and its pass-cap warnings in the same order, and no
@@ -1124,7 +1112,7 @@ def test_pooled_search_matches_serial(monkeypatch):
         for cpus in (1, 2, 3):
             monkeypatch.setattr(risk_mod, "cpu_count", lambda: cpus)
             runs.append(labels_and_cap_warnings(stats, p, cfg, seeds))
-            assert not multiprocessing.active_children()
+            assert no_child_left()
         assert runs[1] == runs[0] and runs[2] == runs[0]
         capped.append(len(runs[0][1]))
 
@@ -1181,7 +1169,7 @@ def test_search_pools_only_with_several_cpus(monkeypatch):
     search(precompute_stats(draws), cfg=SearchConfig(n_restarts=4), seeds=draws)
     cpus = risk_mod.cpu_count()
     assert opened == ([min(cpus, 4)] if cpus > 1 else [])
-    assert not multiprocessing.active_children()
+    assert no_child_left()
 
 
 def test_search_in_a_child_process_opens_no_pool(monkeypatch):
@@ -1198,7 +1186,7 @@ def test_search_in_a_child_process_opens_no_pool(monkeypatch):
         raise AssertionError("a search in a child process opened a pool")
 
     def child():
-        risk_mod.ProcessPoolExecutor = refuse  # in the child's memory only
+        util_mod._fork_lanes = refuse  # in the child's memory only
         sys.exit(0 if search(stats, cfg=cfg, seeds=draws).labels == expected else 1)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
@@ -1208,13 +1196,6 @@ def test_search_in_a_child_process_opens_no_pool(monkeypatch):
         proc.kill()
         proc.join()
     assert proc.exitcode == 0
-
-
-def die_in_a_worker(*args):
-    """A _restart that kills its own process, run only in a pool worker."""
-    if multiprocessing.parent_process() is None:
-        raise AssertionError("the search did not run on a pool")
-    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def test_dead_pool_worker_is_an_infeasible_error(monkeypatch):
@@ -1227,7 +1208,77 @@ def test_dead_pool_worker_is_an_infeasible_error(monkeypatch):
     draws = random_draws(np.random.default_rng(49), 30, 5, max_k=4)
     with pytest.raises(InfeasibleError, match="search worker"):
         search(precompute_stats(draws), cfg=SearchConfig(n_restarts=4), seeds=draws)
-    assert not multiprocessing.active_children()
+    assert no_child_left()
+
+
+def test_pool_tasks_run_their_searches_serially(monkeypatch):
+    """A search inside a fork_map task, in a forked worker or in the calling
+    process, opens no pool of its own: the pool already uses the CPUs."""
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
+    monkeypatch.setattr(risk_mod, "cpu_count", lambda: 2)
+    opened = record_pools(monkeypatch)
+    draws = random_draws(np.random.default_rng(50), 30, 5, max_k=4)
+    stats = precompute_stats(draws)
+    cfg = SearchConfig(n_restarts=4)
+    expected = search(stats, cfg=cfg, seeds=draws).labels
+    assert opened == [2]
+
+    def search_and_count(_, k):
+        return search(stats, cfg=cfg, seeds=draws).labels, len(opened)
+
+    runs = util_mod.fork_map(search_and_count, None, [(k,) for k in range(4)], 2, "test")
+    assert opened == [2, 2] and runs == [(expected, 2)] * 4 and no_child_left()
+
+
+def test_pool_returns_results_and_the_first_error_in_task_order():
+    """fork_map gives the serial results for more tasks than claim records,
+    and raises the first failed task's error in task order, on any number of
+    processes."""
+    squares = [i * i for i in range(2500)]
+
+    def fail_at_3_and_7(_, i):
+        if i in (3, 7):
+            raise ValueError(i)
+        return i
+
+    for workers in (1, 2, 3):
+        assert util_mod.fork_map(lambda _, i: i * i, None, [(i,) for i in range(2500)], workers, "test") == squares
+        with pytest.raises(ValueError) as failed:
+            util_mod.fork_map(fail_at_3_and_7, None, [(i,) for i in range(10)], workers, "test")
+        assert failed.value.args == (3,) and no_child_left()
+
+
+def test_pool_stays_serial_beside_another_thread(monkeypatch):
+    """fork_map forks no worker while the calling process runs another
+    thread: the fork would copy that thread's locks mid-use."""
+    opened = record_pools(monkeypatch)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        squares = util_mod.fork_map(lambda _, i: i * i, None, [(i,) for i in range(4)], 2, "test")
+    finally:
+        release.set()
+        waiter.join(timeout=10)
+    assert squares == [0, 1, 4, 9] and opened == [] and not waiter.is_alive()
+    assert util_mod.fork_map(lambda _, i: i * i, None, [(i,) for i in range(4)], 2, "test") == squares
+    assert opened == [2]
+
+
+def test_pool_kills_its_workers_when_the_caller_fails():
+    """When the calling process fails in its own share of the tasks (here
+    interrupted), the workers still running are killed and reaped."""
+
+    def interrupted_here_slow_there(_, i):
+        if os.getpid() == TEST_PID:
+            time.sleep(0.1)  # let the workers claim a task
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        util_mod.fork_map(interrupted_here_slow_there, None, [(i,) for i in range(3)], 3, "test")
+    assert no_child_left() and time.perf_counter() - start < 30
 
 
 # -- plugin and pipeline -------------------------------------------------------
