@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .credible import compute_credible_ball
 from .density import HistogramMixtureConfig, build_ensemble
@@ -31,7 +32,7 @@ from .risk import (
     plugin_estimate,
 )
 from .subpartition import SubPartition
-from .util import fork_map, order_statistic_ceil, spawn_rngs
+from .util import cpu_count, fork_map, order_statistic_ceil, spawn_rngs
 
 __all__ = [
     "EVAL_SCHEMA",
@@ -374,22 +375,22 @@ def dbscan_parameters(ps: PointSet, cfg: DbscanStudyConfig) -> tuple[int, float]
     to its MinPts-th nearest dataset point, a data point counting as its own
     first neighbor -- the same inclusive convention as the core-point test;
     the k-NN query runs on every CPU of the process from 2000 query points
-    up. A given Eps whose graph would not fit the pair budget is an
-    InfeasibleError.
+    up. An Eps, given or resolved, whose graph would not fit the pair budget
+    is an InfeasibleError; one kd-tree serves the k-NN query and the count.
     """
     k = default_k_dbscan(ps.n) if cfg.min_pts is None else int(cfg.min_pts)
     if not 1 <= k <= ps.n:
         raise ConfigError(f"min_pts={k} out of range for n={ps.n}")
-    if cfg.eps is not None:
-        _check_pair_budget(ps.points, cfg.eps)
-        return k, float(cfg.eps)
-    # MinPts = 1 counts the point itself only, at distance 0
-    radii = _knn_distance_at(ps, np.arange(ps.n), k - 1) if k > 1 else np.zeros(ps.n)
-    eps = order_statistic_ceil(radii, 1.0 - cfg.nu)
-    if not eps > 0:
-        raise ConfigError(
-            f"resolved Eps={eps} is not positive (min_pts={k} too small for the data)"
-        )
+    tree, eps = cKDTree(ps.points), cfg.eps
+    if eps is None:
+        # MinPts = 1 counts the point itself only, at distance 0
+        radii = _knn_distance_at(tree, np.arange(ps.n), k - 1) if k > 1 else np.zeros(ps.n)
+        eps = order_statistic_ceil(radii, 1.0 - cfg.nu)
+        if not eps > 0:
+            raise ConfigError(
+                f"resolved Eps={eps} is not positive (min_pts={k} too small for the data)"
+            )
+    _check_pair_budget(tree, eps)
     return k, float(eps)
 
 
@@ -406,7 +407,8 @@ def run_study_replicate(
     seeds: tuple[int, int, int],
 ) -> dict:
     """One replicate: generate, fit the ensemble, resolve the level and delta,
-    run all estimators, and score each against the component means."""
+    run all estimators, and score each against the component means. A delta
+    past the pair budget is an InfeasibleError, before any pair is stored."""
     data_seed, ensemble_seed, search_seed = seeds
     ps, targets, _ = generate_sky_survey(replace(spec, seed=data_seed))
     ensemble = build_ensemble(ps, ballet.hist, S=ballet.S, seed=ensemble_seed)
@@ -414,6 +416,7 @@ def run_study_replicate(
     lam = resolve_level(LevelSpec("noise_fraction", ballet.nu), density_at_points=fbar)
     active = np.flatnonzero(fbar >= lam)
     delta = adaptive_delta(ps, active, ballet.delta)
+    _check_pair_budget(cKDTree(ps.points), delta)
 
     result = ballet_estimate(
         ps, ensemble, lam, delta, ballet.loss, replace(ballet.search, seed=search_seed)
@@ -455,10 +458,6 @@ def run_study_replicate(
     return row
 
 
-def _replicate(configs: tuple, seeds: tuple[int, int, int]) -> dict:
-    return run_study_replicate(*configs, seeds)
-
-
 @dataclass(frozen=True)
 class StudyResult:
     """Per-replicate rows and metric means per method."""
@@ -491,25 +490,22 @@ def run_simulation_study(
     spec: SkySurveySpec = SkySurveySpec(),
     ballet: BalletStudyConfig = BalletStudyConfig(),
     dbscan: DbscanStudyConfig = DbscanStudyConfig(),
-    n_jobs: int = 1,
 ) -> StudyResult:
     """Replicated comparison of all estimators on fresh survey draws.
 
     spec.seed is the master seed; every replicate derives its own data,
-    ensemble, and search seeds from it, so results do not depend on n_jobs.
-    With n_jobs > 1 the replicates run on min(n_jobs, reps) processes
-    (util.fork_map): this one and workers it forks. Their searches and
-    trees run serially, and only each replicate's row comes back. They run
-    serially without the fork start method and inside a pool task or child
-    process. A worker that dies (killed by a signal or the OOM killer)
-    raises InfeasibleError once every worker is reaped.
+    ensemble, and search seeds from it. From as many replicates as CPUs up
+    they run on cpu_count() processes (util.fork_map), each search
+    serially, and only each replicate's row and warnings come back; fewer
+    run serially, each search free to pool its restarts (see search). The
+    rows and warnings do not depend on the worker count. A worker that dies
+    (killed by a signal or the OOM killer) raises InfeasibleError.
     """
     if reps < 1:
         raise ConfigError(f"reps must be >= 1, got {reps}")
-    if n_jobs < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
-    tasks = [(s,) for s in _rep_seeds(spec.seed, reps)]
-    rows = fork_map(_replicate, (spec, ballet, dbscan), tasks, n_jobs, "study")
+    tasks = [(ballet, dbscan, s) for s in _rep_seeds(spec.seed, reps)]
+    workers = cpu_count() if reps >= cpu_count() else 1
+    rows = fork_map(run_study_replicate, spec, tasks, workers, "study")
     for i, row in enumerate(rows):
         row["rep"] = i
 

@@ -22,6 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy
+from scipy.spatial import cKDTree
 
 from . import __version__
 from .bench import (
@@ -317,7 +318,7 @@ def _prepare(cfg: RunConfig, key: str, values: list[float]) -> tuple[PointSet, D
     """
     ps = _load_points(cfg)
     if not isinstance(cfg.delta, AdaptiveDeltaConfig):
-        _check_pair_budget(ps.points, cfg.delta)
+        _check_pair_budget(cKDTree(ps.points), cfg.delta)
     if cfg.ensemble is not None:
         ensemble = DensityDrawEnsemble.load(cfg.ensemble)
     else:
@@ -339,7 +340,7 @@ def _prepare(cfg: RunConfig, key: str, values: list[float]) -> tuple[PointSet, D
         if active.size == 0:
             raise InfeasibleError("no active points at the resolved level; cannot adapt delta")
         delta = adaptive_delta(ps, active, delta)
-        _check_pair_budget(ps.points, delta)
+        _check_pair_budget(cKDTree(ps.points), delta)
     return ps, ensemble, lams, delta
 
 
@@ -536,7 +537,7 @@ def cmd_benchmark(cfg: RunConfig, args: argparse.Namespace) -> None:
         credible_alpha=cfg.alpha,
     )
     dbscan_cfg = DbscanStudyConfig(nu=nu, min_pts=cfg.min_pts, eps=cfg.eps)
-    result = run_simulation_study(args.reps, spec, ballet_cfg, dbscan_cfg, n_jobs=args.jobs)
+    result = run_simulation_study(args.reps, spec, ballet_cfg, dbscan_cfg)
     out = _emit(cfg, "study", STUDY_SCHEMA, result.to_json_dict())
     (out / "summary.csv").write_text(result.summary_csv(), encoding="ascii")
     print(out / "summary.csv")
@@ -636,7 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=4000)
     sp.add_argument("--components", type=int, default=10)
     sp.add_argument("--noise-mass", dest="noise_mass", type=float, default=0.9)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel replicates")
     sp.set_defaults(func=cmd_benchmark)
 
     sp = sub.add_parser("evaluate", help="ellipse detection metrics of a labels file")

@@ -284,13 +284,10 @@ def tree_from_clusterings(
 _POOLED_MIN_LEVEL_ENTRIES = 1_000
 
 
-def _level_estimate(state: tuple, lam: float) -> tuple[np.ndarray, list[Warning]]:
-    """One level's ballet estimate: its labels and the warnings it emitted."""
+def _level_estimate(state: tuple, lam: float) -> np.ndarray:
+    """The labels of one level's ballet estimate."""
     ps, ensemble, delta, p, cfg = state
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        estimate = ballet_estimate(ps, ensemble, lam, delta, p=p, cfg=cfg).estimate
-    return estimate.labels_array, [w.message for w in caught]
+    return ballet_estimate(ps, ensemble, lam, delta, p=p, cfg=cfg).estimate.labels_array
 
 
 def build_cluster_tree(
@@ -310,14 +307,13 @@ def build_cluster_tree(
     it forks, once the levels' (point, draw) entries at or above their
     level, summed, reach _POOLED_MIN_LEVEL_ENTRIES. The workers inherit the
     points, the ensemble and the config at the fork, and the levels'
-    searches run serially; only each level's labels and the warnings its
-    estimate emitted come back. The levels are estimated serially below
-    that size, when some level's search would run on a pool of its own
-    (see search), on one CPU, without the fork start method, and inside a
-    child process. Either way the warnings are emitted here, in level
-    order, once every level is estimated, so the tree and its warnings do
-    not depend on the worker count. A worker that dies (killed by a signal
-    or the OOM killer) raises InfeasibleError once every worker is reaped.
+    searches run serially; only each level's labels and warnings come back,
+    so the tree and its warnings do not depend on the worker count. The
+    levels are estimated serially below that size, when some level's
+    search would run on a pool of its own (see search), on one CPU, without
+    the fork start method, and inside a child process. A worker that dies
+    (killed by a signal or the OOM killer) raises InfeasibleError once
+    every worker is reaped.
     """
     if estimator not in ("ballet", "plugin"):
         raise ValueError(f"estimator must be 'ballet' or 'plugin', got {estimator!r}")
@@ -339,10 +335,7 @@ def build_cluster_tree(
         workers = min(cpu_count(), len(lams))
     state = (ps, ensemble, delta, p, cfg)
     estimates = fork_map(_level_estimate, state, [(lam,) for lam in lams], workers, "cluster tree")
-    for _, caught in estimates:
-        for message in caught:
-            warnings.warn(message)
-    return tree_from_clusterings(lams, [SubPartition(labels) for labels, _ in estimates])
+    return tree_from_clusterings(lams, [SubPartition(labels) for labels in estimates])
 
 
 def persistent_clusters(tree: ClusterTree, strict: bool = True) -> set[tuple[int, int]]:

@@ -144,11 +144,10 @@ def _delta_pairs(points: np.ndarray, delta: float, closed: bool) -> np.ndarray:
 _PAIR_BUDGET_BYTES = 1 << 30
 
 
-def _check_pair_budget(points: np.ndarray, delta: float) -> None:
-    """Raise InfeasibleError when _delta_pairs on these points would pass the
-    pair budget. The kd-tree counts the pairs within the same radius, storing none."""
-    n, d = points.shape
-    tree = cKDTree(points)
+def _check_pair_budget(tree: cKDTree, delta: float) -> None:
+    """Raise InfeasibleError when _delta_pairs on the tree's points would pass
+    the pair budget. The tree counts the pairs within that radius, storing none."""
+    n, d = tree.data.shape
     # count_neighbors counts ordered pairs, each point with itself included
     pairs = (int(tree.count_neighbors(tree, delta * (1 + 1e-9))) - n) // 2
     if pairs * (49 + 8 * d) > _PAIR_BUDGET_BYTES:
@@ -247,16 +246,16 @@ class AdaptiveDeltaConfig:
 _THREADED_MIN_QUERIES = 2000
 
 
-def _knn_distance_at(ps: PointSet, at: np.ndarray, k: int) -> np.ndarray:
+def _knn_distance_at(tree: cKDTree, at: np.ndarray, k: int) -> np.ndarray:
     """Distance from the points indexed by `at` to their k-th nearest other
-    point of ps, 1 <= k <= n-1. From _THREADED_MIN_QUERIES points up the
+    point of the kd-tree, 1 <= k <= n-1. From _THREADED_MIN_QUERIES points up the
     kd-tree query runs on every CPU of the process; each query point is
     answered alone, so the distances do not depend on the thread count."""
-    if not 1 <= k <= ps.n - 1:
-        raise ValueError(f"k={k} out of range for n={ps.n} (need 1 <= k <= n-1)")
+    if not 1 <= k <= tree.n - 1:
+        raise ValueError(f"k={k} out of range for n={tree.n} (need 1 <= k <= n-1)")
     workers = cpu_count() if len(at) >= _THREADED_MIN_QUERIES else 1
     # column 0 is the point itself (distance 0); ties only shift equal values
-    dist, _ = cKDTree(ps.points).query(ps.points[at], k=k + 1, workers=workers)
+    dist, _ = tree.query(tree.data[at], k=k + 1, workers=workers)
     return np.asarray(dist[:, k], dtype=np.float64)
 
 
@@ -272,7 +271,7 @@ def adaptive_delta(ps: PointSet, active: Sequence[int], cfg: AdaptiveDeltaConfig
     if act.size == 0:
         raise ValueError("active set must be nonempty")
     k = cfg.resolve_k(ps.n)
-    return order_statistic_ceil(_knn_distance_at(ps, act, k), 1.0 - cfg.gamma)
+    return order_statistic_ceil(_knn_distance_at(cKDTree(ps.points), act, k), 1.0 - cfg.gamma)
 
 
 def surrogate_cluster(

@@ -48,7 +48,7 @@ The search's independent work, each seed's risk count and each restart,
 runs on util.fork_map's processes, one per CPU (at most one per restart),
 from _POOLED_MIN_ENTRIES (point, draw) entries times restarts. The workers
 inherit the engine, the draw cells and the restarts' generators at the
-fork; only counts, support labels and the pass-cap flag come back.
+fork; only counts, support labels and pass-cap warnings come back.
 """
 
 from __future__ import annotations
@@ -672,23 +672,19 @@ def _full_labels(stats: CoClusteringStats, labels_sup: np.ndarray) -> np.ndarray
     return full
 
 
-def _restart(
-    engine: _Engine,
-    stats: CoClusteringStats,
-    rng: np.random.Generator,
-    seeds: Sequence[SubPartition],
-    cfg: SearchConfig,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One restart of search, drawing from rng only.
+def _restart(work: _Work, i: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Restart i of search, drawing from rng only.
 
-    With seeds it starts from the support labels of one of them drawn at
-    random, and recounts the risk of that start (the seed with its points
-    off the support left as noise), otherwise from an incremental
+    An odd restart with seeds starts from the support labels of one of them
+    drawn at random, and recounts the risk of that start (the seed with its
+    points off the support left as noise), any other from an incremental
     assignment in random order; then it runs the sweetening passes and the
-    zealous attempts. Returns the restart's _risk_counts, its support
-    labels, and whether its last allowed sweetening pass still moved a
-    point.
+    zealous attempts. Returns the restart's _risk_counts and its support
+    labels, and emits a SearchPassCapWarning when its last allowed
+    sweetening pass still moved a point.
     """
+    engine, stats, seeds, cfg = work
+    seeds = seeds if i % 2 == 1 else []
     u = engine.labels.size
     if seeds:
         start = seeds[int(rng.integers(len(seeds)))].labels_array[stats.support]
@@ -713,8 +709,13 @@ def _restart(
         members = np.flatnonzero(engine.labels == target)
         if members.size:
             counts = _zealous(engine, rng.permutation(members), counts)
-    # a pass that moved a point was the last allowed one
-    return counts, engine.labels.copy(), moved
+    if moved:  # in the last allowed pass
+        warnings.warn(
+            f"search restart {i} still moved points in its last of "
+            f"{cfg.n_sweeten_passes} sweetening passes",
+            SearchPassCapWarning,
+        )
+    return counts, engine.labels.copy()
 
 
 class _Work(NamedTuple):
@@ -727,10 +728,10 @@ class _Work(NamedTuple):
     cfg: SearchConfig
 
     def task(self, i: int, rng: Optional[np.random.Generator]):
-        """Seed i's _risk_counts without a generator, else restart i's result."""
+        """Seed i's (_risk_counts, None) without a generator, else restart i's result."""
         if rng is None:
-            return _risk_counts(self.stats, self.seeds[i].labels_array)
-        return _restart(self.engine, self.stats, rng, self.seeds if i % 2 == 1 else [], self.cfg)
+            return _risk_counts(self.stats, self.seeds[i].labels_array), None
+        return _restart(self, i, rng)
 
 
 # Below this many (point, draw) entries times restarts a search runs serially.
@@ -789,12 +790,12 @@ def search(
     search runs serially below that, with one worker, without the fork
     start method, and inside a pool task or child process (such as a level
     of build_cluster_tree or a replicate of run_simulation_study), whose
-    parent already uses the CPUs. Each restart draws from its own generator only,
-    and the best is picked here in restart order, seeds first, with a
-    strict <, and the warnings are emitted in restart order: the labels and
-    warnings do not depend on the worker count. A worker that dies (killed
-    by a signal or the OOM killer) raises InfeasibleError once every worker
-    is reaped.
+    parent already uses the CPUs. Each restart draws from its own generator
+    only, the best is picked here in restart order, seeds first, with a
+    strict <, and fork_map emits the restarts' warnings in restart order:
+    the labels and warnings do not depend on the worker count. A worker that
+    dies (killed by a signal or the OOM killer) raises InfeasibleError once
+    every worker is reaped.
     """
     engine = _Engine(stats, p)  # builds stats.cells, so a fork pool's workers inherit both
     seed_list = list(seeds) if seeds is not None else []
@@ -809,20 +810,10 @@ def search(
     workers = _search_workers(stats.cells.point.size, cfg)
     tasks = [(j, None) for j in range(len(seed_list))] + list(enumerate(rngs))
     results = fork_map(_Work.task, work, tasks, workers, "search")
-    seed_counts, restarts = results[: len(seed_list)], results[len(seed_list) :]
-    for s, counts in zip(seed_list, seed_counts):
-        if engine.risk(counts) < best_risk:
-            best_sp, best_risk = s, engine.risk(counts)
-    for restart, (counts, labels, capped) in enumerate(restarts):
-        if capped:
-            warnings.warn(
-                f"search restart {restart} still moved points in its last of "
-                f"{cfg.n_sweeten_passes} sweetening passes",
-                SearchPassCapWarning,
-            )
+    for (counts, labels), seed in zip(results, seed_list + [None] * cfg.n_restarts):
         if engine.risk(counts) < best_risk:
             best_risk = engine.risk(counts)
-            best_sp = SubPartition(_full_labels(stats, labels))
+            best_sp = seed if labels is None else SubPartition(_full_labels(stats, labels))
     return best_sp
 
 

@@ -9,13 +9,19 @@ unpickled. Every process claims the next tasks from one pipe of task
 indices until it is empty, so slow and fast tasks spread over the
 processes, and each child pickles its results back once, when it is done.
 The results are put in task order, and the first failed task in that order
-raises its error, so a caller's output does not depend on the worker count.
-A pool uses no thread. Each caller sets its own worker count and size gate.
-The tasks run serially in the calling process for one worker, without the
-fork start method, inside a pool task or another child process, whose
-parent already uses the CPUs, and while the calling process runs other
-threads, which a fork would copy in the middle of what they do. A worker that dies (killed by a signal or the
-OOM killer) is an InfeasibleError, raised once every worker is reaped.
+raises its error once the warnings of the tasks up to it are shown, in task
+order, so a caller's output does not depend on the worker count. A child
+records every warning; the caller filters each as warnings.warn did in the
+module that raised it. The caller's own tasks' warnings meet its filters as
+they arise and are held back, so a warning shown once that a child's task
+and a later one of the caller's both raise is shown at the latter. A pool
+uses no thread. Each caller sets its own worker count and size gate. The
+tasks run serially in the calling process for one worker, without the fork
+start method, inside a pool task or another child process, whose parent
+already uses the CPUs, and while the calling process runs other threads,
+which a fork would copy in the middle of what they do. A worker that dies
+(killed by a signal or the OOM killer) is an InfeasibleError, raised once
+every worker is reaped.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ import multiprocessing
 import os
 import pickle
 import signal
+import sys
 import threading
+import warnings
 from contextlib import suppress
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -122,28 +130,35 @@ def fork_map(fn: Callable, state, tasks: Sequence[tuple], workers: int, what: st
 
 def _run_claims(fn: Callable, state, tasks: list, claims: int, per: int) -> list:
     """Run the tasks of each claim read from the pipe until it is empty:
-    (index, True, result) or (index, False, error) for each."""
+    (index, True, result, shown) or (index, False, error, shown) for each,
+    shown being the warnings it raised that the filters let through."""
     global _in_task
     _in_task = True
+    show = warnings.showwarning
     done = []
     try:
         while record := os.read(claims, 4):
             first = int.from_bytes(record, "little") * per
             for i in range(first, min(first + per, len(tasks))):
+                shown = []
+                warnings.showwarning = lambda *w: shown.append(w[:4])  # (message, category, file, line)
                 try:
-                    done.append((i, True, fn(state, *tasks[i])))
+                    done.append((i, True, fn(state, *tasks[i]), shown))
                 except Exception as exc:  # raised by the caller, in task order
-                    done.append((i, False, exc))
+                    done.append((i, False, exc, shown))
     finally:
+        warnings.showwarning = show
         _in_task = False
     return done
 
 
-def _read_all(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
+def _warn_again(message, category, filename: str, lineno: int) -> None:
+    """Warn as warnings.warn did in a child, in the module that raised it:
+    the one loaded from filename, else __main__ (code run from a string)."""
+    loaded = (m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename)
+    module = next(loaded, sys.modules["__main__"])
+    registry = vars(module).setdefault("__warningregistry__", {})
+    warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
 
 
 def _fork_lanes(fn: Callable, state, tasks: list, workers: int, what: str) -> list:
@@ -168,6 +183,7 @@ def _fork_lanes(fn: Callable, state, tasks: list, workers: int, what: str) -> li
             if pid == 0:  # a worker: it never returns from here
                 code = 1
                 try:
+                    warnings.simplefilter("always")  # the caller filters them
                     payload = pickle.dumps(_run_claims(fn, state, tasks, claims, per))
                     with open(results_in, "wb") as out:
                         out.write(payload)
@@ -176,13 +192,14 @@ def _fork_lanes(fn: Callable, state, tasks: list, workers: int, what: str) -> li
                     os._exit(code)
             os.close(results_in)
             children[pid] = results
-        done = _run_claims(fn, state, tasks, claims, per)
+        done = [(*task, warnings.showwarning) for task in _run_claims(fn, state, tasks, claims, per)]
         dead = False
         for pid in list(children):
-            payload = _read_all(children[pid])
+            with open(children[pid], "rb", closefd=False) as results:
+                payload = results.read()
             os.close(children.pop(pid))
             if os.waitpid(pid, 0)[1] == 0:
-                done += pickle.loads(payload)
+                done += [(*task, _warn_again) for task in pickle.loads(payload)]
             else:
                 dead = True
     finally:
@@ -197,7 +214,9 @@ def _fork_lanes(fn: Callable, state, tasks: list, workers: int, what: str) -> li
             f"a {what} worker process ended abruptly (killed by a signal or out of memory)"
         )
     out = []
-    for _, ok, value in sorted(done, key=itemgetter(0)):
+    for _, ok, value, caught, show in sorted(done, key=itemgetter(0)):
+        for w in caught:
+            show(*w)
         if not ok:
             raise value
         out.append(value)

@@ -1,5 +1,8 @@
 """Generator, ellipse-metric, and replication-harness tests."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,12 +21,13 @@ from ballet.bench import (
     run_simulation_study,
 )
 from ballet.density import HistogramMixtureConfig, build_ensemble
-from ballet.errors import ConfigError, InfeasibleError
+from ballet.errors import ConfigError, InfeasibleError, SearchPassCapWarning
 from ballet.levels import LevelSpec, resolve_level
 from ballet.levelset import PointSet, adaptive_delta
 from ballet.risk import SearchConfig, ballet_estimate
 from ballet.subpartition import SubPartition
-from pools import die_in_a_worker, no_child_left
+from ballet.util import fork_map
+from pools import die_in_a_worker, no_child_left, record_pools
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +280,9 @@ def tiny_study_args():
 @pytest.fixture(scope="module")
 def tiny_study():
     spec, ballet, dbscan = tiny_study_args()
-    return run_simulation_study(2, spec, ballet, dbscan)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench_mod, "cpu_count", lambda: 1)  # the serial study
+        return run_simulation_study(2, spec, ballet, dbscan)
 
 
 def test_study_shape_and_invariants(tiny_study):
@@ -306,10 +312,38 @@ def test_study_deterministic(tiny_study):
     assert again.summary_csv() == tiny_study.summary_csv()
 
 
-def test_study_parallel_matches_serial(tiny_study):
+def test_study_parallel_matches_serial(tiny_study, monkeypatch):
+    monkeypatch.setattr(bench_mod, "cpu_count", lambda: 2)
     spec, ballet, dbscan = tiny_study_args()
-    par = run_simulation_study(2, spec, ballet, dbscan, n_jobs=2)
+    par = run_simulation_study(2, spec, ballet, dbscan)
     assert par.to_json_dict() == tiny_study.to_json_dict()
+
+
+def test_pooled_study_warns_as_a_serial_one(monkeypatch):
+    """A study's 4 replicates on 1, 2 or 3 processes give the same rows and
+    the same SearchPassCapWarning messages, in the same order: a worker's
+    warnings reach the caller. On 5 CPUs they run serially, so that each
+    search may pool its own restarts."""
+    spec, ballet, dbscan = tiny_study_args()
+    spec = replace(spec, n=300)
+    ballet = replace(ballet, search=replace(ballet.search, n_sweeten_passes=1))
+    opened, asked = record_pools(monkeypatch), []
+
+    def asking(fn, state, tasks, workers, what):
+        asked.append(workers)
+        return fork_map(fn, state, tasks, workers, what)
+
+    monkeypatch.setattr(bench_mod, "fork_map", asking)
+    runs = []
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(bench_mod, "cpu_count", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = run_simulation_study(4, spec, ballet, dbscan).per_rep
+        runs.append((rows, [str(w.message) for w in caught if issubclass(w.category, SearchPassCapWarning)]))
+        assert no_child_left()
+    assert runs[1] == runs[0] and runs[2] == runs[0] and runs[3] == runs[0]
+    assert asked == [1, 2, 3, 1] and {2, 3} <= set(opened) and len(runs[0][1]) >= 4
 
 
 def test_dead_study_pool_worker_is_an_infeasible_error(monkeypatch):
@@ -317,9 +351,10 @@ def test_dead_study_pool_worker_is_an_infeasible_error(monkeypatch):
     InfeasibleError (exit 5), not a BrokenProcessPool, and every worker is
     reaped."""
     monkeypatch.setattr(bench_mod, "run_study_replicate", die_in_a_worker)
+    monkeypatch.setattr(bench_mod, "cpu_count", lambda: 2)
     spec, ballet, dbscan = tiny_study_args()
     with pytest.raises(InfeasibleError, match="study worker"):
-        run_simulation_study(2, spec, ballet, dbscan, n_jobs=2)
+        run_simulation_study(2, spec, ballet, dbscan)
     assert no_child_left()
 
 

@@ -288,8 +288,9 @@ def test_malformed_points_exit_3(tmp_path, capsys, text):
 def test_radius_joining_most_points_exit_5(tmp_path, monkeypatch):
     """A given delta or eps whose pair list would not fit exits 5 after
     counting the pairs (2e8 here), before the ensemble or a pair is stored.
-    So does an adapted delta, once adapted: with gamma 0 it is the largest
-    k-NN distance, an outlier's far from the other points."""
+    So do an adapted delta, once adapted, and an Eps resolved from nu 0:
+    each is then the largest k-NN distance, an outlier's far from the other
+    points."""
     import tracemalloc
 
     def no_pair_list(*args, **kwargs):
@@ -314,8 +315,31 @@ def test_radius_joining_most_points_exit_5(tmp_path, monkeypatch):
         assert peak < 2**23  # the ensemble alone would take 16 MB
     outlier = tmp_path / "outlier.csv"
     PointSet(np.vstack([points, [[1000.0, 1000.0]]])).to_csv(outlier)
-    argv = ["cluster", "--data", str(outlier), "--nu", "0", "--gamma", "0", "--out", str(tmp_path / "out")]
+    runs = [
+        ["cluster", "--data", str(outlier), "--nu", "0", "--gamma", "0"],
+        ["dbscan", "--data", str(outlier), "--nu", "0"],  # the resolved Eps is the outlier's distance
+    ]
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 5
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_delta_past_the_pair_budget_exit_5(tmp_path, monkeypatch, capsys):
+    """A study whose adapted delta would join more pairs than the budget
+    holds (k = n - 1 here) exits 5 once delta is adapted, before any pair
+    list is built."""
+
+    def no_pair_list(*args, **kwargs):
+        raise AssertionError("a pair list was built")
+
+    monkeypatch.setattr(risk_mod, "_delta_pairs", no_pair_list)
+    monkeypatch.setattr(levelset_mod, "_delta_pairs", no_pair_list)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"S": 4}}))
+    argv = ["benchmark", "--config", str(cfg), "--reps", "1", "--n", "7000", "--components", "3",
+            "--nu", "0.99", "--k", "6999", "--out", str(tmp_path / "out")]
     assert main(argv) == 5
+    assert "MiB pair list" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -363,12 +387,13 @@ def test_tree_dead_pool_worker_exit_5(moons_cfg, tmp_path, monkeypatch, capsys):
 
 
 def test_benchmark_dead_pool_worker_exit_5(tmp_path, monkeypatch, capsys):
-    """A replicate worker of `ballet benchmark --jobs 2` killed by a signal
+    """A replicate worker of `ballet benchmark` on 2 CPUs killed by a signal
     ends the run with one error line and exit 5, and no worker outlives it."""
     monkeypatch.setattr(bench_mod, "run_study_replicate", die_in_a_worker)
+    monkeypatch.setattr(bench_mod, "cpu_count", lambda: 2)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"K": 10, "M_prime": 12, "S": 20}, "level": {"nu": 0.85}}))
-    argv = ["benchmark", "--config", str(cfg), "--reps", "2", "--jobs", "2", "--n", "300",
+    argv = ["benchmark", "--config", str(cfg), "--reps", "2", "--n", "300",
             "--components", "3", "--out", str(tmp_path / "out")]
     assert main(argv) == 5
     err = capsys.readouterr().err

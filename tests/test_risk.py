@@ -1131,7 +1131,7 @@ def test_pooled_search_reads_results_in_restart_order(monkeypatch):
     signature = inspect.signature(restart)
 
     def even_ones_late(*args, **kwargs):
-        if not signature.bind(*args, **kwargs).arguments["seeds"]:  # an even restart
+        if signature.bind(*args, **kwargs).arguments["i"] % 2 == 0:  # an even restart
             time.sleep(0.1)
         return restart(*args, **kwargs)
 
@@ -1246,6 +1246,73 @@ def test_pool_returns_results_and_the_first_error_in_task_order():
         with pytest.raises(ValueError) as failed:
             util_mod.fork_map(fail_at_3_and_7, None, [(i,) for i in range(10)], workers, "test")
         assert failed.value.args == (3,) and no_child_left()
+
+
+def test_pool_relays_each_tasks_warnings_in_task_order():
+    """fork_map emits every task's warnings again, with their messages,
+    categories and lines, in task order and under the caller's filters, on
+    any number of processes. With a failed task it emits those of the tasks
+    up to and including it, then raises its error, as a serial run does."""
+
+    def warn_twice(_, i, fail_at):
+        if i == 0:
+            time.sleep(0.1)  # the other processes run the later tasks first
+        warnings.warn(f"task {i}", UserWarning)
+        warnings.warn(f"task {i} again", RuntimeWarning if i % 2 else DeprecationWarning)
+        if i == fail_at:
+            raise ValueError(i)
+        return i
+
+    def run(workers, fail_at, action):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            try:
+                result = util_mod.fork_map(warn_twice, None, [(i, fail_at) for i in range(9)], workers, "test")
+            except (ValueError, UserWarning) as exc:
+                result = (type(exc), str(exc))
+        assert no_child_left()
+        return result, [(str(w.message), w.category, w.filename, w.lineno) for w in caught]
+
+    for fail_at in (None, 5):
+        serial = run(1, fail_at, "always")
+        assert run(2, fail_at, "always") == serial and run(3, fail_at, "always") == serial
+        last = 8 if fail_at is None else fail_at
+        assert [m for m, *_ in serial[1]] == [f"task {i}{t}" for i in range(last + 1) for t in ("", " again")]
+        assert serial[0] == (list(range(9)) if fail_at is None else (ValueError, "5"))
+    for workers in (1, 2, 3):  # the caller's "error" filter makes task 0's first warning its error
+        assert run(workers, None, "error") == ((UserWarning, "task 0"), [])
+
+
+def test_pool_filters_a_relayed_warning_as_its_module_would():
+    """A worker's warning meets the caller's filters as warnings.warn meets
+    them in the module that raised it: the default filter shows it once,
+    however many pooled calls raise it, and a filter on that module's name
+    matches it. A warning from code compiled from a string, in no loaded
+    module's file, is shown too."""
+
+    def warn(_, i):
+        time.sleep(0.05)  # so that every process claims a task
+        warnings.warn("from a task", UserWarning)
+        return os.getpid()
+
+    for workers in (1, 2, 3):
+        pids = set()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            for _ in range(2):
+                pids |= set(util_mod.fork_map(warn, None, [(i,) for i in range(4)], workers, "test"))
+            assert len(caught) == 1
+            warnings.filterwarnings("ignore", module=__name__)
+            util_mod.fork_map(warn, None, [(i,) for i in range(4)], workers, "test")
+            assert len(caught) == 1
+        assert (len(pids) > 1) == (workers > 1) and no_child_left()
+    scope = {"time": time, "warnings": warnings}
+    exec(compile("def warn(_, i):\n    time.sleep(0.05)\n    warnings.warn(f'task {i}')\n", "<string>", "exec"), scope)
+    for workers in (1, 2, 3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            util_mod.fork_map(scope["warn"], None, [(i,) for i in range(4)], workers, "test")
+        assert [str(w.message) for w in caught] == [f"task {i}" for i in range(4)]
 
 
 def test_pool_stays_serial_beside_another_thread(monkeypatch):
