@@ -7,11 +7,14 @@ latter two exist mainly for the DBSCAN correspondences; the histogram mixture
 is the workhorse posterior model. Posterior draws evaluated at the points are
 held in a DensityDrawEnsemble, the input of every downstream stage.
 
-At survey size the ensemble is the cost: the points are binned once, by one
+A draw at the data points makes one Dirichlet draw per component over the
+bins that hold data plus one entry for all of its empty bins, which is exact
+in law by the Dirichlet's aggregation property (see HistogramPosterior), so
+no variate is drawn for an empty bin. The points are binned once, by one
 sorted lookup per axis shared by all K components, and build_ensemble fills
-the S draws on one thread per CPU of the process when the components have
-enough bins for threads to pay, each draw from its own RNG stream, so the
-values are the same for any number of workers.
+the S draws on one thread per CPU of the process when the collapsed vectors
+are long enough for threads to pay, each draw from its own RNG stream, so
+the values are the same for any number of workers.
 """
 
 from __future__ import annotations
@@ -46,9 +49,11 @@ __all__ = [
 
 _MAX_AXES = 3
 
-# Below this many bins per component a draw is mostly interpreter time, and a
-# second thread only contends for the GIL: on 2 CPUs, 2 workers took 1.0-1.4x
-# the time of 1 at 196-400 bins and 0.65-0.9x from 484 bins up.
+# Below this mean length of the collapsed Dirichlet vectors (held bins, plus
+# one entry for the empty ones) a draw is mostly interpreter time, and a second
+# thread only contends for the GIL. On 2 CPUs (default model, S = 100), one
+# thread against two took 0.09 s vs 0.12 s at mean width 262, 0.12-0.16 s vs
+# 0.12-0.13 s at 481, and 0.16 s vs 0.13 s at 727.
 _THREADED_MIN_BINS = 450
 
 
@@ -307,7 +312,24 @@ class HistogramDensity:
 
 
 class HistogramPosterior:
-    """Conjugate bin-mass posterior for a fixed bin layout and dataset."""
+    """Conjugate bin-mass posterior for a fixed bin layout and dataset.
+
+    Component k's bin masses are Dirichlet(dirichlet_params[k]). By the
+    Dirichlet's aggregation property, the masses of the bins that hold data,
+    in bin order, followed by the total mass of the empty bins, are
+    Dirichlet(collapsed_params[k]): the held bins' parameters, then the sum of
+    the empty bins' parameters (no extra entry when no bin is empty).
+    sample_at_data draws only those K vectors, exactly in law. sample draws
+    the same K vectors first, then splits each empty total by a Dirichlet over
+    that component's empty bins, which is exact too. So sample_at_data(rng)
+    reads a prefix of sample(rng)'s stream, and sample(rng)(points) equals
+    sample_at_data(rng) bit for bit.
+
+    data_bin_indices is the (K, n) array bins.bin_indices returned for the
+    data, with counts its per-component bincount. It is kept, rewritten in
+    place: each entry becomes the point's position among its component's
+    held bins.
+    """
 
     def __init__(self, bins: HistogramBins, cfg: HistogramMixtureConfig,
                  counts: np.ndarray, data_bin_indices: np.ndarray) -> None:
@@ -315,10 +337,26 @@ class HistogramPosterior:
         self.cfg = cfg
         self.counts = counts  # (K, M) points per bin
         self.dirichlet_params = counts / cfg.K + cfg.alpha_d * bins.areas / bins.total_area
-        self._data_idx = data_bin_indices  # (K, n) cached for fast data-point draws
+        self.collapsed_params = []
+        self._held_areas = []
+        for k, row in enumerate(data_bin_indices):
+            held = counts[k] > 0
+            params = self.dirichlet_params[k, held]
+            if not held.all():
+                params = np.append(params, self.dirichlet_params[k, ~held].sum())
+            self.collapsed_params.append(params)
+            self._held_areas.append(bins.areas[k, held])
+            np.take(np.cumsum(held) - 1, row, out=row, mode="clip")  # unbuffered, in place
+        self._data_idx = data_bin_indices
 
     def sample(self, rng: np.random.Generator) -> HistogramDensity:
-        masses = np.stack([rng.dirichlet(self.dirichlet_params[k]) for k in range(self.bins.K)])
+        collapsed = [rng.dirichlet(params) for params in self.collapsed_params]
+        masses = np.empty((self.bins.K, self.bins.M))
+        for k, draw in enumerate(collapsed):
+            held = self.counts[k] > 0
+            masses[k, held] = draw[:self._held_areas[k].size]
+            if not held.all():
+                masses[k, ~held] = draw[-1] * rng.dirichlet(self.dirichlet_params[k, ~held])
         return HistogramDensity(self.bins, masses)
 
     def sample_at_data(self, rng: np.random.Generator) -> np.ndarray:
@@ -326,8 +364,8 @@ class HistogramPosterior:
         K = self.bins.K
         row = np.zeros(self._data_idx.shape[1])
         for k in range(K):
-            masses = rng.dirichlet(self.dirichlet_params[k])
-            rho = masses / self.bins.areas[k]
+            masses = rng.dirichlet(self.collapsed_params[k])
+            rho = masses[:self._held_areas[k].size] / self._held_areas[k]
             row += rho[self._data_idx[k]]
         return row / K
 
@@ -362,8 +400,9 @@ def build_ensemble(
     each draw gets its own stream. The draws are split into contiguous
     chunks, one per CPU of the process, filled on threads that end with the
     call; the Dirichlet sampling and the gathers release the GIL, and the
-    values do not depend on the number of workers. With fewer than
-    _THREADED_MIN_BINS bins per component one worker fills every draw.
+    values do not depend on the number of workers. When the collapsed
+    Dirichlet vectors are shorter than _THREADED_MIN_BINS on average, one
+    worker fills every draw.
     """
     if S < 1:
         raise ValueError("S must be >= 1")
@@ -377,7 +416,8 @@ def build_ensemble(
         for s in range(lo, hi):
             values[s] = post.sample_at_data(rngs[1 + s])
 
-    workers = min(cpu_count(), S) if bins.M >= _THREADED_MIN_BINS else 1
+    width = np.mean([params.size for params in post.collapsed_params])
+    workers = min(cpu_count(), S) if width >= _THREADED_MIN_BINS else 1
     ends = [S * w // workers for w in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(fill, ends[:-1], ends[1:]))  # re-raises a worker's exception

@@ -1,7 +1,9 @@
 """Independent naive reference implementations used only by the tests.
 
-Everything here is written directly from first definitions with plain loops,
+Most are written directly from first definitions with plain loops,
 deliberately sharing no code with the package, so agreement is meaningful.
+The few that drive package code (oracle_relabel_walk, oracle_search,
+oracle_build_ensemble) say so, and say which part of it they check.
 """
 
 from __future__ import annotations
@@ -449,8 +451,24 @@ def oracle_bin_indices(bins, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def oracle_sample_at_data(post, points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """HistogramPosterior.sample_at_data by a Dirichlet draw of all M bin
+    masses of each component, read at each point's bin (oracle_bin_indices)."""
+    idx = oracle_bin_indices(post.bins, points)
+    row = np.zeros(len(points))
+    for k in range(post.bins.K):
+        masses = rng.dirichlet(post.dirichlet_params[k])
+        rho = masses / post.bins.areas[k]
+        row += rho[idx[k]]
+    return row / post.bins.K
+
+
 def oracle_build_ensemble(data, cfg, S: int, seed: int) -> np.ndarray:
-    """build_ensemble's values, the draws filled one after another on one thread."""
+    """build_ensemble's values, the draws filled one after another on one thread.
+
+    It calls the package's own binning, fit and sample_at_data, so it checks
+    the threaded fill only; oracle_sample_at_data is the sampler's oracle.
+    """
     from ballet.density import default_domain, fit_histogram_posterior, sample_bins
     from ballet.util import spawn_rngs
 

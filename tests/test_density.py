@@ -20,11 +20,34 @@ from ballet.density import (
 )
 from ballet.errors import ConfigError, NumericError
 from ballet.levelset import PointSet, dbscan_star, surrogate_cluster, unit_ball_volume
-from oracles import oracle_bin_indices, oracle_build_ensemble
+from ballet.util import spawn_rngs
+from oracles import oracle_bin_indices, oracle_build_ensemble, oracle_sample_at_data
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
+
+
+def posterior_no_empty_bin():
+    """3 x 3 bins and 400 uniform points: every bin of every component holds
+    data, so each collapsed vector is the full parameter vector."""
+    rng = np.random.default_rng(18)
+    data = PointSet(rng.random((400, 2)))
+    cfg = HistogramMixtureConfig(K=3, M_prime=3)
+    post = fit_histogram_posterior(data, sample_bins(cfg, default_domain(data), rng), cfg)
+    assert (post.counts > 0).all()
+    return data, post
+
+
+def posterior_stick_breaking():
+    """One point per held bin, K = 20 and alpha_d = 0.05: every collapsed
+    parameter is below 0.1, where numpy draws a Dirichlet by stick-breaking."""
+    data = PointSet(np.array([[0.05, 0.05], [0.95, 0.05], [0.05, 0.95], [0.95, 0.95], [0.5, 0.5]]))
+    cfg = HistogramMixtureConfig(K=20, M_prime=5, alpha_d=0.05, domain=UNIT_SQUARE)
+    post = fit_histogram_posterior(data, sample_bins(cfg, UNIT_SQUARE, np.random.default_rng(19)), cfg)
+    assert max(params.max() for params in post.collapsed_params) < 0.1
+    assert (post.counts == 0).any(axis=1).all()
+    return data, post
 
 
 def hand_bins():
@@ -211,6 +234,11 @@ def test_posterior_draw_is_proper_density():
     assert np.allclose(f.masses.sum(axis=1), 1.0, atol=1e-12)
     grid = np.stack(np.meshgrid(np.linspace(0, 1, 20), np.linspace(0, 1, 20)), axis=-1).reshape(-1, 2)
     assert np.all(f(grid) >= 0)
+    for _, post in (posterior_no_empty_bin(), posterior_stick_breaking()):
+        f = post.sample(np.random.default_rng(6))
+        assert f.integral() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(f.masses >= 0)
+        assert np.allclose(f.masses.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_density_evaluator_validation():
@@ -243,9 +271,10 @@ def test_build_ensemble_matches_serial_oracle(S, workers, monkeypatch):
     # CPUs; a short switch interval interleaves the workers as often as it can
     monkeypatch.setattr(density, "cpu_count", lambda: workers)
     rng = np.random.default_rng(15)
-    data = PointSet(rng.random((60, 2)))
+    data = PointSet(rng.random((3000, 2)))
     cfg = HistogramMixtureConfig(K=4, M_prime=22)
-    assert cfg.M_prime ** 2 >= density._THREADED_MIN_BINS
+    post = fit_histogram_posterior(data, sample_bins(cfg, default_domain(data), spawn_rngs(16, 1)[0]), cfg)
+    assert np.mean([params.size for params in post.collapsed_params]) >= density._THREADED_MIN_BINS
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -263,9 +292,57 @@ def test_fast_data_evaluation_matches_evaluator():
     cfg = HistogramMixtureConfig(K=3, M_prime=5)
     bins = sample_bins(cfg, default_domain(data), np.random.default_rng(8))
     post = fit_histogram_posterior(data, bins, cfg)
-    fast = post.sample_at_data(np.random.default_rng(11))
-    f = post.sample(np.random.default_rng(11))
-    assert np.array_equal(fast, f(data.points))
+    assert (post.counts == 0).any(axis=1).all()
+    for data, post in ((data, post), posterior_no_empty_bin(), posterior_stick_breaking()):
+        fast = post.sample_at_data(np.random.default_rng(11))
+        f = post.sample(np.random.default_rng(11))
+        assert np.array_equal(fast, f(data.points))
+
+
+def test_draw_at_data_is_the_full_draw_when_every_bin_holds_data():
+    data, post = posterior_no_empty_bin()
+    for seed in range(5):
+        fast = post.sample_at_data(np.random.default_rng(seed))
+        assert np.array_equal(fast, oracle_sample_at_data(post, data.points, np.random.default_rng(seed)))
+
+
+def dirichlet_moments_at(post, points):
+    """Exact mean and variance of a draw at each point: a component's mass of
+    one bin is Beta(a, a0 - a), and the K components are independent."""
+    idx = oracle_bin_indices(post.bins, points)
+    mean = np.zeros(len(points))
+    var = np.zeros(len(points))
+    for k in range(post.bins.K):
+        params = post.dirichlet_params[k]
+        a, a0, area = params[idx[k]], params.sum(), post.bins.areas[k, idx[k]]
+        mean += a / (a0 * area)
+        var += a * (a0 - a) / (a0 ** 2 * (a0 + 1) * area ** 2)
+    K = post.bins.K
+    return mean / K, var / K ** 2
+
+
+@pytest.mark.parametrize("sampler", ["sample_at_data", "oracle"])
+def test_draw_at_data_has_the_dirichlet_moments(sampler):
+    # K = 2 grids of 4 x 4 bins and 10 points in the lower-left corner, so each
+    # component has held and empty bins; each point's mean and variance over
+    # 20 000 draws lie within 4 standard errors of the closed form
+    cfg = HistogramMixtureConfig(K=2, M_prime=4, domain=UNIT_SQUARE)
+    data = PointSet(np.random.default_rng(20).uniform(0.0, 0.6, (10, 2)))
+    post = fit_histogram_posterior(data, sample_bins(cfg, UNIT_SQUARE, np.random.default_rng(21)), cfg)
+    held = (post.counts > 0).sum(axis=1)
+    assert (held >= 2).all() and (held < post.bins.M).all()
+    rng = np.random.default_rng(22)
+    if sampler == "oracle":
+        draws = np.array([oracle_sample_at_data(post, data.points, rng) for _ in range(20_000)])
+    else:
+        draws = np.array([post.sample_at_data(rng) for _ in range(20_000)])
+    mean, var = dirichlet_moments_at(post, data.points)
+    N = len(draws)
+    centred = draws - draws.mean(axis=0)
+    sample_var = (centred ** 2).mean(axis=0)
+    fourth = (centred ** 4).mean(axis=0)
+    assert np.all(np.abs(draws.mean(axis=0) - mean) <= 4 * np.sqrt(var / N))
+    assert np.all(np.abs(sample_var - var) <= 4 * np.sqrt((fourth - sample_var ** 2) / N))
 
 
 def test_ensemble_mean_orders_dense_above_empty_region():
