@@ -3,10 +3,10 @@
 The empirical risk of a candidate sub-partition is its IA-Binder loss averaged
 over S posterior draw clusterings. Every sum in that loss is a per-draw
 contingency count: how many members of a candidate cluster fall in each
-cluster of each draw. So the only pair data kept is the S x u matrix of draw
-labels on the support {i : alpha_i > 0}, and the same data as (point, draw)
-entries grouped into draw cells, built once per stats object on first use
-(CoClusteringStats.cells). Every risk count reads the cells: _risk_counts
+cluster of each draw. So the only pair data kept is the draw cells:
+precompute_stats builds the (point, draw) entries of the support
+{i : alpha_i > 0}, grouped into draw cells, once, and CoClusteringStats holds
+them, with no dense label matrix. Every risk count reads them: _risk_counts
 for a whole candidate (the risk of an estimate, the search's all-noise start,
 its seeds and a seeded restart's start), and the search's engine for point
 moves. A never-active point pairs with nothing, and it is noise-optimal in
@@ -56,7 +56,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -100,16 +99,26 @@ def draw_clusterings(
     return [SubPartition(row) for row in _component_labels(ps.n, pairs, active)]
 
 
-class _DrawCells(NamedTuple):
-    """The S draw clusterings as (point, draw) entries and draw cells, on the support.
+@dataclass(frozen=True, eq=False)
+class CoClusteringStats:
+    """S draw clusterings on the support, as (point, draw) entries and draw cells.
 
-    point and draws list the entries where the point is active, grouped by
-    point: point i's are ptr[i] : ptr[i + 1], n_active[i] of them. cell is
-    each entry's cell of two or more points (-1 if the point is alone in
+    alpha[i] is the fraction of draws in which point i is active (all n
+    points); support lists the u points with alpha > 0. The other arrays
+    index points by their position in support. point and draws list the
+    entries where a point is active, grouped by point: point i's are
+    ptr[i] : ptr[i + 1], n_active[i] of them, in draw order. cell is each
+    entry's draw cell of two or more points (-1 if the point is alone in
     its draw cluster); a cell c has size[c] members, members[start[c] :
-    start[c] + size[c]]. n_shared[i] counts point i's entries in such cells.
+    start[c] + size[c]]. n_shared[i] counts point i's entries in such
+    cells. Every risk count reads these arrays; they are read-only, so the
+    search's engines and a fork pool's workers share them.
     """
 
+    n: int
+    S: int
+    alpha: np.ndarray
+    support: np.ndarray
     point: np.ndarray
     draws: np.ndarray
     n_active: np.ndarray
@@ -121,54 +130,8 @@ class _DrawCells(NamedTuple):
     n_shared: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class CoClusteringStats:
-    """S draw clusterings on the support.
-
-    alpha[i] is the fraction of draws in which point i is active (all n
-    points); support lists the points with alpha > 0; draw_labels is the
-    S x u matrix of draw labels restricted to the support (0 inactive).
-    cells is the same data as (point, draw) entries and the draw cells of
-    two or more points (_DrawCells), which every risk count reads; it is
-    built on first use and kept, so the search and the risk of its result
-    share it.
-    """
-
-    n: int
-    S: int
-    alpha: np.ndarray
-    support: np.ndarray
-    draw_labels: np.ndarray
-
-    @cached_property
-    def cells(self) -> _DrawCells:
-        L = self.draw_labels
-        n_active = np.count_nonzero(L, axis=0)
-        point, draws = np.nonzero(L.T)
-        G = int(L.max(initial=0)) + 1
-        _, cell, size = np.unique(draws * G + L[draws, point], return_inverse=True, return_counts=True)
-        multi = size > 1
-        cell = np.where(multi[cell], (np.cumsum(multi) - 1)[cell], -1)
-        size = size[multi]
-        shared = cell >= 0
-        cells = _DrawCells(
-            point=point,
-            draws=draws,
-            n_active=n_active,
-            ptr=np.concatenate([[0], np.cumsum(n_active)]),
-            cell=cell,
-            size=size,
-            start=np.cumsum(size) - size,
-            members=point[shared][np.argsort(cell[shared], kind="stable")],
-            n_shared=np.bincount(point[shared], minlength=L.shape[1]),
-        )
-        for a in cells:
-            a.setflags(write=False)  # shared by every engine and count on these stats
-        return cells
-
-
 def precompute_stats(clusterings: Sequence[SubPartition]) -> CoClusteringStats:
-    """Active frequencies and the support-restricted label matrix of S draw clusterings."""
+    """Active frequencies and the draw cells of S draw clusterings on their support."""
     if len(clusterings) == 0:
         raise ValueError("need at least one clustering")
     try:
@@ -178,9 +141,31 @@ def precompute_stats(clusterings: Sequence[SubPartition]) -> CoClusteringStats:
     S, n = L.shape
     counts = np.count_nonzero(L, axis=0)
     support = np.flatnonzero(counts)
-    return CoClusteringStats(
-        n=n, S=S, alpha=counts / S, support=support, draw_labels=np.ascontiguousarray(L[:, support])
+    L = L[:, support]  # the S x u draw labels on the support, kept only here
+    point, draws = np.nonzero(L.T)
+    G = int(L.max(initial=0)) + 1
+    _, cell, size = np.unique(draws * G + L[draws, point], return_inverse=True, return_counts=True)
+    multi = size > 1
+    cell = np.where(multi[cell], (np.cumsum(multi) - 1)[cell], -1)
+    size = size[multi]
+    shared = cell >= 0
+    n_active = counts[support]
+    arrays = dict(
+        alpha=counts / S,
+        support=support,
+        point=point,
+        draws=draws,
+        n_active=n_active,
+        ptr=np.concatenate([[0], np.cumsum(n_active)]),
+        cell=cell,
+        size=size,
+        start=np.cumsum(size) - size,
+        members=point[shared][np.argsort(cell[shared], kind="stable")],
+        n_shared=np.bincount(point[shared], minlength=support.size),
     )
+    for a in arrays.values():
+        a.setflags(write=False)
+    return CoClusteringStats(n=n, S=S, **arrays)
 
 
 # -- risk ---------------------------------------------------------------------
@@ -194,25 +179,24 @@ def _risk_counts(stats: CoClusteringStats, labels: np.ndarray) -> np.ndarray:
     where they are inactive (m_ia; an off-support point in all S); and,
     over pairs active in both, pairs together in the draw but apart in the
     candidate (a) and the reverse (b). They come from the (point, draw)
-    entries of stats.cells: only the entries of multi-point cells pair
+    entries of the stats: only the entries of multi-point cells pair
     within a draw cell, so the pairs together in a draw, and together in
     both, count over those.
     """
-    cells = stats.cells
     cand = labels[stats.support]
     act = cand > 0
     ids, inv = np.unique(cand[act], return_inverse=True)
     H = ids.size + 1
     h = np.zeros(cand.size, dtype=np.int64)
     h[act] = inv + 1
-    he = h[cells.point]
+    he = h[stats.point]
     hit = he > 0
-    shared = hit & (cells.cell >= 0)
-    cell = cells.cell[shared]
+    shared = hit & (stats.cell >= 0)
+    cell = stats.cell[shared]
     together_draw = _pairs(np.bincount(cell))
-    together_cand = _pairs(np.bincount(cells.draws[hit] * H + he[hit]))
+    together_cand = _pairs(np.bincount(stats.draws[hit] * H + he[hit]))
     together_both = _pairs(np.unique(cell * H + he[shared], return_counts=True)[1])
-    d = cells.n_active
+    d = stats.n_active
     missed = int(d[~act].sum())
     extra = stats.S * int(np.count_nonzero(labels)) - int(d[act].sum())
     return np.array([missed, extra, together_draw - together_both, together_cand - together_both])
@@ -340,8 +324,7 @@ class _Engine:
 
     def __init__(self, stats: CoClusteringStats, p: LossParams):
         S, u = stats.S, stats.support.size
-        cells = stats.cells  # the (point, draw) entries and draw cells, read in place
-        draw_active = cells.n_active
+        draw_active = stats.n_active
         self.p = p
         self._n = stats.n
         self.noise_cost = (stats.n - 1) * p.m_ai * draw_active
@@ -358,9 +341,10 @@ class _Engine:
         # on the way, is an exact float
         self.exact_risks = q * (u + 1) * reach < 2**53
         self._S = S
-        self._point, self._draws, self._n_active, self._ptr = cells.point, cells.draws, draw_active, cells.ptr
-        self._cell, self._cell_size, self._cell_start = cells.cell, cells.size, cells.start
-        self._members, self._n_shared = cells.members, cells.n_shared  # n_shared: an assigned point's own n1 count
+        # the stats' (point, draw) entries and draw cells, read in place
+        self._point, self._draws, self._n_active, self._ptr = stats.point, stats.draws, draw_active, stats.ptr
+        self._cell, self._cell_size, self._cell_start = stats.cell, stats.size, stats.start
+        self._members, self._n_shared = stats.members, stats.n_shared  # n_shared: an assigned point's own n1 count
         self._n_wide = -1
         self.reset(np.full(u, -1))
 
@@ -797,7 +781,7 @@ def search(
     dies (killed by a signal or the OOM killer) raises InfeasibleError once
     every worker is reaped.
     """
-    engine = _Engine(stats, p)  # builds stats.cells, so a fork pool's workers inherit both
+    engine = _Engine(stats, p)  # reads the stats' cells in place, so a fork pool's workers inherit both
     seed_list = list(seeds) if seeds is not None else []
     for s in seed_list:
         if s.n != stats.n:
@@ -807,7 +791,7 @@ def search(
     best_risk = engine.risk(_risk_counts(stats, best_sp.labels_array))
     work = _Work(engine, stats, seed_list, cfg)
     rngs = spawn_rngs(cfg.seed, cfg.n_restarts)
-    workers = _search_workers(stats.cells.point.size, cfg)
+    workers = _search_workers(stats.point.size, cfg)
     tasks = [(j, None) for j in range(len(seed_list))] + list(enumerate(rngs))
     results = fork_map(_Work.task, work, tasks, workers, "search")
     for (counts, labels), seed in zip(results, seed_list + [None] * cfg.n_restarts):

@@ -329,9 +329,44 @@ def oracle_best_assignment(engine, i):
     return engine.label_of(pick, ids), float(costs[pick])
 
 
-def oracle_risk_counts(stats, labels) -> np.ndarray:
+def oracle_label_matrix(draws) -> np.ndarray:
+    """The dense S x n matrix of the draw clusterings' labels, one row per draw."""
+    return np.array([list(d.labels) for d in draws], dtype=np.int64)
+
+
+def oracle_draw_cells(draws):
+    """The draw cells of risk.precompute_stats, point by point from the dense
+    S x n label matrix: (support, n_active, ptr, n_shared, cells).
+
+    support lists the points some draw activates, and the other values index
+    points by their position in it. cells[s] maps each position active in
+    draw s to its draw cluster's positions, ascending, or to -1 when the
+    point is alone in it; n_shared counts a position's draws where it is not
+    alone.
+    """
+    L = oracle_label_matrix(draws)
+    S, n = L.shape
+    support = [i for i in range(n) if any(L[s, i] != 0 for s in range(S))]
+    n_active = [sum(int(L[s, i] != 0) for s in range(S)) for i in support]
+    ptr = [0]
+    for d in n_active:
+        ptr.append(ptr[-1] + d)
+    n_shared = [0] * len(support)
+    cells = []
+    for s in range(S):
+        cells.append({})
+        for pos, i in enumerate(support):
+            if L[s, i] == 0:
+                continue
+            mates = tuple(q for q, j in enumerate(support) if L[s, j] == L[s, i])
+            cells[s][pos] = mates if len(mates) > 1 else -1
+            n_shared[pos] += len(mates) > 1
+    return support, n_active, ptr, n_shared, cells
+
+
+def oracle_risk_counts(draws, labels) -> np.ndarray:
     """The four counts risk._risk_counts returns for full-length labels,
-    recounted from the dense S x u draw-label matrix.
+    recounted from the dense S x n label matrix of the draw clusterings.
 
     [missed, extra, split, joined]: draw-active points the candidate leaves
     as noise; candidate-active points counted in each draw where they are
@@ -343,14 +378,14 @@ def oracle_risk_counts(stats, labels) -> np.ndarray:
     def pairs(counts):
         return int((counts * (counts - 1) // 2).sum())
 
-    L = stats.draw_labels
+    L = oracle_label_matrix(draws)
+    labels = np.asarray(labels)
     draw_active = np.count_nonzero(L, axis=0)
-    cand = labels[stats.support]
-    act = cand > 0
+    act = labels > 0
     missed = int(draw_active[~act].sum())
-    extra = stats.S * int(np.count_nonzero(labels)) - int(draw_active[act].sum())
+    extra = L.shape[0] * int(np.count_nonzero(act)) - int(draw_active[act].sum())
     cols = np.flatnonzero(act)
-    _, h = np.unique(cand[cols], return_inverse=True)
+    _, h = np.unique(labels[cols], return_inverse=True)
     Lc = L[:, cols]
     s, j = np.nonzero(Lc)
     G = int(L.max(initial=0)) + 1
@@ -363,21 +398,23 @@ def oracle_risk_counts(stats, labels) -> np.ndarray:
     return np.array([missed, extra, together_draw - together_both, together_cand - together_both])
 
 
-def oracle_search(stats, p, cfg, seeds=None):
+def oracle_search(draws, p, cfg, seeds=None):
     """The risk search priced one point at a time: the reference for risk.search.
 
     Unlike the rest of this module it drives the package's search engine,
-    through oracle_candidate_costs and move only, and recounts the risk
-    from oracle_risk_counts after every restart and zealous attempt. So it
-    checks that block pricing and the tracked risk leave every decision
-    unchanged.
+    on the stats of the draws, through oracle_candidate_costs and move only,
+    and recounts the risk from the draws by oracle_risk_counts after every
+    restart and zealous attempt. So it checks that block pricing and the
+    tracked risk leave every decision unchanged.
     """
-    from ballet.risk import _Engine, _full_labels
+    from ballet.risk import _Engine, _full_labels, precompute_stats
     from ballet.subpartition import SubPartition, _weighted_loss
     from ballet.util import spawn_rngs
 
+    stats = precompute_stats(draws)
+
     def scaled_risk(labels):
-        return _weighted_loss(stats.n, *oracle_risk_counts(stats, labels).tolist(), p)
+        return _weighted_loss(stats.n, *oracle_risk_counts(draws, labels).tolist(), p)
 
     engine = _Engine(stats, p)
     u = stats.support.size

@@ -8,7 +8,7 @@ import sys
 import threading
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -44,7 +44,9 @@ from oracles import (
     oracle_best_assignment,
     oracle_candidate_costs,
     oracle_components,
+    oracle_draw_cells,
     oracle_ia_binder_loss,
+    oracle_label_matrix,
     oracle_pair_frequencies,
     oracle_risk_counts,
     oracle_search,
@@ -217,7 +219,13 @@ def test_stats_two_draw_fixture():
     assert stats.S == 2 and stats.n == 2
     assert np.array_equal(stats.alpha, [1.0, 0.5])
     assert np.array_equal(stats.support, [0, 1])
-    assert np.array_equal(stats.draw_labels, [[1, 1], [1, 0]])
+    # point 0 is active in both draws, point 1 in draw 0, where it shares
+    # point 0's cluster; point 0 is alone in draw 1
+    assert stats.point.tolist() == [0, 0, 1] and stats.draws.tolist() == [0, 1, 0]
+    assert stats.n_active.tolist() == [2, 1] and stats.ptr.tolist() == [0, 2, 3]
+    assert stats.cell.tolist() == [0, -1, 0] and stats.size.tolist() == [2]
+    assert stats.start.tolist() == [0] and stats.members.tolist() == [0, 1]
+    assert stats.n_shared.tolist() == [1, 1]
     alpha, pi1, pi2 = oracle_pair_frequencies(two_draw_fixture())
     assert np.array_equal(as_float(alpha), stats.alpha)
     assert pi1[0, 1] == pi1[1, 0] == Fraction(1, 2)
@@ -229,7 +237,9 @@ def test_stats_off_support_pairs_are_zero():
     stats = precompute_stats(draws)
     assert stats.alpha[1] == 0.0
     assert np.array_equal(stats.support, [0, 2])
-    assert stats.draw_labels.shape == (2, 2)
+    # the entries and cells index the support: point 2 is position 1
+    assert stats.point.tolist() == [0, 0, 1] and stats.n_active.tolist() == [2, 1]
+    assert stats.members.tolist() == [0, 1] and stats.n_shared.size == 2
     freqs = oracle_pair_frequencies(draws)
     _, pi1, pi2 = freqs
     assert not pi1[1].any() and not pi1[:, 1].any() and not pi2[1].any() and not pi2[:, 1].any()
@@ -255,13 +265,21 @@ def test_stats_matrices_match_accessors_and_invariants():
         stats = precompute_stats(draws)
         alpha, pi1, pi2 = oracle_pair_frequencies(draws)
         assert np.array_equal(as_float(alpha), stats.alpha)
-        # the support-restricted label matrix carries every pair frequency
-        L, sup = stats.draw_labels, stats.support
-        both = (L[:, :, None] > 0) & (L[:, None, :] > 0)
-        same = both & (L[:, :, None] == L[:, None, :])
+        # the draw cells carry every pair frequency: the pairs inside one
+        # cell are together in a draw, and the other pairs of points active
+        # in one draw are apart in it
+        sup = stats.support
+        same = np.zeros((sup.size, sup.size), dtype=np.int64)
+        for c in range(stats.size.size):
+            m = stats.members[stats.start[c] : stats.start[c] + stats.size[c]]
+            same[np.ix_(m, m)] += 1
+        both = np.zeros_like(same)
+        for s in range(S):
+            act = stats.point[stats.draws == s]
+            both[np.ix_(act, act)] += 1
         off_diag = ~np.eye(sup.size, dtype=bool)
-        assert np.array_equal(same.sum(axis=0) / S * off_diag, as_float(pi1[np.ix_(sup, sup)]))
-        assert np.array_equal((both & ~same).sum(axis=0) / S, as_float(pi2[np.ix_(sup, sup)]))
+        assert np.array_equal(same / S * off_diag, as_float(pi1[np.ix_(sup, sup)]))
+        assert np.array_equal((both - same) / S * off_diag, as_float(pi2[np.ix_(sup, sup)]))
         off = np.setdiff1d(np.arange(n), sup)
         assert not pi1[off].any() and not pi2[off].any()
 
@@ -276,8 +294,84 @@ def test_stats_direct_count_check():
     for i in range(n):
         active = sum(d.labels[i] != 0 for d in draws)
         assert stats.alpha[i] == active / S
+    # each draw's cells, and the points alone in their draw cluster, are
+    # that draw's clusters on the support (as positions in it)
     for s, d in enumerate(draws):
-        assert stats.draw_labels[s].tolist() == [d.labels[i] for i in support]
+        clusters = {}
+        for pos, i in enumerate(support):
+            if d.labels[i] != 0:
+                clusters.setdefault(d.labels[i], set()).add(pos)
+        cells = []
+        for e in np.flatnonzero(stats.draws == s):
+            c = stats.cell[e]
+            m = stats.members[stats.start[c] : stats.start[c] + stats.size[c]] if c >= 0 else [stats.point[e]]
+            assert stats.point[e] in m
+            cells.append(set(int(i) for i in m))
+        assert sorted(map(sorted, cells)) == sorted(sorted(m) for m in clusters.values() for _ in m)
+
+
+@st.composite
+def cell_instances(draw):
+    """Draws on n points (S in 1..6): rows with few labels, all-noise rows,
+    rows made only of singletons, and repeats of earlier rows; some points
+    no draw activates."""
+    n = draw(st.integers(1, 12))
+    S = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(S):
+        kind = draw(st.sampled_from(["labels", "noise", "singletons", "repeat"]))
+        if kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "noise":
+            rows.append([0] * n)
+        elif kind == "singletons":
+            on = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            rows.append([i + 1 if a else 0 for i, a in enumerate(on)])
+        else:
+            rows.append(draw(st.lists(st.integers(0, k), min_size=n, max_size=n)))
+    dead = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+    return [SubPartition([0 if i in dead else v for i, v in enumerate(r)]) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_instances())
+@example([SubPartition([0, 0, 0])])  # S = 1, all noise
+@example([SubPartition([1, 2, 3])])  # S = 1, singletons only
+@example([SubPartition([1, 0, 1, 2]), SubPartition([1, 0, 1, 2]), SubPartition([0, 0, 0, 0])])
+@example([SubPartition([0, 2, 1, 0, 2]), SubPartition([3, 0, 3, 0, 1]), SubPartition([1, 2, 3, 0, 4])])
+def test_stats_cells_match_dense_oracle(draws):
+    """precompute_stats's entries and draw cells equal the ones counted
+    point by point from the dense S x n label matrix, per draw: each active
+    position's cell as its members' positions (-1 alone), n_active, ptr and
+    n_shared, and each cell's members[start : start + size]. Every array of
+    the stats is 1-D and read-only, and no attribute is built after the
+    fact, so a dense matrix cannot come back unnoticed."""
+    stats = precompute_stats(draws)
+    support, n_active, ptr, n_shared, cells = oracle_draw_cells(draws)
+    assert stats.support.tolist() == support
+    assert stats.n_active.tolist() == n_active
+    assert stats.ptr.tolist() == ptr
+    assert stats.n_shared.tolist() == n_shared
+    got = [{} for _ in draws]
+    for e in range(stats.point.size):
+        c = int(stats.cell[e])
+        m = -1 if c < 0 else tuple(stats.members[stats.start[c] : stats.start[c] + stats.size[c]].tolist())
+        got[int(stats.draws[e])][int(stats.point[e])] = m
+    assert got == cells
+    # entries are grouped by point, draws ascending, as ptr says
+    assert stats.point.tolist() == [i for i, d in enumerate(n_active) for _ in range(d)]
+    for i in range(len(support)):
+        assert stats.draws[ptr[i] : ptr[i + 1]].tolist() == [s for s in range(len(draws)) if i in cells[s]]
+    assert stats.size.sum() == stats.members.size == sum(n_shared)
+    empirical_risk(SubPartition.all_noise(stats.n), stats)
+    search(stats, cfg=SearchConfig(n_restarts=2, n_zealous_attempts=2))
+    names = {f.name for f in fields(stats)}
+    assert set(vars(stats)) == names
+    for name in names:
+        value = getattr(stats, name)
+        if isinstance(value, np.ndarray):
+            assert value.ndim == 1 and not value.flags.writeable, name
 
 
 # -- empirical risk ------------------------------------------------------------
@@ -360,9 +454,13 @@ def engine_at(stats, labels_sup, p=LossParams()):
     return engine
 
 
-def recount(stats, labels_sup):
-    """The risk counts of support labels, recounted from the dense draw-label matrix."""
-    return oracle_risk_counts(stats, risk_mod._full_labels(stats, labels_sup))
+def recount(draws, labels_sup):
+    """The risk counts of support labels, recounted from the dense label
+    matrix of the draws (the support is the points some draw activates)."""
+    L = oracle_label_matrix(draws)
+    full = np.zeros(L.shape[1], dtype=np.int64)
+    full[L.any(axis=0)] = labels_sup
+    return oracle_risk_counts(draws, full)
 
 
 def full_labels(stats, labels_sup):
@@ -552,7 +650,7 @@ def test_always_noise_is_exact_or_walked():
     assert inexact.can_join[0]
     assert oracle_best_assignment(inexact, 0)[0] == 1
     # a point that noise costs strictly less is left out under either loss
-    d = np.count_nonzero(stats.draw_labels, axis=0)
+    d = np.count_nonzero(oracle_label_matrix(draws), axis=0)  # every point is on the support
     assert (exact.can_join == (d > 2)).all() and (inexact.can_join == (d >= 2)).all()
 
 
@@ -577,14 +675,14 @@ def count_instances(draw):
 @given(count_instances())
 def test_risk_counts_match_dense_recount(inst):
     """The risk counts from the draw cells equal the recount from the dense
-    draw-label matrix, for the drawn candidate (raw ids with gaps, points
+    label matrix of the draws, for the drawn candidate (raw ids with gaps, points
     active off the support) and the all-noise one; and the risk is the mean
     draw loss, bit for bit under the default loss."""
     draws, labels, p = inst
     stats = precompute_stats(draws)
     S, n = stats.S, stats.n
     for cand in (labels, np.zeros(n, dtype=np.int64)):
-        assert risk_mod._risk_counts(stats, cand).tolist() == oracle_risk_counts(stats, cand).tolist()
+        assert risk_mod._risk_counts(stats, cand).tolist() == oracle_risk_counts(draws, cand).tolist()
         c = SubPartition(cand)
         mean_loss = math.fsum(ia_binder_loss(d, c, p) for d in draws) / S
         if p == LossParams():
@@ -882,7 +980,7 @@ def test_search_matches_per_point_oracle():
     def check(instance):
         draws, p, cfg, seeds = instance
         stats = precompute_stats(draws)
-        assert search(stats, p, cfg, seeds).labels == oracle_search(stats, p, cfg, seeds).labels
+        assert search(stats, p, cfg, seeds).labels == oracle_search(draws, p, cfg, seeds).labels
 
     # a low threshold, so both rows of N and counted members price
     with pytest.MonkeyPatch.context() as mp:
@@ -927,7 +1025,7 @@ def test_rejected_zealous_attempt_restores_the_state(monkeypatch):
             if members.size == 0:
                 continue
             table, before, n_walks = engine.T, copy.deepcopy(engine), len(walks)
-            counts = recount(stats, engine.labels)
+            counts = recount(draws, engine.labels)
             if risk_mod._zealous(engine, rng.permutation(members), counts) is not counts:
                 continue  # accepted
             if len(walks) == n_walks:
@@ -978,10 +1076,10 @@ def test_zealous_bound_never_exceeds_walked_risk(monkeypatch):
             members = np.flatnonzero(engine.labels == target)
             if members.size == 0:
                 continue
-            counts = recount(stats, engine.labels)
+            counts = recount(draws, engine.labels)
             without = engine.labels.copy()
             without[members] = 0
-            trial_counts = recount(stats, without) - [int(engine._n_active[members].sum()), 0, 0, 0]
+            trial_counts = recount(draws, without) - [int(engine._n_active[members].sum()), 0, 0, 0]
             out = risk_mod._zealous(engine, rng.permutation(members), counts)
             bound, walked = seen.pop()
             assert engine.risk(trial_counts) + bound <= engine.risk(trial_counts + walked)
@@ -1009,14 +1107,14 @@ def test_removal_counts_match_recount(monkeypatch):
         engine = engine_at(stats, rng.integers(0, 5, size=u))
         wide += engine._n_wide > 0
         narrow += engine._nlen.size > 0
-        counts = recount(stats, engine.labels)
+        counts = recount(draws, engine.labels)
         for target in [0] + engine.live_ids().tolist():
             members = np.flatnonzero(engine.labels == target)
             if members.size == 0:
                 continue
             without = engine.labels.copy()
             without[members] = 0
-            lost = counts - recount(stats, without) + [int(engine._n_active[members].sum()), 0, 0, 0]
+            lost = counts - recount(draws, without) + [int(engine._n_active[members].sum()), 0, 0, 0]
             assert engine.removal_counts(members).tolist() == lost.tolist()
             checked += 1
     assert checked >= 150 and wide >= 10 and narrow >= 10
@@ -1053,9 +1151,9 @@ def test_tracked_risk_equals_recount(monkeypatch):
         stats = precompute_stats(draws)
 
         def checked(engine, members, counts):
-            assert counts.tolist() == recount(stats, engine.labels).tolist()
+            assert counts.tolist() == recount(draws, engine.labels).tolist()
             out = zealous(engine, members, counts)
-            assert out.tolist() == recount(stats, engine.labels).tolist()
+            assert out.tolist() == recount(draws, engine.labels).tolist()
             checks.append(out)
             return out
 
@@ -1151,7 +1249,7 @@ def test_search_pool_gate(monkeypatch):
     draws = random_draws(np.random.default_rng(46), 30, 5, max_k=4)
     stats = precompute_stats(draws)
     cfg = SearchConfig(n_restarts=2)
-    work = stats.cells.point.size * cfg.n_restarts
+    work = np.count_nonzero(oracle_label_matrix(draws)) * cfg.n_restarts
     labels = []
     for gate in (work + 1, work):
         monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", gate)
