@@ -7,10 +7,10 @@ cluster of each draw. So the only pair data kept is the draw cells:
 precompute_stats builds the (point, draw) entries of the support
 {i : alpha_i > 0}, grouped into draw cells, once, and CoClusteringStats holds
 them, with no dense label matrix. Every risk count reads them: _risk_counts
-for a whole candidate (the risk of an estimate, the search's all-noise start,
-its seeds and a seeded restart's start), and the search's engine for point
-moves. A never-active point pairs with nothing, and it is noise-optimal in
-every candidate evaluation, which keeps the search exact while skipping it.
+for a whole candidate (the risk of an estimate, and the search's all-noise
+and seed candidates), and the search's engine for point moves. A
+never-active point pairs with nothing, and it is noise-optimal in every
+candidate evaluation, which keeps the search exact while skipping it.
 
 Risks and search costs are computed in units of 1/S, as integer counts times
 the loss weights. They are exact for dyadic weights (the defaults), so equal
@@ -44,11 +44,12 @@ Two more shortcuts leave every decision as it was:
   removes is counted from the members' draw cells. A walked attempt that
   is rejected is undone by rebuilding the table in O(S u).
 
-The search's independent work, each seed's risk count and each restart,
-runs on util.fork_map's processes, one per CPU (at most one per restart),
-from _POOLED_MIN_ENTRIES (point, draw) entries times restarts. The workers
-inherit the engine, the draw cells and the restarts' generators at the
-fork; only counts, support labels and pass-cap warnings come back.
+The search's independent work, each seed candidate's risk count and each
+restart, runs on util.fork_map's processes, one per CPU (at most one per
+restart), from _POOLED_MIN_ENTRIES (point, draw) entries times restarts.
+The workers inherit the engine, the draw cells and the restarts'
+generators at the fork; only counts, support labels and pass-cap warnings
+come back.
 """
 
 from __future__ import annotations
@@ -659,29 +660,16 @@ def _full_labels(stats: CoClusteringStats, labels_sup: np.ndarray) -> np.ndarray
 def _restart(work: _Work, i: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Restart i of search, drawing from rng only.
 
-    An odd restart with seeds starts from the support labels of one of them
-    drawn at random, and recounts the risk of that start (the seed with its
-    points off the support left as noise), any other from an incremental
-    assignment in random order; then it runs the sweetening passes and the
-    zealous attempts. Returns the restart's _risk_counts and its support
-    labels, and emits a SearchPassCapWarning when its last allowed
-    sweetening pass still moved a point.
+    It starts from an incremental assignment in random order, then runs the
+    sweetening passes and the zealous attempts. Returns the restart's
+    _risk_counts and its support labels, and emits a SearchPassCapWarning
+    when its last allowed sweetening pass still moved a point.
     """
-    engine, stats, seeds, cfg = work
-    seeds = seeds if i % 2 == 1 else []
+    engine, cfg = work.engine, work.cfg
     u = engine.labels.size
-    if seeds:
-        start = seeds[int(rng.integers(len(seeds)))].labels_array[stats.support]
-        engine.reset(start)
-        counts = _risk_counts(stats, _full_labels(stats, start))
-    else:
-        engine.reset(np.full(u, -1))
-        counts = _walk(engine, rng.permutation(u))[1]
-    # sweetening; each pass renumbers so the table is 2(k + 1) wide for
-    # the k live clusters, not as wide as a seed's or the last pass's;
-    # ids keep their order
+    engine.reset(np.full(u, -1))
+    counts = _walk(engine, rng.permutation(u))[1]
     for _ in range(cfg.n_sweeten_passes):
-        engine.reset(engine.labels)
         moved, delta = _walk(engine, rng.permutation(u))
         counts += delta
         if not moved:
@@ -703,8 +691,8 @@ def _restart(work: _Work, i: int, rng: np.random.Generator) -> tuple[np.ndarray,
 
 
 class _Work(NamedTuple):
-    """A search's independent work, the seeds' risk counts and the restarts,
-    with the engine, stats, seeds and config they read."""
+    """A search's independent work, the seed candidates' risk counts and the
+    restarts, with the engine, stats, seeds and config they read."""
 
     engine: _Engine
     stats: CoClusteringStats
@@ -744,20 +732,20 @@ def search(
 ) -> SubPartition:
     """Best-risk sub-partition across restarts; deterministic given cfg.seed.
 
-    Each restart builds a state (incremental assignment in random order, or a
-    randomly chosen seed clustering on odd restarts when seeds are given), runs
-    sweetening passes (single-point reassignments, strict improvement only)
-    until a full pass makes no move, then zealous attempts (destroy one cell,
-    noise included, reallocate its members incrementally, keep on strict
-    improvement). The all-noise state and every seed are also evaluated
-    directly, so the result never does worse than any of them. A restart
-    whose last allowed sweetening pass still moved a point emits a
-    SearchPassCapWarning.
+    Each restart starts from an incremental assignment in random order (as
+    SALSO's runs start from a sequential allocation), runs sweetening passes
+    (single-point reassignments, strict improvement only) until a full pass
+    makes no move, then zealous attempts (destroy one cell, noise included,
+    reallocate its members incrementally, keep on strict improvement). The
+    seeds, such as the draw clusterings, are candidates only: they and the
+    all-noise state are evaluated directly, so the result never does worse
+    than any of them. A restart whose last allowed sweetening pass still
+    moved a point emits a SearchPassCapWarning.
 
     Each restart tracks the integer counts its risk weighs from the priced
-    decisions: the incremental assignment (or a recount of its seed's
-    support labels), the sweetening moves, and each zealous attempt's
-    removal and reassignment. So it compares the same risks as a recount would, for any weights.
+    decisions: the incremental assignment, the sweetening moves, and each
+    zealous attempt's removal and reassignment. So it compares the same
+    risks as a recount would, for any weights.
 
     The walks price only the points a cluster can take, or that sit in a
     cluster: noise is the cheapest cell in every state for the others (see
@@ -768,7 +756,7 @@ def search(
     undone by rebuilding the state from its labels. None of these changes a
     decision or a draw of the restarts' generators.
 
-    The seeds' risk counts and the restarts run on min(cpu_count(),
+    The seed candidates' risk counts and the restarts run on min(cpu_count(),
     n_restarts) processes (util.fork_map): this one and workers it forks,
     once the restarts' (point, draw) entries reach _POOLED_MIN_ENTRIES. The
     search runs serially below that, with one worker, without the fork

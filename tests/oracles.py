@@ -404,8 +404,10 @@ def oracle_search(draws, p, cfg, seeds=None):
     Unlike the rest of this module it drives the package's search engine,
     on the stats of the draws, through oracle_candidate_costs and move only,
     and recounts the risk from the draws by oracle_risk_counts after every
-    restart and zealous attempt. So it checks that block pricing and the
-    tracked risk leave every decision unchanged.
+    restart and zealous attempt. It also renumbers the ids 1..k before each
+    sweetening pass, which the search does not. So it checks that block
+    pricing, the tracked risk and the ids' numbering leave every decision
+    unchanged.
     """
     from ballet.risk import _Engine, _full_labels, precompute_stats
     from ballet.subpartition import SubPartition, _weighted_loss
@@ -425,14 +427,10 @@ def oracle_search(draws, p, cfg, seeds=None):
         r = scaled_risk(s.labels_array)
         if r < best_risk:
             best_sp, best_risk = s, r
-    for restart, rng in enumerate(spawn_rngs(cfg.seed, cfg.n_restarts)):
-        if restart % 2 == 1 and seed_list:
-            sp0 = seed_list[int(rng.integers(len(seed_list)))]
-            engine.reset(sp0.labels_array[stats.support])
-        else:
-            engine.reset(np.full(u, -1))
-            for i in rng.permutation(u).tolist():
-                engine.move(i, oracle_best_assignment(engine, i)[0])
+    for rng in spawn_rngs(cfg.seed, cfg.n_restarts):
+        engine.reset(np.full(u, -1))
+        for i in rng.permutation(u).tolist():
+            engine.move(i, oracle_best_assignment(engine, i)[0])
         for _ in range(cfg.n_sweeten_passes):
             engine.reset(engine.labels)
             moved = False

@@ -25,7 +25,7 @@ from ballet.errors import ConfigError, InfeasibleError, SearchPassCapWarning
 from ballet.levels import LevelSpec, resolve_level
 from ballet.levelset import PointSet, adaptive_delta
 from ballet.risk import SearchConfig, ballet_estimate
-from ballet.subpartition import SubPartition
+from ballet.subpartition import LossParams, SubPartition
 from ballet.util import fork_map
 from pools import die_in_a_worker, no_child_left, record_pools
 
@@ -323,10 +323,13 @@ def test_pooled_study_warns_as_a_serial_one(monkeypatch):
     """A study's 4 replicates on 1, 2 or 3 processes give the same rows and
     the same SearchPassCapWarning messages, in the same order: a worker's
     warnings reach the caller. On 5 CPUs they run serially, so that each
-    search may pool its own restarts."""
+    search may pool its own restarts. Under a loss that weighs a missed
+    point 7 times an extra one, replicates 2 and 3 have restarts that still
+    move points in their one sweetening pass."""
     spec, ballet, dbscan = tiny_study_args()
     spec = replace(spec, n=300)
-    ballet = replace(ballet, search=replace(ballet.search, n_sweeten_passes=1))
+    search = replace(ballet.search, n_sweeten_passes=1)
+    ballet = replace(ballet, loss=LossParams(m_ai=0.875, m_ia=0.125), search=search)
     opened, asked = record_pools(monkeypatch), []
 
     def asking(fn, state, tasks, workers, what):

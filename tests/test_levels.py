@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballet.levels as levels_mod
@@ -344,6 +344,7 @@ def test_pooled_tree_matches_serial(monkeypatch):
 
     @settings(max_examples=30, deadline=None)
     @given(tree_instances())
+    @example(capped_ladder())
     def check(instance):
         runs = []
         for cpus in (1, 2, 3):
@@ -367,11 +368,20 @@ def two_blob_ladder(n=60, S=12, seed=5):
     return ps, ensemble, lams, 0.8
 
 
+def capped_ladder():
+    """two_blob_ladder's tree with a search whose restarts, all started
+    incrementally, still move points in their one sweetening pass: restart
+    2 at one level, restarts 0 and 2 at another. The loss weighs a missed
+    point 7 times an extra one."""
+    ps, ensemble, lams, delta = two_blob_ladder()
+    cfg = SearchConfig(n_restarts=3, n_sweeten_passes=1, n_zealous_attempts=0, seed=5)
+    return ps, ensemble, lams, delta, LossParams(m_ai=0.875, m_ia=0.125), cfg
+
+
 def test_pooled_tree_reads_levels_in_order(monkeypatch):
     """When level 0 finishes last, the rows and the order of the pass-cap
     warnings are still the serial ones."""
-    ps, ensemble, lams, delta = two_blob_ladder()
-    cfg = SearchConfig(n_restarts=3, n_sweeten_passes=1, n_zealous_attempts=0, seed=2)
+    ps, ensemble, lams, delta, p, cfg = capped_ladder()
     estimate = levels_mod.ballet_estimate
 
     def level_0_late(ps, ensemble, lam, *args, **kwargs):
@@ -381,11 +391,11 @@ def test_pooled_tree_reads_levels_in_order(monkeypatch):
         return estimate(ps, ensemble, lam, *args, **kwargs)
 
     monkeypatch.setattr(levels_mod, "ballet_estimate", level_0_late)
-    serial = tree_and_cap_warnings(ps, ensemble, lams, delta, LossParams(), cfg)
+    serial = tree_and_cap_warnings(ps, ensemble, lams, delta, p, cfg)
     monkeypatch.setattr(levels_mod, "_POOLED_MIN_LEVEL_ENTRIES", 0)
     monkeypatch.setattr(levels_mod, "cpu_count", lambda: 3)
     opened = record_pools(monkeypatch)
-    assert tree_and_cap_warnings(ps, ensemble, lams, delta, LossParams(), cfg) == serial
+    assert tree_and_cap_warnings(ps, ensemble, lams, delta, p, cfg) == serial
     assert opened == [3] and [w for w in serial[3] if w.startswith("level")] == ["level 0", "level 1", "level 2"]
     assert any(w.startswith("search restart") for w in serial[3])
 
