@@ -8,9 +8,9 @@ precompute_stats builds the (point, draw) entries of the support
 {i : alpha_i > 0}, grouped into draw cells, once, and CoClusteringStats holds
 them, with no dense label matrix. Every risk count reads them: _risk_counts
 for a whole candidate (the risk of an estimate, and the search's all-noise
-and seed candidates), and the search's engine for point moves. A
-never-active point pairs with nothing, and it is noise-optimal in every
-candidate evaluation, which keeps the search exact while skipping it.
+candidate and the seeds its bound keeps), and the search's engine for point
+moves. A never-active point pairs with nothing, and it is noise-optimal in
+every candidate evaluation, which keeps the search exact while skipping it.
 
 Risks and search costs are computed in units of 1/S, as integer counts times
 the loss weights. They are exact for dyadic weights (the defaults), so equal
@@ -44,12 +44,15 @@ Two more shortcuts leave every decision as it was:
   removes is counted from the members' draw cells. A walked attempt that
   is rejected is undone by rebuilding the table in O(S u).
 
-The search's independent work, each seed candidate's risk count and each
-restart, runs on util.fork_map's processes, one per CPU (at most one per
-restart), from _POOLED_MIN_ENTRIES (point, draw) entries times restarts.
-The workers inherit the engine, the draw cells and the restarts'
-generators at the fork; only counts, support labels and pass-cap warnings
-come back.
+The search's restarts, its independent work, run on util.fork_map's
+processes, one per CPU (at most one per restart), from _POOLED_MIN_ENTRIES
+(point, draw) entries times restarts. The workers inherit the engine, the
+draw cells and the restarts' generators at the fork; only counts, support
+labels and pass-cap warnings come back. The seed candidates are counted
+after the pool, in the calling process, and only those that could still
+win: a seed's risk is at least that of its two noise counts alone
+(_noise_counts, O(n)), so a seed whose noise terms alone cost more than the
+all-noise state or a restart is never the pick, and its pairs go uncounted.
 """
 
 from __future__ import annotations
@@ -197,10 +200,19 @@ def _risk_counts(stats: CoClusteringStats, labels: np.ndarray) -> np.ndarray:
     together_draw = _pairs(np.bincount(cell))
     together_cand = _pairs(np.bincount(stats.draws[hit] * H + he[hit]))
     together_both = _pairs(np.unique(cell * H + he[shared], return_counts=True)[1])
-    d = stats.n_active
-    missed = int(d[~act].sum())
-    extra = stats.S * int(np.count_nonzero(labels)) - int(d[act].sum())
-    return np.array([missed, extra, together_draw - together_both, together_cand - together_both])
+    split, joined = together_draw - together_both, together_cand - together_both
+    return np.array([*_noise_counts(stats, labels), split, joined])
+
+
+def _noise_counts(stats: CoClusteringStats, labels: np.ndarray) -> tuple[int, int]:
+    """The first two _risk_counts of full-length labels, (missed, extra), in O(n).
+
+    The loss weighs every count with a nonnegative weight and adds the
+    nonnegative float terms, so the risk of [missed, extra, 0, 0] is at most
+    the risk of the full counts: the search's bound on a seed candidate.
+    """
+    on = int(stats.n_active @ (labels[stats.support] > 0))
+    return int(stats.n_active.sum()) - on, stats.S * int(np.count_nonzero(labels)) - on
 
 
 def empirical_risk(c: SubPartition, stats: CoClusteringStats, p: LossParams = DEFAULT_LOSS_PARAMS) -> float:
@@ -691,22 +703,15 @@ def _restart(work: _Work, i: int, rng: np.random.Generator) -> tuple[np.ndarray,
 
 
 class _Work(NamedTuple):
-    """A search's independent work, the seed candidates' risk counts and the
-    restarts, with the engine, stats, seeds and config they read."""
+    """What a search's restarts read, the engine and the config: the state a
+    fork pool's workers inherit. Each pool task is one restart (_restart)."""
 
     engine: _Engine
-    stats: CoClusteringStats
-    seeds: Sequence[SubPartition]
     cfg: SearchConfig
 
-    def task(self, i: int, rng: Optional[np.random.Generator]):
-        """Seed i's (_risk_counts, None) without a generator, else restart i's result."""
-        if rng is None:
-            return _risk_counts(self.stats, self.seeds[i].labels_array), None
-        return _restart(self, i, rng)
 
-
-# Below this many (point, draw) entries times restarts a search runs serially.
+# Below this many (point, draw) entries times restarts a search runs its
+# restarts serially; the pool runs only the restarts, never a seed's count.
 # Measured on a ProcessPoolExecutor, which took 10-20 ms to open and shut: on
 # 2 CPUs, 2 workers took 1.03-1.3x the serial time at 14k-27k entry-restarts
 # and 0.93-0.97x at 34k-44k (sky surveys, n = 300-500, S = 100), 0.6-0.9x
@@ -742,6 +747,13 @@ def search(
     than any of them. A restart whose last allowed sweetening pass still
     moved a point emits a SearchPassCapWarning.
 
+    A seed is bounded before it is counted. Its risk is at least that of its
+    two noise counts alone (_noise_counts), an O(n) count. When that bound
+    exceeds the lower of the all-noise risk and every restart's, the seed's
+    risk is above the best candidate's, so it cannot be the pick, and its
+    pair counts are skipped. This is exact: a seed whose bound ties the best
+    is counted, and one that ties the best risk still wins by order.
+
     Each restart tracks the integer counts its risk weighs from the priced
     decisions: the incremental assignment, the sweetening moves, and each
     zealous attempt's removal and reassignment. So it compares the same
@@ -756,18 +768,19 @@ def search(
     undone by rebuilding the state from its labels. None of these changes a
     decision or a draw of the restarts' generators.
 
-    The seed candidates' risk counts and the restarts run on min(cpu_count(),
-    n_restarts) processes (util.fork_map): this one and workers it forks,
-    once the restarts' (point, draw) entries reach _POOLED_MIN_ENTRIES. The
-    search runs serially below that, with one worker, without the fork
-    start method, and inside a pool task or child process (such as a level
-    of build_cluster_tree or a replicate of run_simulation_study), whose
-    parent already uses the CPUs. Each restart draws from its own generator
-    only, the best is picked here in restart order, seeds first, with a
-    strict <, and fork_map emits the restarts' warnings in restart order:
-    the labels and warnings do not depend on the worker count. A worker that
-    dies (killed by a signal or the OOM killer) raises InfeasibleError once
-    every worker is reaped.
+    The restarts alone run on min(cpu_count(), n_restarts) processes
+    (util.fork_map): this one and workers it forks, once the restarts'
+    (point, draw) entries reach _POOLED_MIN_ENTRIES. The seeds the bound
+    keeps are counted after the pool, in this process, so a search opens
+    one pool at most. The restarts run serially below the gate, with one
+    worker, without the fork start method, and inside a pool task or child
+    process (such as a level of build_cluster_tree or a replicate of
+    run_simulation_study), whose parent already uses the CPUs. Each restart
+    draws from its own generator only, the best is picked here with a
+    strict <, in the order all-noise, seeds, restarts, and fork_map emits
+    the restarts' warnings in restart order: the labels and warnings do not
+    depend on the worker count. A worker that dies (killed by a signal or
+    the OOM killer) raises InfeasibleError once every worker is reaped.
     """
     engine = _Engine(stats, p)  # reads the stats' cells in place, so a fork pool's workers inherit both
     seed_list = list(seeds) if seeds is not None else []
@@ -775,17 +788,21 @@ def search(
         if s.n != stats.n:
             raise ValueError(f"seed clustering has n={s.n}, stats have n={stats.n}")
 
-    best_sp = SubPartition.all_noise(stats.n)
-    best_risk = engine.risk(_risk_counts(stats, best_sp.labels_array))
-    work = _Work(engine, stats, seed_list, cfg)
     rngs = spawn_rngs(cfg.seed, cfg.n_restarts)
     workers = _search_workers(stats.point.size, cfg)
-    tasks = [(j, None) for j in range(len(seed_list))] + list(enumerate(rngs))
-    results = fork_map(_Work.task, work, tasks, workers, "search")
-    for (counts, labels), seed in zip(results, seed_list + [None] * cfg.n_restarts):
+    restarts = fork_map(_restart, _Work(engine, cfg), list(enumerate(rngs)), workers, "search")
+    best_sp = SubPartition.all_noise(stats.n)
+    best_risk = engine.risk(_risk_counts(stats, best_sp.labels_array))
+    bound = min([best_risk] + [engine.risk(counts) for counts, _ in restarts])
+    for s in seed_list:
+        if engine.risk(np.array([*_noise_counts(stats, s.labels_array), 0, 0])) > bound:
+            continue  # its noise terms alone cost more than the all-noise state or a restart
+        risk = engine.risk(_risk_counts(stats, s.labels_array))
+        if risk < best_risk:
+            best_risk, best_sp = risk, s
+    for counts, labels in restarts:
         if engine.risk(counts) < best_risk:
-            best_risk = engine.risk(counts)
-            best_sp = seed if labels is None else SubPartition(_full_labels(stats, labels))
+            best_risk, best_sp = engine.risk(counts), SubPartition(_full_labels(stats, labels))
     return best_sp
 
 

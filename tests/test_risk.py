@@ -825,21 +825,16 @@ def test_search_deterministic():
     assert a.labels == b.labels
 
 
-def test_search_counts_a_seed_active_off_the_support(monkeypatch):
+def test_search_counts_a_seed_active_off_the_support():
     # point 3 is noise in every draw; a seed that clusters it pays m_ia (n - 1)
-    # in each draw, so the draw itself (risk 0) is the estimate, serially and
-    # on a pool
+    # in each draw, so the draw itself (risk 0) is the estimate
     draw = SubPartition([1, 1, 2, 0])
     wide = SubPartition([1, 1, 2, 2])
     stats = precompute_stats([draw, draw])
     assert empirical_risk(wide, stats) == 1.5
-    cfg = SearchConfig(n_restarts=2, seed=0)
-    assert search(stats, cfg=cfg, seeds=[wide, draw]) == draw
-    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
-    monkeypatch.setattr(risk_mod, "cpu_count", lambda: 2)
-    opened = record_pools(monkeypatch)
-    est = search(stats, cfg=cfg, seeds=[wide, draw])
-    assert opened == [2] and est == draw and empirical_risk(est, stats) == 0.0
+    assert risk_mod._noise_counts(stats, wide.labels_array) == (0, 2)
+    est = search(stats, cfg=SearchConfig(n_restarts=2, seed=0), seeds=[wide, draw])
+    assert est == draw and empirical_risk(est, stats) == 0.0
 
 
 def test_search_seed_size_mismatch():
@@ -948,6 +943,45 @@ def test_accepted_zealous_attempt_wins_the_search():
     assert empirical_risk(walked, stats, p) < empirical_risk(unwalked, stats, p)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    count_instances(),
+    st.sampled_from(
+        [
+            LossParams(),
+            EQUAL_INEXACT,
+            LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6),
+            LossParams(a=0.1, b=1.3, m_ai=0.9, m_ia=0.7),
+        ]
+    ),
+)
+def test_noise_count_bound_never_exceeds_the_risk(inst, p):
+    """The bound the search puts on a seed, the risk of its two noise counts
+    alone, is at most its risk, under dyadic and non-dyadic losses, for the
+    drawn candidate (points active off the support), the all-noise one and
+    one active everywhere; and the noise counts are _risk_counts' first two."""
+    draws, labels, _ = inst
+    stats = precompute_stats(draws)
+    engine = risk_mod._Engine(stats, p)
+    for cand in (labels, np.zeros(stats.n, dtype=np.int64), np.ones(stats.n, dtype=np.int64)):
+        counts = risk_mod._risk_counts(stats, cand)
+        noise = risk_mod._noise_counts(stats, cand)
+        assert list(noise) == counts[:2].tolist()
+        assert engine.risk(np.array([*noise, 0, 0])) <= engine.risk(counts)
+
+
+# draw 0 (risk 11 / S) beats the restarts (12 / S) and survives the bound
+# (8), while draw 1 is cut (14 > 12): a seed that is counted and wins
+SEED_WINS = (
+    [SubPartition(r) for r in ([1, 1, 0, 1, 1], [1, 0, 2, 2, 0], [1, 1, 0, 0, 2])],
+    LossParams(),
+    SearchConfig(n_restarts=2, n_sweeten_passes=2, n_zealous_attempts=0, seed=965),
+)
+# draw 0 splits and joins no pair, so its bound is its risk, 1 / S, which ties
+# the restarts' [1, 1, 0]: it is counted, and wins by coming first
+SEED_TIES = ([SubPartition([1, 1, 2]), SubPartition([1, 1, 0])], LossParams(), SearchConfig(n_restarts=2, seed=0))
+
+
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
 def test_search_matches_per_point_oracle():
     """Block pricing, the walks that skip the points no cluster can take, the
@@ -982,6 +1016,8 @@ def test_search_matches_per_point_oracle():
     @settings(max_examples=150, deadline=None)
     @given(search_instances())
     @example(zealous_win())
+    @example((*SEED_WINS, SEED_WINS[0]))
+    @example((*SEED_TIES, SEED_TIES[0]))
     # point 0 is active in S/2 draws, so under EQUAL_INEXACT its noise cost
     # equals active_base and it is walked, whatever the drawn instances hold
     @example(([SubPartition([1, 1, 0]), SubPartition([0, 1, 1])], EQUAL_INEXACT, SearchConfig(n_restarts=1), None))
@@ -1248,6 +1284,32 @@ def test_pooled_search_reads_results_in_restart_order(monkeypatch):
     monkeypatch.setattr(risk_mod, "cpu_count", lambda: 4)
     assert labels_and_cap_warnings(stats, LossParams(), cfg, draws) == serial
     assert len(serial[1]) >= 2
+
+
+def test_pooled_search_counts_the_seeds_after_the_pool(monkeypatch):
+    """With the gate at 0 and 2 CPUs, a search whose seeds survive the bound,
+    one winning outright and one by order, gives the serial labels: its one
+    pool's tasks are the restarts alone, the seeds are counted after it, and
+    no child process outlives the call."""
+    monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
+    fork_map = risk_mod.fork_map
+    tasks = []
+
+    def recorded(fn, state, args, workers, what):
+        tasks.append([a[0] for a in args])
+        return fork_map(fn, state, args, workers, what)
+
+    monkeypatch.setattr(risk_mod, "fork_map", recorded)
+    opened = record_pools(monkeypatch)
+    for draws, p, cfg in (SEED_WINS, SEED_TIES):
+        stats = precompute_stats(draws)
+        monkeypatch.setattr(risk_mod, "cpu_count", lambda: 1)
+        serial = labels_and_cap_warnings(stats, p, cfg, draws)
+        assert serial[0] == draws[0].labels != search(stats, p, cfg).labels  # the seed wins
+        monkeypatch.setattr(risk_mod, "cpu_count", lambda: 2)
+        assert labels_and_cap_warnings(stats, p, cfg, draws) == serial and no_child_left()
+    assert opened == [2, 2]  # one pool per pooled search, none for a serial one
+    assert tasks == [[0, 1]] * 6  # restarts 0 and 1, in every search
 
 
 def test_search_pool_gate(monkeypatch):
