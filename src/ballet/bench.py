@@ -1,6 +1,7 @@
-"""Synthetic benchmarks: survey-style mixture generator, enclosing-ellipse
-detection metrics, and the replication harness comparing the posterior point
-estimate, its credible-ball bounds, the plugin surrogate, and DBSCAN*."""
+"""Synthetic benchmarks: the sky-survey generator on its fixed mixture design,
+enclosing-ellipse detection metrics, and the replication harness comparing
+the posterior point estimate, its credible-ball bounds, the plugin surrogate,
+and DBSCAN*."""
 
 from __future__ import annotations
 
@@ -70,23 +71,27 @@ _METRICS = ("sensitivity", "specificity", "exact_match")
 # ---------------------------------------------------------------------------
 # generators
 
+# the sky survey's fixed mixture design (see SkySurveySpec)
+SKY_WEIGHT_CONCENTRATION = 0.5
+SKY_VARIANCE_SHAPE = 5.0
+SKY_VARIANCE_SCALE = 0.0005
+
 
 @dataclass(frozen=True)
 class SkySurveySpec:
-    """Mixture on a rectangle: uniform background mass plus isotropic Gaussian
-    components with Dirichlet weights and inverse-gamma variances.
+    """Mixture on the unit square: uniform background mass plus isotropic
+    Gaussian components. The survey design is fixed: uniform means,
+    Dirichlet(SKY_WEIGHT_CONCENTRATION) weights, and variances
+    SKY_VARIANCE_SCALE / Gamma(SKY_VARIANCE_SHAPE, 1). A spec sets only the
+    size, the component count, the noise mass and the seed.
 
     noise_mass = 1 degenerates to the pure background (components are still
-    drawn and reported as targets). The domain must be two-dimensional.
+    drawn and reported as targets).
     """
 
     n: int = 40000
     n_components: int = 42
     noise_mass: float = 0.9
-    weight_concentration: float = 0.5
-    variance_shape: float = 5.0
-    variance_scale: float = 0.0005
-    domain: tuple[tuple[float, float], ...] = ((0.0, 1.0), (0.0, 1.0))
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -96,15 +101,6 @@ class SkySurveySpec:
             raise ConfigError(f"n_components must be >= 1, got {self.n_components}")
         if not 0.0 < self.noise_mass <= 1.0:
             raise ConfigError(f"noise_mass must lie in (0, 1], got {self.noise_mass}")
-        for name in ("weight_concentration", "variance_shape", "variance_scale"):
-            v = getattr(self, name)
-            if not (v > 0 and np.isfinite(v)):
-                raise ConfigError(f"{name} must be positive and finite, got {v}")
-        if len(self.domain) != 2:
-            raise ConfigError("domain must have exactly two axes")
-        for lo, hi in self.domain:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ConfigError(f"bad domain axis ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -126,19 +122,17 @@ def generate_sky_survey(
 ) -> tuple[PointSet, np.ndarray, SkyComponents]:
     """Draw n points from the background-plus-Gaussians mixture.
 
-    Draws landing outside the domain are rejected and resampled from the full
-    mixture until n remain, so the output is i.i.d. from the mixture
-    conditioned on the domain. Targets are the component means. Deterministic
+    Draws landing outside the unit square are rejected and resampled from
+    the full mixture until n remain, so the output is i.i.d. from the mixture
+    conditioned on the square. Targets are the component means. Deterministic
     given spec.seed.
     """
     rng = spawn_rngs(spec.seed, 1)[0]
-    lo = np.array([a for a, _ in spec.domain], dtype=np.float64)
-    hi = np.array([b for _, b in spec.domain], dtype=np.float64)
     K = spec.n_components
 
-    weights = rng.dirichlet(np.full(K, spec.weight_concentration))
-    means = rng.uniform(lo, hi, size=(K, 2))
-    variances = spec.variance_scale / rng.gamma(spec.variance_shape, 1.0, size=K)
+    weights = rng.dirichlet(np.full(K, SKY_WEIGHT_CONCENTRATION))
+    means = rng.uniform(0.0, 1.0, size=(K, 2))
+    variances = SKY_VARIANCE_SCALE / rng.gamma(SKY_VARIANCE_SHAPE, 1.0, size=K)
     sds = np.sqrt(variances)
 
     mix = np.concatenate(([spec.noise_mass], (1.0 - spec.noise_mass) * weights))
@@ -153,11 +147,11 @@ def generate_sky_survey(
         x = np.empty((m, 2), dtype=np.float64)
         bg = comp == 0
         if bg.any():
-            x[bg] = rng.uniform(lo, hi, size=(int(bg.sum()), 2))
+            x[bg] = rng.uniform(0.0, 1.0, size=(int(bg.sum()), 2))
         if not bg.all():
             g = comp[~bg] - 1
             x[~bg] = means[g] + rng.normal(size=(g.size, 2)) * sds[g][:, None]
-        keep = np.all((x >= lo) & (x <= hi), axis=1)
+        keep = np.all((x >= 0.0) & (x <= 1.0), axis=1)
         kept = int(keep.sum())
         points[filled : filled + kept] = x[keep]
         labels[filled : filled + kept] = comp[keep]
@@ -185,22 +179,18 @@ def generate_two_moons(n: int, noise_sd: float = 0.1, seed: int = 0) -> PointSet
     return PointSet(pts)
 
 
-def generate_noisy_circles(
-    n: int, noise_sd: float = 0.05, seed: int = 0, radius_ratio: float = 0.5
-) -> PointSet:
-    """Two concentric circles (radii 1 and radius_ratio) with Gaussian jitter."""
+def generate_noisy_circles(n: int, noise_sd: float = 0.05, seed: int = 0) -> PointSet:
+    """Two concentric circles (radii 1 and 0.5) with Gaussian jitter."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (noise_sd >= 0 and np.isfinite(noise_sd)):
         raise ValueError(f"noise_sd must be nonnegative, got {noise_sd}")
-    if not 0.0 < radius_ratio < 1.0:
-        raise ValueError(f"radius_ratio must lie in (0, 1), got {radius_ratio}")
     rng = spawn_rngs(seed, 1)[0]
     n_outer = (n + 1) // 2
     t1 = rng.uniform(0.0, 2.0 * np.pi, size=n_outer)
     t2 = rng.uniform(0.0, 2.0 * np.pi, size=n - n_outer)
     outer = np.column_stack([np.cos(t1), np.sin(t1)])
-    inner = radius_ratio * np.column_stack([np.cos(t2), np.sin(t2)])
+    inner = 0.5 * np.column_stack([np.cos(t2), np.sin(t2)])
     pts = np.vstack([outer, inner])
     if noise_sd > 0:
         pts = pts + rng.normal(scale=noise_sd, size=pts.shape)

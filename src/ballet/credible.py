@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .levelset import PointSet, _component_labels, _delta_pairs
-from .risk import CoClusteringStats, precompute_stats
+from .risk import CoClusteringStats
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _weighted_loss, ia_binder_loss
 from .util import canonical_json, order_statistic_ceil
 
@@ -285,12 +285,13 @@ def compute_credible_ball(
     clusterings: Sequence[SubPartition],
     alpha: float = 0.05,
     p: LossParams = DEFAULT_LOSS_PARAMS,
-    stats: Optional[CoClusteringStats] = None,
+    *,
+    stats: CoClusteringStats,
 ) -> CredibleBall:
-    """Radius, coverage, and both greedy bounds in one pass."""
+    """Radius, coverage, and both greedy bounds in one pass. stats are the
+    clusterings' co-clustering stats (BalletResult.stats): their alpha-hat
+    orders the walks."""
     radius, dists = _radius_and_losses(center, clusterings, p, alpha)
-    if stats is None:
-        stats = precompute_stats(clusterings)
     coverage = float(np.count_nonzero(dists <= radius)) / len(clusterings)
     lower = greedy_lower_bound(center, ps, delta, stats, radius, p)
     upper = greedy_upper_bound(center, ps, delta, stats, radius, p)

@@ -98,12 +98,12 @@ class ElbowResult:
     fallback: bool
 
 
-def _kneedle_knee_index(y: np.ndarray, sensitivity: float = 1.0) -> Optional[int]:
+def _kneedle_knee_index(y: np.ndarray) -> Optional[int]:
     """First knee of a concave increasing series, None when no knee confirms.
 
     Normalized difference curve d = y_norm - x_norm; a local maximum of d is a
-    knee once d drops below (max - sensitivity * mean_step) before the next
-    local maximum.
+    knee once d drops below (max - mean_step) before the next local maximum
+    (Kneedle at sensitivity 1).
     """
     n = y.size
     if n < 3:
@@ -118,7 +118,7 @@ def _kneedle_knee_index(y: np.ndarray, sensitivity: float = 1.0) -> Optional[int
         i for i in range(1, n - 1)
         if d[i] > d[i - 1] and d[i] >= d[i + 1]
     ]
-    step = sensitivity / (n - 1)
+    step = 1.0 / (n - 1)
     for pos, i in enumerate(maxima):
         threshold = d[i] - step
         stop = maxima[pos + 1] if pos + 1 < len(maxima) else n

@@ -27,7 +27,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .errors import InfeasibleError
+from .errors import ConfigError, InfeasibleError
 from .subpartition import SubPartition
 from .util import cpu_count, order_statistic_ceil
 
@@ -265,13 +265,20 @@ def adaptive_delta(ps: PointSet, active: Sequence[int], cfg: AdaptiveDeltaConfig
     The kNN distances are measured in the full point set, but only at the
     active points; the quantile (m-th smallest with m = ceil((1-gamma) *
     |active|)) runs over them. `active` holds point indices, a repeated one
-    counted once.
+    counted once. A delta of 0, where that many active points have k others
+    at their own coordinates, is a ConfigError.
     """
     act = _active_indices(active, ps.n)
     if act.size == 0:
         raise ValueError("active set must be nonempty")
     k = cfg.resolve_k(ps.n)
-    return order_statistic_ceil(_knn_distance_at(cKDTree(ps.points), act, k), 1.0 - cfg.gamma)
+    delta = order_statistic_ceil(_knn_distance_at(cKDTree(ps.points), act, k), 1.0 - cfg.gamma)
+    if not delta > 0:
+        raise ConfigError(
+            f"adaptive delta is {delta}: with k={k} and gamma={cfg.gamma}, at least a 1 - gamma share of the "
+            f"active points have k other points at identical coordinates; use a larger --k or a fixed --delta"
+        )
+    return delta
 
 
 def surrogate_cluster(

@@ -1,8 +1,8 @@
 """Small shared helpers: order-statistic quantiles, seeding, canonical JSON,
 the worker count, and the fork pool of every process-parallel stage.
 
-The search's restarts and seed risk counts, a cluster tree's levels and a
-study's replicates are independent tasks that read one large shared state.
+The search's restarts, a cluster tree's levels and a study's replicates
+are independent tasks that read one large shared state.
 fork_map runs them on `workers` processes: the calling process and
 workers - 1 children it forks, which inherit the state at the fork,
 unpickled. Every process claims the next tasks from one pipe of task

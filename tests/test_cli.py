@@ -285,6 +285,19 @@ def test_malformed_points_exit_3(tmp_path, capsys, text):
     assert err.startswith("ballet: error: malformed data") and "Warning" not in err
 
 
+def test_adaptive_delta_of_zero_exit_2(tmp_path, capsys):
+    """Identical points give an adaptive delta of 0: the run exits 2 naming
+    k and gamma, and writes no artifact."""
+    data = tmp_path / "points.csv"
+    data.write_text("0.5,0.5\n" * 4)
+    out = tmp_path / "out"
+    assert main(["cluster", "--data", str(data), "--nu", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ballet: error: adaptive delta is 0.0: with k=")
+    assert "gamma=0.01" in err and "use a larger --k or a fixed --delta" in err
+    assert not (out / "estimate.json").exists()
+
+
 def test_radius_joining_most_points_exit_5(tmp_path, monkeypatch):
     """A given delta or eps whose pair list would not fit exits 5 after
     counting the pairs (2e8 here), before the ensemble or a pair is stored.

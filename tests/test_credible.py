@@ -354,7 +354,7 @@ def test_compute_credible_ball_invariants_and_json():
         active = rng.random(30) > 0.2
         draws.append(active_set_components(ps, np.flatnonzero(active), 1.0))
     center = active_set_components(ps, np.arange(30), 1.0)
-    ball = compute_credible_ball(center, ps, 1.0, draws, alpha=0.25)
+    ball = compute_credible_ball(center, ps, 1.0, draws, alpha=0.25, stats=precompute_stats(draws))
     assert isinstance(ball, CredibleBall)
     assert ball.radius == credible_radius(center, draws, alpha=0.25)
     dists = np.array([ia_binder_loss(center, c) for c in draws])

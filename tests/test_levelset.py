@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import ballet.levelset as levelset
+from ballet.errors import ConfigError
 from ballet.levelset import (
     AdaptiveDeltaConfig,
     PointSet,
@@ -177,6 +178,15 @@ def test_adaptive_delta_gamma_zero_is_max():
 def test_adaptive_delta_single_active_point():
     ps = pts1d(0, 1, 3, 7)
     assert adaptive_delta(ps, [3], AdaptiveDeltaConfig(k=1, gamma=0.25)) == 4.0
+
+
+def test_adaptive_delta_of_zero_is_a_config_error():
+    # points 0..2 share one coordinate, so each has k = 2 others at distance 0
+    ps = pts1d(0, 0, 0, 5)
+    with pytest.raises(ConfigError, match=r"k=2 and gamma=0\.25.*larger --k or a fixed --delta"):
+        adaptive_delta(ps, [0, 1, 2, 3], AdaptiveDeltaConfig(k=2, gamma=0.25))
+    # the 4th smallest of (0, 0, 0, 5) is positive
+    assert adaptive_delta(ps, [0, 1, 2, 3], AdaptiveDeltaConfig(k=2, gamma=0.0)) == 5.0
 
 
 def test_adaptive_delta_empty_active_errors():
