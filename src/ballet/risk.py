@@ -93,7 +93,9 @@ def draw_clusterings(
 
     Every draw's delta graph is a subgraph of the one on the union of the
     draws' active sets, so that pair list is built once, and the S x n stack
-    of active masks is labelled in one engine call on the union's points.
+    of active masks is labelled in one engine call on the union's points. The
+    engine makes one connected_components call per chunk of draws, so the
+    draws of a small support share a call and a survey-size draw has its own.
     """
     if ensemble.n != ps.n:
         raise InfeasibleError(f"ensemble has n={ensemble.n} but point set has n={ps.n}")

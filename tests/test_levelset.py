@@ -329,8 +329,9 @@ def test_neighborhood_graph_strict_and_components():
 def mask_stacks(draw):
     """Integer-lattice points with exact duplicates, the delta = 1 pair list of
     every point under the open or the closed graph (so the lattice's axis
-    neighbours sit exactly at delta), and a stack of masks: each row empty,
-    all active or random, over the points that are not always inactive."""
+    neighbours sit exactly at delta), and a stack of up to 12 masks: each row
+    empty, all active or random, over the points that are not always
+    inactive."""
     d = draw(st.integers(1, 2))
     side = draw(st.integers(2, {1: 12, 2: 5}[d]))
     grid = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), axis=-1).reshape(-1, d)
@@ -345,7 +346,7 @@ def mask_stacks(draw):
     closed = draw(st.booleans())
     dead = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     rows = []
-    for kind in draw(st.lists(st.sampled_from(["empty", "all", "random"]), min_size=1, max_size=4)):
+    for kind in draw(st.lists(st.sampled_from(["empty", "all", "random"]), min_size=1, max_size=12)):
         if kind == "empty":
             rows.append(np.zeros(n, dtype=bool))
         elif kind == "all":
@@ -356,22 +357,76 @@ def mask_stacks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(mask_stacks())
-def test_component_engine_matches_coo_engine_and_closure(instance):
+@given(mask_stacks(), st.integers(2, 4))
+def test_component_engine_matches_coo_engine_and_closure(instance, rows_per_chunk):
+    """However the chunk bound splits a stack (one row a call, a few nodes, a
+    few rows with a partial last chunk, or the default), each row is labelled
+    as the closure and the per-mask COO engine label it, and inactive points
+    are exactly 0; so is a mask given alone, (n,) or as a one-row stack."""
     pts, closed, masks = instance
     n = len(pts)
     # the pairs of every point, so some touch points that no row activates
     pairs = _delta_pairs(pts, 1.0, closed)
-    stacked = _component_labels(n, pairs, masks)
-    assert stacked.shape == masks.shape
-    for mask, got in zip(masks, stacked):
-        expect = SubPartition(oracle_components(pts, np.flatnonzero(mask), 1.0, closed=closed))
-        assert SubPartition(got) == expect
-        assert SubPartition(oracle_coo_component_labels(n, pairs, mask)) == expect
-        one = _component_labels(n, pairs, mask)
-        assert one.shape == (n,)
-        assert SubPartition(one) == expect
-        assert SubPartition(_component_labels(n, pairs, mask[None, :])[0]) == expect
+    live = masks.any(axis=0)
+    entries = int(live.sum()) + int(np.count_nonzero(live[pairs[:, 0]] & live[pairs[:, 1]]))
+    expect = []
+    for mask in masks:
+        want = SubPartition(oracle_components(pts, np.flatnonzero(mask), 1.0, closed=closed))
+        assert SubPartition(oracle_coo_component_labels(n, pairs, mask)) == want
+        assert SubPartition(_component_labels(n, pairs, mask[None, :])[0]) == want
+        expect.append(want)
+    for limit in (1, 7, rows_per_chunk * entries, levelset._CHUNK_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(levelset, "_CHUNK_ENTRIES", limit)
+            stacked = _component_labels(n, pairs, masks)
+            alone = [_component_labels(n, pairs, mask) for mask in masks]
+        assert stacked.shape == masks.shape
+        for mask, got, one, want in zip(masks, stacked, alone, expect):
+            assert np.array_equal(got != 0, mask)
+            assert SubPartition(got) == want
+            assert one.shape == (n,)
+            assert np.array_equal(one != 0, mask)
+            assert SubPartition(one) == want
+
+
+@pytest.mark.parametrize(
+    "n, delta, limit",
+    [
+        (5000, 1e-9, None),  # rows that share no pair, chunked by their nodes
+        (300, 0.08, None),  # the default bound, many rows a call
+        (300, 0.08, 3000),  # two rows a call
+        (300, 0.08, 1),  # one row alone passes the bound
+    ],
+)
+def test_component_engine_graph_stays_within_chunk_bound(n, delta, limit, monkeypatch):
+    """Each connected_components call holds at most _CHUNK_ENTRIES nodes plus
+    pairs, unless it labels one row; the calls cover every row once."""
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(size=(n, 2))
+    masks = rng.uniform(size=(40, n)) < 0.6
+    pairs = _delta_pairs(pts, delta, closed=False)
+    if limit is not None:
+        monkeypatch.setattr(levelset, "_CHUNK_ENTRIES", limit)
+    limit = levelset._CHUNK_ENTRIES
+    live = masks.any(axis=0)
+    m = int(live.sum())
+    rows_per_call = max(1, limit // (m + int(np.count_nonzero(live[pairs[:, 0]] & live[pairs[:, 1]]))))
+    graphs = []
+    real = levelset.connected_components
+
+    def spy(graph, directed):
+        graphs.append((graph.shape[0], graph.nnz))
+        return real(graph, directed=directed)
+
+    monkeypatch.setattr(levelset, "connected_components", spy)
+    labels = _component_labels(n, pairs, masks)
+    assert sum(nodes for nodes, _ in graphs) == len(masks) * m
+    for nodes, edges in graphs:
+        assert nodes % m == 0
+        assert nodes + edges <= limit or nodes == m
+    assert len(graphs) == -(-len(masks) // rows_per_call)
+    for mask, got in zip(masks, labels):
+        assert SubPartition(got) == SubPartition(oracle_coo_component_labels(n, pairs, mask))
 
 
 # -- DBSCAN -------------------------------------------------------------------
