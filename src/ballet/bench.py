@@ -163,35 +163,27 @@ def generate_sky_survey(
 
 def generate_two_moons(n: int, noise_sd: float = 0.1, seed: int = 0) -> PointSet:
     """Two interleaved half-circles with Gaussian jitter."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not (noise_sd >= 0 and np.isfinite(noise_sd)):
-        raise ValueError(f"noise_sd must be nonnegative, got {noise_sd}")
-    rng = spawn_rngs(seed, 1)[0]
-    n_upper = (n + 1) // 2
-    t1 = rng.uniform(0.0, np.pi, size=n_upper)
-    t2 = rng.uniform(0.0, np.pi, size=n - n_upper)
-    upper = np.column_stack([np.cos(t1), np.sin(t1)])
-    lower = np.column_stack([1.0 - np.cos(t2), 0.5 - np.sin(t2)])
-    pts = np.vstack([upper, lower])
-    if noise_sd > 0:
-        pts = pts + rng.normal(scale=noise_sd, size=pts.shape)
-    return PointSet(pts)
+    return _two_curves(n, noise_sd, seed, np.pi, lambda c, s: (c, s), lambda c, s: (1.0 - c, 0.5 - s))
 
 
 def generate_noisy_circles(n: int, noise_sd: float = 0.05, seed: int = 0) -> PointSet:
     """Two concentric circles (radii 1 and 0.5) with Gaussian jitter."""
+    return _two_curves(n, noise_sd, seed, 2.0 * np.pi, lambda c, s: (c, s), lambda c, s: (0.5 * c, 0.5 * s))
+
+
+def _two_curves(n: int, noise_sd: float, seed: int, span: float, first, second) -> PointSet:
+    """(n + 1) // 2 points on the first curve and the rest on the second, each
+    curve mapping (cos t, sin t) for t uniform on [0, span), then Gaussian
+    jitter of sd noise_sd."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not (noise_sd >= 0 and np.isfinite(noise_sd)):
         raise ValueError(f"noise_sd must be nonnegative, got {noise_sd}")
     rng = spawn_rngs(seed, 1)[0]
-    n_outer = (n + 1) // 2
-    t1 = rng.uniform(0.0, 2.0 * np.pi, size=n_outer)
-    t2 = rng.uniform(0.0, 2.0 * np.pi, size=n - n_outer)
-    outer = np.column_stack([np.cos(t1), np.sin(t1)])
-    inner = 0.5 * np.column_stack([np.cos(t2), np.sin(t2)])
-    pts = np.vstack([outer, inner])
+    n_first = (n + 1) // 2
+    t1 = rng.uniform(0.0, span, size=n_first)
+    t2 = rng.uniform(0.0, span, size=n - n_first)
+    pts = np.vstack([np.column_stack(curve(np.cos(t), np.sin(t))) for curve, t in ((first, t1), (second, t2))])
     if noise_sd > 0:
         pts = pts + rng.normal(scale=noise_sd, size=pts.shape)
     return PointSet(pts)

@@ -9,21 +9,22 @@ delta-graph components of its active set. Each walk builds its graph's pair
 list once and keeps the components in a union-find that also tracks the
 loss's integer counts, so a toggle costs its merges, not a relabelling of the
 graph. The lower walk only removes points, so it is counted backwards, as
-insertions (Tarjan's offline treatment of deletions). Only the returned state
-is labelled.
+insertions (Tarjan's offline treatment of deletions). Both walks end in one
+scan that prices each state and stops at the first outside the ball; only the
+returned state is labelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .levelset import PointSet, _component_labels, _delta_pairs
 from .risk import CoClusteringStats
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _weighted_loss, ia_binder_loss
-from .util import canonical_json, order_statistic_ceil
+from .util import order_statistic_ceil
 
 __all__ = [
     "BoundStep",
@@ -114,6 +115,12 @@ class _Walk:
         """(active -> inactive, inactive -> active, split pairs, merged pairs)."""
         return self.n_center - self.kept, self.extra, self.s1 - self.s12, self.s2 - self.s12
 
+    def counts_after(self, points: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+        """The counts after adding each point in turn, added when asked for."""
+        for i in points:
+            self.add(i)
+            yield self.counts()
+
     def add(self, i: int) -> None:
         """Activate point i and merge it with its active delta-neighbours."""
         h = self.cluster[i]
@@ -185,20 +192,8 @@ def greedy_upper_bound(
     walk = _Walk(center, pairs)
     for i in np.flatnonzero(active).tolist():
         walk.add(i)
-    taken = 0
-    for idx in order.tolist():
-        walk.add(idx)
-        dist = _weighted_loss(ps.n, *walk.counts(), p)
-        accepted = dist <= radius
-        if trace is not None:
-            trace.append(BoundStep(int(idx), float(stats.alpha[idx]), dist, accepted))
-        if not accepted:
-            break
-        taken += 1
-    if taken == 0:
-        return center
-    active[order[:taken]] = True
-    return SubPartition(_component_labels(ps.n, pairs, active))
+    counts = walk.counts_after(order.tolist())
+    return _scan(center, pairs, stats.alpha, radius, p, trace, order, counts, switch_on=True)
 
 
 def greedy_lower_bound(
@@ -223,26 +218,33 @@ def greedy_lower_bound(
     pairs = act[_delta_pairs(ps.points[act], delta, closed=False)]
     order = _activation_order(stats.alpha, act, largest_first=False)
     walk = _Walk(center, pairs)
-    # counts[t]: the state with the first t points of the order removed
-    counts = [walk.counts()]
-    for idx in order[::-1].tolist():
-        walk.add(idx)
-        counts.append(walk.counts())
-    counts.reverse()
+    # counted from the empty state backwards: the t-th state keeps exactly order[t:]
+    counts = [walk.counts(), *walk.counts_after(order[:0:-1].tolist())][::-1]
+    return _scan(center, pairs, stats.alpha, radius, p, trace, order, counts, switch_on=False)
+
+
+def _scan(
+    center: SubPartition, pairs: np.ndarray, alpha_hat: np.ndarray, radius: float, p: LossParams,
+    trace: Optional[list], order: np.ndarray, counts: Iterable[tuple], switch_on: bool,
+) -> SubPartition:
+    """Last in-ball state of a walk toggling the points of order in turn, given
+    the counts after each toggle, read no further than the first state outside
+    the ball: the components of the center's active set with the accepted
+    toggles switched on (or off)."""
     taken = 0
-    for t, idx in enumerate(order.tolist(), start=1):
-        dist = _weighted_loss(ps.n, *counts[t], p)
+    for idx, step_counts in zip(order.tolist(), counts):
+        dist = _weighted_loss(center.n, *step_counts, p)
         accepted = dist <= radius
         if trace is not None:
-            trace.append(BoundStep(int(idx), float(stats.alpha[idx]), dist, accepted))
+            trace.append(BoundStep(int(idx), float(alpha_hat[idx]), dist, accepted))
         if not accepted:
             break
-        taken = t
+        taken += 1
     if taken == 0:
         return center
     active = center.labels_array != 0
-    active[order[:taken]] = False
-    return SubPartition(_component_labels(ps.n, pairs, active))
+    active[order[:taken]] = switch_on
+    return SubPartition(_component_labels(center.n, pairs, active))
 
 
 def _check_bound_inputs(center: SubPartition, ps: PointSet, stats: CoClusteringStats, radius: float) -> None:
@@ -273,9 +275,6 @@ class CredibleBall:
             "lower": self.lower.to_json_dict(),
             "upper": self.upper.to_json_dict(),
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
 
 
 def compute_credible_ball(

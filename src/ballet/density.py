@@ -170,9 +170,13 @@ def default_domain(ps: PointSet) -> tuple[tuple[float, float], ...]:
 
 
 def _domain_array(domain) -> np.ndarray:
+    """A grid domain as a (d, 2) array, d at most _MAX_AXES: sample_bins reads
+    it before drawing any grid."""
     arr = np.asarray(domain, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("domain must be a sequence of (low, high) pairs")
+    if arr.shape[0] > _MAX_AXES:
+        raise ConfigError(f"histogram grids support at most {_MAX_AXES} axes")
     return arr
 
 
@@ -191,8 +195,6 @@ class HistogramBins:
             raise ValueError(f"cuts must have shape (K, d, M_prime + 1), got {cuts.shape}")
         if cuts.shape[1] != dom.shape[0]:
             raise ValueError("cuts and domain disagree on the number of axes")
-        if cuts.shape[1] > _MAX_AXES:
-            raise ConfigError(f"histogram grids support at most {_MAX_AXES} axes")
         if not np.all(np.diff(cuts, axis=2) > 0):
             raise NumericError("grid cut points must be strictly increasing")
         if not (np.all(cuts[:, :, 0] == dom[:, 0]) and np.all(cuts[:, :, -1] == dom[:, 1])):
@@ -265,8 +267,6 @@ def sample_bins(
     """One draw of all K per-axis grids; reused for every posterior draw."""
     dom = _domain_array(domain)
     d = dom.shape[0]
-    if d > _MAX_AXES:
-        raise ConfigError(f"histogram grids support at most {_MAX_AXES} axes")
     mp = cfg.M_prime
     cuts = np.empty((cfg.K, d, mp + 1))
     for k in range(cfg.K):

@@ -19,7 +19,7 @@ from .errors import ConfigError, InfeasibleError
 from .levelset import PointSet
 from .risk import SearchConfig, _search_workers, ballet_estimate, plugin_estimate
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition
-from .util import _ceil_count, canonical_json, cpu_count, fork_map, order_statistic_upper
+from .util import _ceil_count, cpu_count, fork_map, order_statistic_ceil
 
 __all__ = [
     "LevelSpec",
@@ -79,7 +79,7 @@ def resolve_level(
         if density_at_points is None:
             raise ConfigError("noise_fraction level needs reference densities")
         vals = np.asarray(density_at_points, dtype=np.float64)
-        return float(order_statistic_upper(vals, 1.0 - spec.value))
+        return -order_statistic_ceil(-vals, 1.0 - spec.value)  # the m-th largest
     if domain_volume is None:
         raise ConfigError("cosmo_c level needs the domain volume")
     if not (domain_volume > 0 and np.isfinite(domain_volume)):
@@ -222,9 +222,6 @@ class ClusterTree:
                 for e in self.edges
             ],
         }
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
 
     def to_dot(self) -> str:
         """Graphviz text, one rank row per level, edges labeled by overlap."""

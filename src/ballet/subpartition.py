@@ -9,7 +9,6 @@ reduce to equality of the canonical label arrays.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -140,10 +139,6 @@ class SubPartition:
         return np.flatnonzero(self._array != 0)
 
     @property
-    def noise_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._array == 0)
-
-    @property
     def is_all_noise(self) -> bool:
         return bool((self._array == 0).all())
 
@@ -167,9 +162,6 @@ class SubPartition:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "labels": self._array.tolist()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SubPartition":
         if not isinstance(obj, dict) or "n" not in obj or "labels" not in obj:
@@ -178,10 +170,6 @@ class SubPartition:
         if int(obj["n"]) != len(labels):
             raise ValueError(f"declared n={obj['n']} does not match {len(labels)} labels")
         return cls(labels)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SubPartition":
-        return cls.from_json_dict(json.loads(text))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:

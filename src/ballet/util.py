@@ -46,7 +46,6 @@ from .errors import InfeasibleError
 
 __all__ = [
     "order_statistic_ceil",
-    "order_statistic_upper",
     "spawn_rngs",
     "canonical_json",
     "config_hash",
@@ -66,16 +65,6 @@ def _ceil_count(q: float, n: int) -> int:
 def order_statistic_ceil(values: Sequence[float], q: float) -> float:
     """m-th smallest value, m = ceil(q * N); the minimal value covering fraction q."""
     vals = np.sort(np.asarray(values, dtype=np.float64))
-    if vals.size == 0:
-        raise ValueError("cannot take an order statistic of an empty sequence")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1], got {q}")
-    return float(vals[_ceil_count(q, vals.size) - 1])
-
-
-def order_statistic_upper(values: Sequence[float], q: float) -> float:
-    """m-th largest value, m = ceil(q * N); the maximal value keeping fraction q at or above."""
-    vals = np.sort(np.asarray(values, dtype=np.float64))[::-1]
     if vals.size == 0:
         raise ValueError("cannot take an order statistic of an empty sequence")
     if not 0.0 < q <= 1.0:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ballet
+import ballet.credible as credible_mod
 from ballet.credible import (
     BoundStep,
     CredibleBall,
@@ -17,7 +18,7 @@ from ballet.credible import (
 from ballet.levelset import PointSet, active_set_components
 from ballet.risk import precompute_stats
 from ballet.subpartition import LossParams, SubPartition, ia_binder_loss
-from ballet.util import order_statistic_ceil
+from ballet.util import canonical_json, order_statistic_ceil
 
 from oracles import oracle_components, oracle_greedy_walk, oracle_relabel_walk, random_subpartition
 
@@ -148,6 +149,24 @@ def test_upper_bound_stops_at_first_exceedance():
     assert out.labels == (1, 2, 0)
     assert [s.accepted for s in trace] == [True, True, False]
     assert [s.distance for s in trace] == [1.0, 2.0, 3.0]
+
+
+def test_upper_walk_adds_no_point_past_its_exit(monkeypatch):
+    """The upper walk adds the center's active points, then one point per
+    traced step: none past the first state outside the ball."""
+    n = 60
+    ps = line_points(*range(n))
+    stats, _ = make_stats([int(c) for c in np.random.default_rng(7).integers(1, 9, n)], S=8)
+    center = SubPartition([1] * 20 + [0] * (n - 20))
+    added = []
+    add = credible_mod._Walk.add
+    monkeypatch.setattr(credible_mod._Walk, "add", lambda walk, i: (added.append(i), add(walk, i))[1])
+    trace = []
+    # each activation costs (n - 1) * m_ia = 29.5: the fourth leaves the ball
+    greedy_upper_bound(center, ps, delta=1.5, stats=stats, radius=100.0, trace=trace)
+    assert [s.accepted for s in trace] == [True, True, True, False]
+    assert len(added) == 20 + len(trace)
+    assert added[20:] == [s.index for s in trace]
 
 
 def test_lower_bound_radius_zero_returns_center():
@@ -364,7 +383,7 @@ def test_compute_credible_ball_invariants_and_json():
     assert ia_binder_loss(center, ball.upper) <= ball.radius
     assert set(ball.lower.active_indices.tolist()) <= set(center.active_indices.tolist())
     assert set(ball.upper.active_indices.tolist()) >= set(center.active_indices.tolist())
-    obj = json.loads(ball.to_json())
+    obj = json.loads(canonical_json(ball.to_json_dict()))
     assert sorted(obj.keys()) == ["alpha", "coverage", "epsilon_star", "lower", "upper"]
     assert SubPartition.from_json_dict(obj["lower"]) == ball.lower
     assert SubPartition.from_json_dict(obj["upper"]) == ball.upper

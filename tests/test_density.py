@@ -129,8 +129,13 @@ def test_sample_bins_mean_fraction_matches_prior_mean():
 
 def test_sample_bins_rejects_high_dimension():
     cfg = HistogramMixtureConfig(K=1, M_prime=2)
-    with pytest.raises(ConfigError):
-        sample_bins(cfg, ((0.0, 1.0),) * 4, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ConfigError, match="histogram grids support at most 3 axes"):
+        sample_bins(cfg, ((0.0, 1.0),) * 4, rng)
+    assert rng.bit_generator.state == state  # rejected before any grid is drawn
+    with pytest.raises(ConfigError, match="histogram grids support at most 3 axes"):
+        HistogramBins(np.tile(np.linspace(0.0, 1.0, 3), (1, 4, 1)), ((0.0, 1.0),) * 4)
 
 
 def test_bins_validation_errors():

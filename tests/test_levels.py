@@ -29,6 +29,7 @@ from ballet.levels import (
 from ballet.levelset import PointSet, surrogate_cluster
 from ballet.risk import SearchConfig
 from ballet.subpartition import LossParams, SubPartition
+from ballet.util import _ceil_count, canonical_json
 from oracles import planted_knee_curve
 from pools import die_in_a_worker, no_child_left, record_pools
 
@@ -60,6 +61,25 @@ def test_resolve_noise_fraction_order_statistic():
     dens = np.arange(1, 11) / 10.0
     assert resolve_level(LevelSpec("noise_fraction", 0.1), density_at_points=dens) == 0.2
     assert resolve_level(LevelSpec("noise_fraction", 0.0), density_at_points=dens) == 0.1
+
+
+@given(
+    st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.5]), min_size=1, max_size=60),
+    st.floats(min_value=0.0, max_value=0.99),
+)
+@example([0.0] * 12, 0.5)
+@example([0.0, 1.0] * 20, 0.9)
+@example([2.5, 0.0, 0.0, 1.0, 1.0, 1.0, 0.25], 0.0)
+@example([1.0] * 7 + [0.0] * 30, 0.8)
+@settings(max_examples=200, deadline=None)
+def test_resolve_noise_fraction_ties_and_zeros(dens, nu):
+    """The m-th largest of a plain descending sort, bit for bit and sign
+    included, on densities with many ties and exact zeros."""
+    m = _ceil_count(1.0 - nu, len(dens))
+    naive = sorted(dens, reverse=True)[m - 1]
+    got = resolve_level(LevelSpec("noise_fraction", nu), density_at_points=np.asarray(dens))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(naive).tobytes()
 
 
 def test_resolve_missing_reference():
@@ -270,7 +290,7 @@ def test_tree_json_and_dot_exports():
         SubPartition([1, 1, 2, 2]),
     ]
     tree = tree_from_clusterings([0.5, 1.5], rows)
-    obj = json.loads(tree.to_json())
+    obj = json.loads(canonical_json(tree.to_json_dict()))
     assert obj["levels"] == [0.5, 1.5]
     assert obj["clusterings"] == [[1, 1, 1, 1], [1, 1, 2, 2]]
     assert {tuple(n) for n in map(tuple, obj["nodes"])} == {(0, 1), (1, 1), (1, 2)}
