@@ -278,6 +278,10 @@ def tree_from_clusterings(
 # 1.13x the serial time at 439 entries (n = 40, S = 8), 1.04x at 844
 # (n = 60, S = 10), 0.91x at 1309 (n = 75, S = 12), 0.80-0.89x at
 # 1953-3583 (n = 90-120, S = 15-20) and 0.67x at 12419 (n = 250, S = 30).
+# Re-measured on 2 CPUs with the search's one-point walk step, which made
+# each level's search cheaper: 1.02-1.04x at 434-3624 entries and
+# 0.99-1.00x on three ladder_small trees (about 12.6k), so the break-even
+# now lies above them.
 _POOLED_MIN_LEVEL_ENTRIES = 1_000
 
 

@@ -22,8 +22,10 @@ stays in its cell. Noise and unassigned points count nowhere in the table, so
 such a run of decisions is priced against one state. The search therefore
 prices the points of a walk a block at a time and moves only the first point
 whose decision changes the state, which gives the same decisions, ties
-included, as pricing one point at a time. It tracks each restart's risk from
-the same costs instead of recounting it.
+included, as pricing one point at a time. Nearly every point of an
+incremental assignment moves, though, so most blocks shrink to one point;
+such a point is priced, decided and moved in one step, from the same costs.
+It tracks each restart's risk from the same costs instead of recounting it.
 
 Two more shortcuts leave every decision as it was:
 - A point active in d draws costs (n-1) m_ai d in noise, and at least
@@ -257,8 +259,6 @@ class _Prices(NamedTuple):
     ids: np.ndarray
     costs: np.ndarray
     keep: np.ndarray
-    n1: np.ndarray
-    both: np.ndarray
 
 
 class _Layout(NamedTuple):
@@ -334,7 +334,8 @@ class _Engine:
     count of their narrow-cell members, and one cost matrix. An assigned
     point is priced as if unassigned, exactly: its own counts are taken off
     (one per multi-point cell from n1, one per active draw from both, in
-    its own column).
+    its own column). step() prices one point the same way, from the same
+    cost formula (_costs), then decides and moves it.
     """
 
     def __init__(self, stats: CoClusteringStats, p: LossParams):
@@ -425,10 +426,10 @@ class _Engine:
             return old
         rows = self._price_rows[self._pptr[i] + 1 : self._pptr[i + 1]]
         if old > 0:
-            self.T[rows, old] -= 1
+            self.T[:, old][rows] -= 1
             self.sizes[old] -= 1
         if h > 0:
-            self.T[rows, h] += 1
+            self.T[:, h][rows] += 1
             self.sizes[h] += 1
         self.labels[i] = h
         return old
@@ -462,13 +463,9 @@ class _Engine:
     def price(self, lay: _Layout, j: int, end: int) -> _Prices:
         """Costs of lay.order[j:end], each priced as if unassigned, against the current state.
 
-        Row r of costs is [noise, new cluster, each live id ascending]:
-        costs[r, 2 + t] joins ids[t]. With n1[h] the draws where the point
-        and a member of h share a cluster, and n2[h] those where both are
-        active apart, joining h costs b n2[h] - a n1[h] over the new-cluster
-        cost. keep[r] is the cost of the point's own cell (noise if
-        unassigned), and n1 and both are the counts priced. A cluster the
-        point is alone in costs what a new cluster costs, and the new
+        Row r of costs is the point's row of _costs, over the live ids, and
+        keep[r] the cost of its own cell (noise if unassigned). A cluster
+        the point is alone in costs what a new cluster costs, and the new
         cluster comes first on ties, as if that cluster were gone.
         """
         W = self.sizes.size
@@ -488,17 +485,69 @@ class _Engine:
             n1[own, cur[own]] -= self._n_shared[points[own]]
             both[own, cur[own]] -= self._n_active[points[own]]
         ids = self.live_ids()
-        base = self.active_base[points] + self.p.a * n1.sum(axis=1)
-        n1_ids = n1[:, ids]
-        costs = np.empty((points.size, 2 + ids.size))
-        costs[:, 0] = self.noise_cost[points]
-        costs[:, 1] = base
-        costs[:, 2:] = base[:, None] + (self.p.b * (both[:, ids] - n1_ids) - self.p.a * n1_ids)
+        costs = self._costs(points, n1, both, ids, n1.sum(axis=1))
         keep = costs[:, 0]
         if own.size:
             keep = keep.copy()
             keep[own] = costs[own, 2 + np.searchsorted(ids, cur[own])]
-        return _Prices(ids, costs, keep, n1, both)
+        return _Prices(ids, costs, keep)
+
+    def _costs(
+        self, points: np.ndarray | int, n1: np.ndarray, both: np.ndarray, ids: np.ndarray, total: np.ndarray | int
+    ) -> np.ndarray:
+        """Cost rows [noise, new cluster, each id of ids ascending] from the
+        counts priced: one row per point, or one point's row from its n1 and
+        both vectors; total is n1.sum(axis=-1).
+
+        With n1[h] the draws where the point and a member of h share a
+        cluster, and n2[h] = both[h] - n1[h] those where both are active
+        apart, joining h costs b n2[h] - a n1[h] over the new-cluster cost.
+        A row's first minimum is its pick, so ties go noise > new > ids
+        ascending.
+        """
+        base = self.active_base[points] + self.p.a * total
+        n1_ids = n1.take(ids, axis=-1)
+        costs = np.empty(n1.shape[:-1] + (2 + ids.size,))
+        costs[..., 0] = self.noise_cost[points]
+        costs[..., 1] = base
+        costs[..., 2:] = base[..., None] + (self.p.b * (both.take(ids, axis=-1) - n1_ids) - self.p.a * n1_ids)
+        return costs
+
+    def step(self, lay: _Layout, j: int, delta: np.ndarray) -> bool:
+        """Decide lay.order[j] alone and apply the decision, adding its change
+        in _risk_counts to delta; returns whether the state changed.
+
+        The point is priced as price() prices it (one take of its rows of T,
+        summed into n1 and both, one count of its narrow-cell members, and
+        the costs of _costs), so it decides as in a block of its own. An
+        unassigned point takes its cheapest cell; one in noise or a cluster
+        moves only to a strictly cheaper cell than its own. A move books the
+        exit from the point's cell, noise included, before the entry; a new
+        cluster takes its fresh id after the exit, a join the id priced.
+        """
+        lo, mid, hi = lay.bounds[2 * j : 2 * j + 3].tolist()
+        n1, both = np.add.reduceat(self.T.take(lay.rows[lo:hi], axis=0), [0, mid - lo], axis=0)
+        if lay.mstart[j + 1] > lay.mstart[j]:
+            h = self.labels[lay.members[lay.mstart[j] : lay.mstart[j + 1]]]
+            n1 += np.bincount(h[h > 0], minlength=n1.size)
+        i = int(lay.order[j])
+        cur = int(self.labels[i])
+        if cur > 0:
+            n1[cur] -= self._n_shared[i]
+            both[cur] -= self._n_active[i]
+        ids = self.live_ids()
+        total = int(n1.sum())
+        costs = self._costs(i, n1, both, ids, total)
+        pick = int(costs.argmin())
+        if cur >= 0:
+            keep = costs[2 + int(ids.searchsorted(cur))] if cur > 0 else costs[0]
+            if not costs[pick] < keep:
+                return False
+            delta -= self.point_counts(i, self.move(i, -1), n1, both, total)
+        label = self.label_of(pick, ids)
+        delta += self.point_counts(i, label, n1, both, total)
+        self.move(i, label)
+        return label != 0 or cur >= 0
 
     def label_of(self, pick: int, ids: np.ndarray) -> int:
         """Label of entry pick of a price() costs row: 0 noise, a fresh id, or ids[pick - 2]."""
@@ -512,14 +561,14 @@ class _Engine:
         """S times the risk of a state with these _risk_counts: the loss summed over draws."""
         return _weighted_loss(self._n, *counts.tolist(), self.p)
 
-    def point_counts(self, i: int, h: int, priced: _Prices, r: int) -> np.ndarray:
-        """The _risk_counts that point i, row r of priced, adds with label h (0 noise)."""
+    def point_counts(self, i: int, h: int, n1: np.ndarray, both: np.ndarray, total: int) -> np.ndarray:
+        """The _risk_counts that point i, priced with counts n1 (summing to
+        total) and both, adds with label h (0 noise)."""
         d = int(self._n_active[i])
         if h == 0:
             return np.array([d, 0, 0, 0])
-        n1 = priced.n1[r]
-        n1h, both = (int(n1[h]), int(priced.both[r, h])) if h < n1.size else (0, 0)  # a fresh id counts 0
-        return np.array([0, self._S - d, int(n1.sum()) - n1h, both - n1h])
+        n1h, both_h = (int(n1[h]), int(both[h])) if h < n1.size else (0, 0)  # a fresh id counts 0
+        return np.array([0, self._S - d, total - n1h, both_h - n1h])
 
     def removal_counts(self, members: np.ndarray) -> np.ndarray:
         """The _risk_counts lost when members, the whole of one cell, are unassigned.
@@ -566,9 +615,11 @@ def _walk(engine: _Engine, order: np.ndarray) -> tuple[bool, np.ndarray]:
     goes to noise first, its noise counts added in one sum, and one already
     in noise stays there. One in a cluster is walked. Decisions that keep
     the state are taken a block at a time: the block is priced at once, and
-    the first point whose decision changes the state is moved, ending the
-    block; the next block starts after it. The block size doubles while
-    blocks end without a move and halves after one.
+    the first point whose decision changes the state ends the block; the
+    next block starts after it. The block size doubles while blocks end
+    without a move and halves after one. A block of one point, and the point
+    that ends a longer one, is decided and moved by engine.step, which
+    prices it alone and books its change in _risk_counts.
     """
     unassigned = order.size > 0 and engine.labels[order[0]] < 0
     moved, delta = False, np.zeros(4, dtype=np.int64)
@@ -586,27 +637,26 @@ def _walk(engine: _Engine, order: np.ndarray) -> tuple[bool, np.ndarray]:
             n_wide, first = engine._n_wide, pos
             lay = engine.layout(order[first:])
         j = pos - first
-        end = lay.capped(j, min(lay.order.size, j + size), engine.sizes.size)
-        priced = engine.price(lay, j, end)
-        change = (priced.costs.min(axis=1) < priced.keep).nonzero()[0]
-        r = int(change[0]) if change.size else end - j
-        if unassigned:  # the points before r go to noise
-            run = lay.order[j : j + r]
-            engine.labels[run] = 0
-            delta[0] += int(engine._n_active[run].sum())
-        if j + r == end:
+        end = j + 1 if size == 1 else lay.capped(j, min(lay.order.size, j + size), engine.sizes.size)
+        if end > j + 1:
+            priced = engine.price(lay, j, end)
+            change = (priced.costs.min(axis=1) < priced.keep).nonzero()[0]
+            r = int(change[0]) if change.size else end - j
+            if unassigned:  # the points before r go to noise
+                run = lay.order[j : j + r]
+                engine.labels[run] = 0
+                delta[0] += int(engine._n_active[run].sum())
             pos += r
+            if j + r == end:
+                size *= 2
+                continue
+        # a block of one point, or the point that ends a block by changing the state
+        if engine.step(lay, pos - first, delta):
+            moved = True
+            size = max(1, size // 2)
+        else:
             size *= 2
-            continue
-        i = int(lay.order[j + r])
-        if not unassigned:
-            delta -= engine.point_counts(i, engine.move(i, -1), priced, r)
-        label = engine.label_of(int(priced.costs[r].argmin()), priced.ids)
-        delta += engine.point_counts(i, label, priced, r)
-        engine.move(i, label)
-        moved = True
-        pos += r + 1
-        size = max(1, size // 2)
+        pos += 1
     return moved, delta
 
 
@@ -714,12 +764,15 @@ class _Work(NamedTuple):
 
 # Below this many (point, draw) entries times restarts a search runs its
 # restarts serially; the pool runs only the restarts, never a seed's count.
-# Measured on a ProcessPoolExecutor, which took 10-20 ms to open and shut: on
-# 2 CPUs, 2 workers took 1.03-1.3x the serial time at 14k-27k entry-restarts
+# Set on a ProcessPoolExecutor, which took 10-20 ms to open and shut: on 2
+# CPUs, 2 workers took 1.03-1.3x the serial time at 14k-27k entry-restarts
 # and 0.93-0.97x at 34k-44k (sky surveys, n = 300-500, S = 100), 0.6-0.9x
-# from 54k up; the smaller ladder searches (n = 250, S = 30) broke even by
-# 16k. On fork_map a sky-survey search (n = 300, S = 100, 4 restarts) takes
-# 0.78x at 28k, so this gate is conservative now.
+# from 54k up. Re-measured on fork_map (6-10 ms to fork and reap two
+# processes) with the one-point walk step, on 2 CPUs: 2 workers took
+# 0.64-0.67x on the desk_bounds searches (0.5M-0.66M), but 0.9-1.9x on sky
+# searches of 30k-120k (n = 300-1000, S = 100, 15-34 ms serially) and
+# 1.4-1.9x on a ladder level's search (11k), so the break-even now lies
+# above 120k.
 _POOLED_MIN_ENTRIES = 40_000
 
 

@@ -984,22 +984,31 @@ SEED_TIES = ([SubPartition([1, 1, 2]), SubPartition([1, 1, 0])], LossParams(), S
 
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
 def test_search_matches_per_point_oracle():
-    """Block pricing, the walks that skip the points no cluster can take, the
-    tracked risk, the zealous bound and the rebuild that undoes a walked
-    rejection give the labels of the search that prices every point, one at
-    a time, walks every zealous attempt and recounts the risk after every
-    attempt."""
+    """Block pricing, the one-point step, the walks that skip the points no
+    cluster can take, the tracked risk, the zealous bound and the rebuild
+    that undoes a walked rejection give the labels of the search that
+    prices every point, one at a time, walks every zealous attempt and
+    recounts the risk after every attempt."""
     blocks = []
+    stepped = set()  # the cells the one-point step moved points out of: unassigned, noise, a cluster
     skipped = []  # per walk, the points it did not price
     equal_walked = []  # per walk under EQUAL_INEXACT, its points with noise == active_base
     bounded = []  # per zealous attempt, whether it ended without a walk
     price = risk_mod._Engine.price
+    step = risk_mod._Engine.step
     walk = risk_mod._walk
     zealous = risk_mod._zealous
 
     def recording_price(self, lay, j, end):
         blocks.append(end - j)
         return price(self, lay, j, end)
+
+    def recording_step(self, lay, j, delta):
+        cur = int(np.sign(self.labels[lay.order[j]]))
+        changed = step(self, lay, j, delta)
+        if changed:
+            stepped.add(cur)
+        return changed
 
     def recording_walk(engine, order):
         skipped.append(int(np.count_nonzero(~engine.can_join[order] & (engine.labels[order] <= 0))))
@@ -1030,13 +1039,72 @@ def test_search_matches_per_point_oracle():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(risk_mod, "_WIDE", 2)
         mp.setattr(risk_mod._Engine, "price", recording_price)
+        mp.setattr(risk_mod._Engine, "step", recording_step)
         mp.setattr(risk_mod, "_walk", recording_walk)
         mp.setattr(risk_mod, "_zealous", recording_zealous)
         check()
     assert max(blocks) >= 2
+    assert stepped == {-1, 0, 1}
     assert max(skipped) >= 2
     assert max(equal_walked) >= 1
     assert any(bounded)
+
+
+def test_step_decides_as_a_priced_block_and_books_the_recount(monkeypatch):
+    """engine.step on a point of a layout decides as price() on the block of
+    that point alone: an unassigned point takes its first cheapest cell, an
+    assigned one (noise or a cluster) moves only to a strictly cheaper one,
+    a new cluster taking the fresh id after its exit and a join the id
+    priced. The labels and table it leaves are those of the same moves, and
+    the counts it books are the recounted change (plus the noise counts of
+    an unassigned point, which a recount already holds): over random states
+    mixing unassigned and assigned points, rows of N and counted members,
+    and dyadic and non-dyadic losses."""
+    monkeypatch.setattr(risk_mod, "_WIDE", 2)
+    rng = np.random.default_rng(46)
+    params = [
+        LossParams(),
+        LossParams(a=1.0, b=2.0, m_ai=0.25, m_ia=1.0),
+        LossParams(a=0.7, b=0.3, m_ai=0.2, m_ia=0.6),
+        EQUAL_INEXACT,
+    ]
+    seen = set()  # (cell left: -1 unassigned, 0 noise, 1 a cluster; pick: 0 noise, 1 new, 2 a join; changed)
+    wide = narrow = 0
+    for trial in range(120):
+        draws = random_draws(rng, int(rng.integers(2, 16)), int(rng.choice([1, 2, 3, 4, 7])), max_k=3)
+        stats = precompute_stats(draws)
+        u = stats.support.size
+        if u == 0:
+            continue
+        engine = engine_at(stats, rng.integers(-1, 4, size=u), params[trial % 4])
+        wide += engine._n_wide > 0
+        narrow += engine._nlen.size > 0
+        for i in rng.permutation(u)[:6].tolist():
+            order = rng.permutation(u)
+            j = int(np.flatnonzero(order == i)[0])
+            lay = engine.layout(order)
+            priced = engine.price(lay, j, j + 1)
+            costs, cur = priced.costs[0], int(engine.labels[i])
+            pick = int(costs.argmin())
+            change = cur < 0 or costs[pick] < priced.keep[0]
+            ref = copy.deepcopy(engine)
+            if change:
+                if cur >= 0:
+                    ref.move(i, -1)
+                ref.move(i, ref.label_of(pick, priced.ids))
+            before = recount(draws, engine.labels)
+            delta = np.zeros(4, dtype=np.int64)
+            changed = engine.step(lay, j, delta)
+            assert changed == (change and (cur >= 0 or pick > 0))
+            assert np.array_equal(engine.labels, ref.labels)
+            assert np.array_equal(engine.T, ref.T) and np.array_equal(engine.sizes, ref.sizes)
+            d = int(stats.n_active[i]) if cur < 0 else 0
+            assert delta.tolist() == (recount(draws, engine.labels) - before + [d, 0, 0, 0]).tolist()
+            seen.add((int(np.sign(cur)), min(pick, 2), changed))
+    assert wide >= 10 and narrow >= 10
+    # every kind of decision, exits from noise and from a cluster included
+    assert {(-1, 0, False), (-1, 1, True), (-1, 2, True), (0, 1, True), (0, 2, True)} <= seen
+    assert {(1, 0, True), (1, 1, True), (1, 2, True)} <= seen
 
 
 def test_rejected_zealous_attempt_restores_the_state(monkeypatch):
