@@ -10,11 +10,16 @@ held in a DensityDrawEnsemble, the input of every downstream stage.
 A draw at the data points makes one Dirichlet draw per component over the
 bins that hold data plus one entry for all of its empty bins, which is exact
 in law by the Dirichlet's aggregation property (see HistogramPosterior), so
-no variate is drawn for an empty bin. The points are binned once, by one
-sorted lookup per axis shared by all K components, and build_ensemble fills
-the S draws on one thread per CPU of the process when the collapsed vectors
-are long enough for threads to pay, each draw from its own RNG stream, so
-the values are the same for any number of workers.
+no variate is drawn for an empty bin. Those K Dirichlet draws are made as
+numpy makes them, variate for variate and bit for bit, but in a few long
+calls: one standard_gamma call per block of components, each block's rows
+scaled by the reciprocal of their sequential sums; only a component that
+numpy draws by stick-breaking keeps a dirichlet call of its own. The points
+are binned once, by one sorted lookup per axis shared by all K components,
+and build_ensemble fills the S draws on one thread per CPU of the process
+when the collapsed vectors are long enough for threads to pay, each draw
+from its own RNG stream, so the values are the same for any number of
+workers.
 """
 
 from __future__ import annotations
@@ -51,10 +56,23 @@ _MAX_AXES = 3
 
 # Below this mean length of the collapsed Dirichlet vectors (held bins, plus
 # one entry for the empty ones) a draw is mostly interpreter time, and a second
-# thread only contends for the GIL. On 2 CPUs (default model, S = 100), one
-# thread against two took 0.09 s vs 0.12 s at mean width 262, 0.12-0.16 s vs
-# 0.12-0.13 s at 481, and 0.16 s vs 0.13 s at 727.
-_THREADED_MIN_BINS = 450
+# thread gains too little to be sure of. With the blocked draw, on 2 CPUs,
+# two threads against one, 10 alternating pairs each: ladder_small's model
+# (K = 30, S = 30, n = 250) at mean width 73-77 took 0.86-0.97x, faster in
+# only 6-8 of 10; sky surveys (default model, S = 100) took 0.81x at 97
+# (n = 100, 9/10), 0.57-0.76x from 143 to 1195 (n = 150-2000, 10/10 in
+# every run but one of 7/10 at 230). ladder_small's widths are 71-91.
+_THREADED_MIN_BINS = 120
+
+# Entries of one standard_gamma call in a posterior draw (as many padded rows
+# of collapsed parameters as fit, at least one), and about as many of one
+# gather of densities at the points. Against one dirichlet call per component,
+# on 2 CPUs: desk ensembles (n = 2000, default model, S = 100) on two threads
+# took 1.04x the time at 2^13, 0.84x at 2^14, 0.73x at 2^15 and 0.71x at
+# 2^16; one draw on one thread took 1.06x at 2^14, 1.01x at 2^15, 1.10x at
+# 2^16 and 1.20x at 2^17, and at survey size (n = 40 000) 1.10x, 1.06x,
+# 1.13x and 1.53x.
+_GAMMA_BLOCK = 2 ** 15
 
 
 ENSEMBLE_SCHEMA = "ballet/ensemble/v1"
@@ -325,10 +343,24 @@ class HistogramPosterior:
     reads a prefix of sample(rng)'s stream, and sample(rng)(points) equals
     sample_at_data(rng) bit for bit.
 
+    The collapsed vectors are the rows of one (K, W) matrix, zero-padded to
+    the longest length W, and collapsed_params[k] is a view of row k; the
+    held bins' areas are a second (K, W) matrix, padded with ones. numpy
+    draws a Dirichlet whose largest parameter is 0.1 or more as standard
+    gammas scaled by 1 / (their sequential sum), and a zero shape gives 0.0
+    from no variate. So a run of such components is drawn in blocks of
+    padded rows of at most _GAMMA_BLOCK entries, one standard_gamma call per
+    block, each row scaled by the reciprocal of its sequential sum: the same
+    variates and the same arithmetic as one dirichlet call per component,
+    in a few long calls that release the GIL. A component whose parameters
+    are all below 0.1, which numpy draws by stick-breaking, is a block of its
+    own, drawn by its own dirichlet call at its place in the stream.
+
     data_bin_indices is the (K, n) array bins.bin_indices returned for the
     data, with counts its per-component bincount. It is kept, rewritten in
-    place: each entry becomes the point's position among its component's
-    held bins.
+    place: each entry becomes the point's flat position in its component's
+    block, its held bin's position plus W times the component's row in the
+    block, so one take gathers the densities of several components.
     """
 
     def __init__(self, bins: HistogramBins, cfg: HistogramMixtureConfig,
@@ -337,37 +369,92 @@ class HistogramPosterior:
         self.cfg = cfg
         self.counts = counts  # (K, M) points per bin
         self.dirichlet_params = counts / cfg.K + cfg.alpha_d * bins.areas / bins.total_area
-        self.collapsed_params = []
-        self._held_areas = []
+        held = counts > 0
+        self._held_counts = np.count_nonzero(held, axis=1)
+        lengths = self._held_counts + (self._held_counts < bins.M)
+        self._params = np.zeros((bins.K, lengths.max()))
+        self._areas = np.ones_like(self._params)
         for k, row in enumerate(data_bin_indices):
-            held = counts[k] > 0
-            params = self.dirichlet_params[k, held]
-            if not held.all():
-                params = np.append(params, self.dirichlet_params[k, ~held].sum())
-            self.collapsed_params.append(params)
-            self._held_areas.append(bins.areas[k, held])
-            np.take(np.cumsum(held) - 1, row, out=row, mode="clip")  # unbuffered, in place
+            h = self._held_counts[k]
+            self._params[k, :h] = self.dirichlet_params[k, held[k]]
+            if h < bins.M:
+                self._params[k, h] = self.dirichlet_params[k, ~held[k]].sum()
+            self._areas[k, :h] = bins.areas[k, held[k]]
+            np.take(np.cumsum(held[k]) - 1, row, out=row, mode="clip")  # unbuffered, in place
+        self.collapsed_params = [params[:size] for params, size in zip(self._params, lengths)]
+        K, W = self._params.shape
+        rows = max(1, _GAMMA_BLOCK // W)
+        self._blocks = []  # (first component, end, drawn by stick-breaking)
+        lo = 0
+        for stick in [k for k, params in enumerate(self.collapsed_params) if params.max() < 0.1] + [K]:
+            self._blocks += [(k, min(k + rows, stick), False) for k in range(lo, stick, rows)]
+            if stick < K:
+                self._blocks.append((stick, stick + 1, True))
+            lo = stick + 1
+        for k0, k1, _ in self._blocks:
+            data_bin_indices[k0:k1] += (W * np.arange(k1 - k0))[:, None]
         self._data_idx = data_bin_indices
 
+    def _collapsed_draws(self, rng: np.random.Generator, scratch: np.ndarray):
+        """Yield (k, draws) per block: the collapsed draws of components k,
+        k + 1, ..., one per row, in stream order. A gamma block's rows are
+        zero-padded to W; a stick-breaking component's row has its own length.
+        The row sums use scratch, max(_GAMMA_BLOCK, W) entries or more, which
+        is free again whenever a block is yielded."""
+        for k0, k1, stick in self._blocks:
+            if stick:
+                yield k0, rng.dirichlet(self.collapsed_params[k0])[None]
+                continue
+            g = rng.standard_gamma(self._params[k0:k1])
+            # each row's entries added in order, as numpy's dirichlet adds them:
+            # down the columns of the transpose, or by cumsum for a lone row (a
+            # sum along contiguous memory is pairwise)
+            if k1 - k0 > 1:
+                transposed = scratch[:g.size].reshape(g.shape[::-1])
+                np.copyto(transposed, g.T)
+                total = transposed.sum(axis=0)
+            else:
+                total = np.cumsum(g[0], out=scratch[:g.size])[-1:]
+            g *= 1.0 / total[:, None]
+            yield k0, g
+
     def sample(self, rng: np.random.Generator) -> HistogramDensity:
-        collapsed = [rng.dirichlet(params) for params in self.collapsed_params]
+        scratch = np.empty(max(_GAMMA_BLOCK, self._params.shape[1]))
+        collapsed = [draw for _, draws in self._collapsed_draws(rng, scratch) for draw in draws]
         masses = np.empty((self.bins.K, self.bins.M))
         for k, draw in enumerate(collapsed):
             held = self.counts[k] > 0
-            masses[k, held] = draw[:self._held_areas[k].size]
-            if not held.all():
-                masses[k, ~held] = draw[-1] * rng.dirichlet(self.dirichlet_params[k, ~held])
+            h = self._held_counts[k]
+            masses[k, held] = draw[:h]
+            if h < self.bins.M:
+                masses[k, ~held] = draw[h] * rng.dirichlet(self.dirichlet_params[k, ~held])
         return HistogramDensity(self.bins, masses)
 
     def sample_at_data(self, rng: np.random.Generator) -> np.ndarray:
-        """One posterior draw evaluated at the fitted data points."""
-        K = self.bins.K
-        row = np.zeros(self._data_idx.shape[1])
-        for k in range(K):
-            masses = rng.dirichlet(self.collapsed_params[k])
-            rho = masses[:self._held_areas[k].size] / self._held_areas[k]
-            row += rho[self._data_idx[k]]
-        return row / K
+        """One posterior draw evaluated at the fitted data points.
+
+        The densities of about _GAMMA_BLOCK / n components are gathered by
+        one take, below the running sum, and added to it in component order
+        by one sum down the columns, so the sum is the same as one component
+        at a time. A single point is gathered one component at a time: a sum
+        down one column would be pairwise."""
+        n = self._data_idx.shape[1]
+        scratch = np.empty(max(_GAMMA_BLOCK, self._params.shape[1], 2 * n))  # the row sums, then the gathers
+        rows = len(scratch) // n - 1 if n > 1 else 1
+        stack = scratch[:(rows + 1) * n].reshape(rows + 1, n)  # the running sum, then the densities
+        row = np.zeros(n)
+        for k0, draws in self._collapsed_draws(rng, scratch):
+            draws /= self._areas[k0:k0 + len(draws), :draws.shape[1]]
+            flat = draws.ravel()
+            for k in range(k0, k0 + len(draws), rows):
+                m = min(rows, k0 + len(draws) - k)
+                np.take(flat, self._data_idx[k:k + m], out=stack[1:m + 1], mode="clip")  # unbuffered
+                if m == 1:
+                    row += stack[1]
+                else:
+                    stack[0] = row
+                    np.add.reduce(stack[:m + 1], axis=0, out=row)  # row after row, in order
+        return row / self.bins.K
 
 
 def fit_histogram_posterior(
@@ -399,10 +486,11 @@ def build_ensemble(
     Deterministic given seed: one RNG stream samples the bin layout, then
     each draw gets its own stream. The draws are split into contiguous
     chunks, one per CPU of the process, filled on threads that end with the
-    call; the Dirichlet sampling and the gathers release the GIL, and the
-    values do not depend on the number of workers. When the collapsed
-    Dirichlet vectors are shorter than _THREADED_MIN_BINS on average, one
-    worker fills every draw.
+    call; a draw is a few long numpy calls (a standard_gamma call per block
+    of components, its scaling, and gathers of many components at once),
+    which release the GIL, and the values do not depend on the number of
+    workers. When the collapsed Dirichlet vectors are shorter than
+    _THREADED_MIN_BINS on average, one worker fills every draw.
     """
     if S < 1:
         raise ValueError("S must be >= 1")

@@ -771,9 +771,14 @@ class _Work(NamedTuple):
 # processes) with the one-point walk step, on 2 CPUs: 2 workers took
 # 0.64-0.67x on the desk_bounds searches (0.5M-0.66M), but 0.9-1.9x on sky
 # searches of 30k-120k (n = 300-1000, S = 100, 15-34 ms serially) and
-# 1.4-1.9x on a ladder level's search (11k), so the break-even now lies
-# above 120k.
-_POOLED_MIN_ENTRIES = 40_000
+# 1.4-1.9x on a ladder level's search (11k). Re-measured later, on the
+# same 2 CPUs, 10 alternating pairs per sky search (S = 100),
+# pooled/serial: 31k (n = 300, 4 restarts) 1.18x and 1.50x, pooled faster
+# in 2/10 and 0/10; 50k (n = 500) 1.17x, 0/10; 67k (n = 700) 0.81x, 10/10;
+# 73k (n = 800) 0.91x, 7/10; 89k (n = 1000) 0.84x, 10/10; 122k (n = 300,
+# 16 restarts) 0.79x, 8/10; 177k (n = 1000, 8 restarts) 0.76x, 8/10. The
+# break-even lies between 50k and 67k.
+_POOLED_MIN_ENTRIES = 60_000
 
 
 def _search_workers(entries: int, cfg: SearchConfig) -> int:

@@ -498,11 +498,30 @@ def oracle_sample_at_data(post, points: np.ndarray, rng: np.random.Generator) ->
     return row / post.bins.K
 
 
+def oracle_collapsed_sample_at_data(post, bin_indices: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """HistogramPosterior.sample_at_data one component at a time: one
+    rng.dirichlet call over the held bins' parameters and, last, the empty
+    bins' summed parameter, divided by the held bins' areas and gathered at
+    each point's held bin. bin_indices is the (K, n) array of the points' bins,
+    as bins.bin_indices returns it."""
+    row = np.zeros(bin_indices.shape[1])
+    for k in range(post.bins.K):
+        held = post.counts[k] > 0
+        params = post.dirichlet_params[k, held]
+        if not held.all():
+            params = np.append(params, post.dirichlet_params[k, ~held].sum())
+        masses = rng.dirichlet(params)
+        rho = masses[:np.count_nonzero(held)] / post.bins.areas[k, held]
+        row += rho[(np.cumsum(held) - 1)[bin_indices[k]]]
+    return row / post.bins.K
+
+
 def oracle_build_ensemble(data, cfg, S: int, seed: int) -> np.ndarray:
     """build_ensemble's values, the draws filled one after another on one thread.
 
     It calls the package's own binning, fit and sample_at_data, so it checks
-    the threaded fill only; oracle_sample_at_data is the sampler's oracle.
+    the threaded fill only; oracle_sample_at_data and
+    oracle_collapsed_sample_at_data are the sampler's oracles.
     """
     from ballet.density import default_domain, fit_histogram_posterior, sample_bins
     from ballet.util import spawn_rngs

@@ -11,6 +11,7 @@ from ballet.density import (
     HistogramBins,
     HistogramDensity,
     HistogramMixtureConfig,
+    HistogramPosterior,
     build_ensemble,
     default_domain,
     fit_histogram_posterior,
@@ -21,7 +22,12 @@ from ballet.density import (
 from ballet.errors import ConfigError, NumericError
 from ballet.levelset import PointSet, dbscan_star, surrogate_cluster, unit_ball_volume
 from ballet.util import spawn_rngs
-from oracles import oracle_bin_indices, oracle_build_ensemble, oracle_sample_at_data
+from oracles import (
+    oracle_bin_indices,
+    oracle_build_ensemble,
+    oracle_collapsed_sample_at_data,
+    oracle_sample_at_data,
+)
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -47,6 +53,24 @@ def posterior_stick_breaking():
     post = fit_histogram_posterior(data, sample_bins(cfg, UNIT_SQUARE, np.random.default_rng(19)), cfg)
     assert max(params.max() for params in post.collapsed_params) < 0.1
     assert (post.counts == 0).any(axis=1).all()
+    return data, post
+
+
+def mixed_data():
+    """600 uniform points and a clump of 6 within 0.02 of each other: under
+    K = 60 grids of 50 x 50 bins and alpha_d = 0.05, a component whose grid
+    keeps the clump in one bin has a parameter of 0.1 or more, and the others
+    are drawn by stick-breaking."""
+    rng = np.random.default_rng(4)
+    data = PointSet(np.concatenate([rng.random((600, 2)), 0.5 + 0.02 * rng.random((6, 2))]))
+    return data, HistogramMixtureConfig(K=60, M_prime=50, alpha_d=0.05, domain=UNIT_SQUARE)
+
+
+def posterior_mixed():
+    data, cfg = mixed_data()
+    post = fit_histogram_posterior(data, sample_bins(cfg, UNIT_SQUARE, spawn_rngs(16, 1)[0]), cfg)
+    sticks = [params.max() < 0.1 for params in post.collapsed_params]
+    assert 0 < sum(sticks) < cfg.K and sticks != sorted(sticks) and sticks != sorted(sticks, reverse=True)
     return data, post
 
 
@@ -269,16 +293,23 @@ def test_build_ensemble_deterministic_under_seed():
     assert a.S == 5 and a.n == 50
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("S", [1, 2, 3, 7])
-def test_build_ensemble_matches_serial_oracle(S, workers, monkeypatch):
+@pytest.mark.parametrize("S, workers, model", [
+    *(pytest.param(S, workers, "gamma", id=f"{S}-{workers}") for S in (1, 2, 3, 7) for workers in (1, 2, 3)),
+    *(pytest.param(7, workers, "mixed", id=f"mixed-{workers}") for workers in (1, 2, 3)),
+])
+def test_build_ensemble_matches_serial_oracle(S, workers, model, monkeypatch):
     # fewer draws than workers, chunks of unequal length, more workers than
-    # CPUs; a short switch interval interleaves the workers as often as it can
+    # CPUs; a short switch interval interleaves the workers as often as it can.
+    # The mixed model interleaves stick-breaking and gamma-path components.
     monkeypatch.setattr(density, "cpu_count", lambda: workers)
-    rng = np.random.default_rng(15)
-    data = PointSet(rng.random((3000, 2)))
-    cfg = HistogramMixtureConfig(K=4, M_prime=22)
-    post = fit_histogram_posterior(data, sample_bins(cfg, default_domain(data), spawn_rngs(16, 1)[0]), cfg)
+    if model == "mixed":
+        data, cfg = mixed_data()
+        posterior_mixed()
+    else:
+        data = PointSet(np.random.default_rng(15).random((3000, 2)))
+        cfg = HistogramMixtureConfig(K=4, M_prime=22)
+    domain = cfg.domain if cfg.domain is not None else default_domain(data)
+    post = fit_histogram_posterior(data, sample_bins(cfg, domain, spawn_rngs(16, 1)[0]), cfg)
     assert np.mean([params.size for params in post.collapsed_params]) >= density._THREADED_MIN_BINS
     threads = threading.active_count()
     interval = sys.getswitchinterval()
@@ -298,7 +329,7 @@ def test_fast_data_evaluation_matches_evaluator():
     bins = sample_bins(cfg, default_domain(data), np.random.default_rng(8))
     post = fit_histogram_posterior(data, bins, cfg)
     assert (post.counts == 0).any(axis=1).all()
-    for data, post in ((data, post), posterior_no_empty_bin(), posterior_stick_breaking()):
+    for data, post in ((data, post), posterior_no_empty_bin(), posterior_stick_breaking(), posterior_mixed()):
         fast = post.sample_at_data(np.random.default_rng(11))
         f = post.sample(np.random.default_rng(11))
         assert np.array_equal(fast, f(data.points))
@@ -309,6 +340,90 @@ def test_draw_at_data_is_the_full_draw_when_every_bin_holds_data():
     for seed in range(5):
         fast = post.sample_at_data(np.random.default_rng(seed))
         assert np.array_equal(fast, oracle_sample_at_data(post, data.points, np.random.default_rng(seed)))
+
+
+@st.composite
+def collapsed_posteriors(draw):
+    """A HistogramPosterior on drawn bin weights (counts need not be whole
+    numbers), a (K, n) array of the points' bins, which components are drawn
+    by stick-breaking, and a block bound for the gamma draw.
+
+    d is 1-3 and K 1-60. The stick-breaking components come first, last,
+    alternating or at random: all their parameters lie below 0.1, while a
+    gamma-path component has one of 0.1 or more. A component holds data in
+    every bin, in one bin, or in some. The block bound falls near a multiple
+    of the widest collapsed vector, so blocks of one row (a vector longer
+    than the bound included) and of many rows both occur."""
+    d = draw(st.integers(1, 3))
+    mp = draw(st.integers(1, {1: 12, 2: 5, 3: 3}[d]))
+    K = draw(st.integers(1, 60))
+    place = draw(st.sampled_from(["first", "last", "alternating", "random"]))
+    j = draw(st.integers(0, K))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sticks = {
+        "first": np.arange(K) < j,
+        "last": np.arange(K) >= K - j,
+        "alternating": np.arange(K) % 2 == j % 2,
+        "random": rng.random(K) < 0.5,
+    }[place]
+    domain = ((0.0, 1.0),) * d
+    cfg = HistogramMixtureConfig(K=K, M_prime=mp, alpha_d=0.01, domain=domain)
+    bins = sample_bins(cfg, domain, rng)
+    M = bins.M
+    counts = np.zeros((K, M))
+    n = int(rng.integers(1, 30))
+    idx = np.empty((K, n), dtype=np.int64)
+    for k in range(K):
+        size = (M, 1, int(rng.integers(1, M + 1)))[rng.integers(3)]
+        held = rng.choice(M, size, replace=False)
+        # alpha = count / K plus at most alpha_d: below 0.1 at weights under 0.08
+        weights = rng.uniform(0.0, 0.08, size) if sticks[k] else rng.uniform(0.0, 3.0, size)
+        if not sticks[k]:
+            weights[rng.integers(size)] = rng.uniform(0.1, 3.0)
+        counts[k, held] = np.maximum(weights, 1e-3) * K
+        idx[k] = rng.choice(held, n)
+    held_counts = (counts > 0).sum(axis=1)
+    width = int((held_counts + (held_counts < M)).max())
+    block = max(1, int(draw(st.floats(0.5, 70.0)) * width) + draw(st.integers(-1, 1)))
+    return bins, cfg, counts, idx, sticks.tolist(), block
+
+
+@settings(max_examples=300, deadline=None)
+@given(collapsed_posteriors(), st.integers(0, 2 ** 32 - 1))
+def test_draw_at_data_matches_per_component_oracle(case, seed):
+    bins, cfg, counts, idx, sticks, block = case
+    fast_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(density, "_GAMMA_BLOCK", block)
+        post = HistogramPosterior(bins, cfg, counts, idx.copy())
+        fast = post.sample_at_data(fast_rng)
+    assert [params.max() < 0.1 for params in post.collapsed_params] == sticks
+    assert np.array_equal(fast, oracle_collapsed_sample_at_data(post, idx, oracle_rng))
+    assert fast_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [3, 2 ** 14 + 1])
+@pytest.mark.parametrize("width", [2 ** 14 - 1, 2 ** 14, 2 ** 14 + 1, 2 ** 15 - 1, 2 ** 15, 2 ** 15 + 1])
+def test_draw_at_data_matches_oracle_at_the_block_bound(width, n):
+    # 33^3 bins; component 0's collapsed vector is `width` long, so a block
+    # holds two rows below 2^14 + 1 and one from there; component 2 is drawn by
+    # stick-breaking, and a gather takes many components at n = 3, one at n > 2^14
+    domain = ((0.0, 1.0),) * 3
+    cfg = HistogramMixtureConfig(K=5, M_prime=33, alpha_d=0.01, domain=domain)
+    rng = np.random.default_rng(width + n)
+    bins = sample_bins(cfg, domain, rng)
+    counts = np.zeros((cfg.K, bins.M))
+    idx = np.empty((cfg.K, n), dtype=np.int64)
+    for k, size in enumerate([width - 1, int(rng.integers(1, width)), 40, width - 2, 1]):
+        held = rng.choice(bins.M, size, replace=False)
+        counts[k, held] = rng.uniform(0.01, 0.08 if k == 2 else 3.0, size) * cfg.K
+        idx[k] = rng.choice(held, n)
+    post = HistogramPosterior(bins, cfg, counts, idx.copy())
+    assert post.collapsed_params[0].size == width
+    assert [params.max() < 0.1 for params in post.collapsed_params] == [False, False, True, False, False]
+    for seed in range(2):
+        fast = post.sample_at_data(np.random.default_rng(seed))
+        assert np.array_equal(fast, oracle_collapsed_sample_at_data(post, idx, np.random.default_rng(seed)))
 
 
 def dirichlet_moments_at(post, points):
