@@ -58,20 +58,24 @@ _MAX_AXES = 3
 # one entry for the empty ones) a draw is mostly interpreter time, and a second
 # thread gains too little to be sure of. With the blocked draw, on 2 CPUs,
 # two threads against one, 10 alternating pairs each: ladder_small's model
-# (K = 30, S = 30, n = 250) at mean width 73-77 took 0.86-0.97x, faster in
-# only 6-8 of 10; sky surveys (default model, S = 100) took 0.81x at 97
-# (n = 100, 9/10), 0.57-0.76x from 143 to 1195 (n = 150-2000, 10/10 in
-# every run but one of 7/10 at 230). ladder_small's widths are 71-91.
-_THREADED_MIN_BINS = 120
+# (K = 30, S = 30, n = 250) took 0.86-0.97x at mean width 73-77, 0.91-0.92x
+# at 81-84 and 1.02x at 89.7, faster in only 5-8 of 10, but 0.84-0.88x at
+# 91.3 and 91.4 (9/10, 10/10); sky surveys (default model, S = 100) took
+# 0.70x at 87 (n = 90, 10/10), 0.81x at 97 (9/10), 0.78x at 103 and 0.70x
+# at 114 (10/10), and 0.57-0.76x from 143 to 1195 (n = 150-2000, 10/10 in
+# every run but one of 7/10 at 230). ladder_small's widths are 71-91 on
+# seeds 707-710 and 71-87 on its default seed, so it runs mostly serially.
+_THREADED_MIN_BINS = 90
 
 # Entries of one standard_gamma call in a posterior draw (as many padded rows
 # of collapsed parameters as fit, at least one), and about as many of one
 # gather of densities at the points. Against one dirichlet call per component,
-# on 2 CPUs: desk ensembles (n = 2000, default model, S = 100) on two threads
-# took 1.04x the time at 2^13, 0.84x at 2^14, 0.73x at 2^15 and 0.71x at
-# 2^16; one draw on one thread took 1.06x at 2^14, 1.01x at 2^15, 1.10x at
-# 2^16 and 1.20x at 2^17, and at survey size (n = 40 000) 1.10x, 1.06x,
-# 1.13x and 1.53x.
+# on 2 CPUs, interleaved rounds: desk ensembles (n = 2000, default model,
+# S = 100) on two threads took 1.09x the time at 2^13, 0.85x at 2^14, 0.84x
+# at 2^15 and 0.74x at 2^16 (12 rounds each); on one thread (8 rounds each)
+# desk took 1.03x, 0.95x, 1.05x and 1.03x at 2^14, 2^15, 2^16 and 2^17, and
+# survey (n = 40 000) 1.07x, 1.02x, 0.99x and 1.09x. Each bound ran at its
+# own time on a shared machine, so bounds compare only roughly.
 _GAMMA_BLOCK = 2 ** 15
 
 
@@ -395,32 +399,22 @@ class HistogramPosterior:
             data_bin_indices[k0:k1] += (W * np.arange(k1 - k0))[:, None]
         self._data_idx = data_bin_indices
 
-    def _collapsed_draws(self, rng: np.random.Generator, scratch: np.ndarray):
+    def _collapsed_draws(self, rng: np.random.Generator):
         """Yield (k, draws) per block: the collapsed draws of components k,
         k + 1, ..., one per row, in stream order. A gamma block's rows are
-        zero-padded to W; a stick-breaking component's row has its own length.
-        The row sums use scratch, max(_GAMMA_BLOCK, W) entries or more, which
-        is free again whenever a block is yielded."""
+        zero-padded to W; a stick-breaking component's row has its own length."""
         for k0, k1, stick in self._blocks:
             if stick:
                 yield k0, rng.dirichlet(self.collapsed_params[k0])[None]
                 continue
             g = rng.standard_gamma(self._params[k0:k1])
-            # each row's entries added in order, as numpy's dirichlet adds them:
-            # down the columns of the transpose, or by cumsum for a lone row (a
-            # sum along contiguous memory is pairwise)
-            if k1 - k0 > 1:
-                transposed = scratch[:g.size].reshape(g.shape[::-1])
-                np.copyto(transposed, g.T)
-                total = transposed.sum(axis=0)
-            else:
-                total = np.cumsum(g[0], out=scratch[:g.size])[-1:]
-            g *= 1.0 / total[:, None]
+            # each row's entries added in order, as numpy's dirichlet adds them
+            # (a sum along a row would be pairwise)
+            g *= 1.0 / np.cumsum(g, axis=1)[:, -1:]
             yield k0, g
 
     def sample(self, rng: np.random.Generator) -> HistogramDensity:
-        scratch = np.empty(max(_GAMMA_BLOCK, self._params.shape[1]))
-        collapsed = [draw for _, draws in self._collapsed_draws(rng, scratch) for draw in draws]
+        collapsed = [draw for _, draws in self._collapsed_draws(rng) for draw in draws]
         masses = np.empty((self.bins.K, self.bins.M))
         for k, draw in enumerate(collapsed):
             held = self.counts[k] > 0
@@ -439,11 +433,10 @@ class HistogramPosterior:
         at a time. A single point is gathered one component at a time: a sum
         down one column would be pairwise."""
         n = self._data_idx.shape[1]
-        scratch = np.empty(max(_GAMMA_BLOCK, self._params.shape[1], 2 * n))  # the row sums, then the gathers
-        rows = len(scratch) // n - 1 if n > 1 else 1
-        stack = scratch[:(rows + 1) * n].reshape(rows + 1, n)  # the running sum, then the densities
+        rows = max(_GAMMA_BLOCK, 2 * n) // n - 1 if n > 1 else 1
+        stack = np.empty((rows + 1, n))  # the running sum, then the densities
         row = np.zeros(n)
-        for k0, draws in self._collapsed_draws(rng, scratch):
+        for k0, draws in self._collapsed_draws(rng):
             draws /= self._areas[k0:k0 + len(draws), :draws.shape[1]]
             flat = draws.ravel()
             for k in range(k0, k0 + len(draws), rows):

@@ -776,8 +776,12 @@ class _Work(NamedTuple):
 # pooled/serial: 31k (n = 300, 4 restarts) 1.18x and 1.50x, pooled faster
 # in 2/10 and 0/10; 50k (n = 500) 1.17x, 0/10; 67k (n = 700) 0.81x, 10/10;
 # 73k (n = 800) 0.91x, 7/10; 89k (n = 1000) 0.84x, 10/10; 122k (n = 300,
-# 16 restarts) 0.79x, 8/10; 177k (n = 1000, 8 restarts) 0.76x, 8/10. The
-# break-even lies between 50k and 67k.
+# 16 restarts) 0.79x, 8/10; 177k (n = 1000, 8 restarts) 0.76x, 8/10; and
+# 54k (n = 600) 1.09x, 3/10; 60k (n = 650) 1.04x, 0/10; 67k (n = 700)
+# again 0.79x, 9/10; 68k (n = 850) 1.01x, 2/10. Pooling lost at every size
+# up to 60k and won at every size from 89k, but between them, and above
+# them, sizes did not all clear 9 of 10 pairs: entry-restarts only roughly
+# predict a search's serial time, which is what must outweigh the fork.
 _POOLED_MIN_ENTRIES = 60_000
 
 

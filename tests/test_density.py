@@ -66,11 +66,16 @@ def mixed_data():
     return data, HistogramMixtureConfig(K=60, M_prime=50, alpha_d=0.05, domain=UNIT_SQUARE)
 
 
+def assert_mixed(post):
+    """Stick-breaking and gamma-path components interleave in post."""
+    sticks = [params.max() < 0.1 for params in post.collapsed_params]
+    assert 0 < sum(sticks) < len(sticks) and sticks != sorted(sticks) and sticks != sorted(sticks, reverse=True)
+
+
 def posterior_mixed():
     data, cfg = mixed_data()
     post = fit_histogram_posterior(data, sample_bins(cfg, UNIT_SQUARE, spawn_rngs(16, 1)[0]), cfg)
-    sticks = [params.max() < 0.1 for params in post.collapsed_params]
-    assert 0 < sum(sticks) < cfg.K and sticks != sorted(sticks) and sticks != sorted(sticks, reverse=True)
+    assert_mixed(post)
     return data, post
 
 
@@ -304,13 +309,14 @@ def test_build_ensemble_matches_serial_oracle(S, workers, model, monkeypatch):
     monkeypatch.setattr(density, "cpu_count", lambda: workers)
     if model == "mixed":
         data, cfg = mixed_data()
-        posterior_mixed()
     else:
         data = PointSet(np.random.default_rng(15).random((3000, 2)))
         cfg = HistogramMixtureConfig(K=4, M_prime=22)
     domain = cfg.domain if cfg.domain is not None else default_domain(data)
     post = fit_histogram_posterior(data, sample_bins(cfg, domain, spawn_rngs(16, 1)[0]), cfg)
     assert np.mean([params.size for params in post.collapsed_params]) >= density._THREADED_MIN_BINS
+    if model == "mixed":
+        assert_mixed(post)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
