@@ -27,8 +27,6 @@ from .credible import (
     CredibleBall,
     compute_credible_ball,
     credible_radius,
-    greedy_lower_bound,
-    greedy_upper_bound,
 )
 from .density import (
     DensityDrawEnsemble,

@@ -5,13 +5,14 @@ clusterings. The bounds walk the activity lattice greedily: the upper bound
 activates inactive points by decreasing posterior activity probability, the
 lower bound deactivates active points by increasing activity probability,
 and each stops just before the state would leave the ball. A state is the
-delta-graph components of its active set. Each walk builds its graph's pair
-list once and keeps the components in a union-find that also tracks the
-loss's integer counts, so a toggle costs its merges, not a relabelling of the
-graph. The lower walk only removes points, so it is counted backwards, as
-insertions (Tarjan's offline treatment of deletions). Both walks end in one
-scan that prices each state and stops at the first outside the ball; only the
-returned state is labelled.
+delta-graph components of its active set. One pair list of the graph and
+one union-find, which also tracks the loss's integer counts, count both
+walks, so a toggle costs its merges, not a relabelling of the graph. The
+lower walk only removes points, so it is counted first and backwards, as
+insertions from the empty state (Tarjan's offline treatment of deletions);
+its last insertion restores the center, where the upper walk starts. Both
+walks end in one scan that prices each state and stops at the first outside
+the ball; only the returned state is labelled.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ __all__ = [
     "BoundStep",
     "CredibleBall",
     "credible_radius",
-    "greedy_upper_bound",
-    "greedy_lower_bound",
     "compute_credible_ball",
 ]
 
@@ -170,57 +169,46 @@ class _Walk:
         return ri
 
 
-def greedy_upper_bound(
+def _bounds(
     center: SubPartition,
     ps: PointSet,
     delta: float,
     stats: CoClusteringStats,
     radius: float,
     p: LossParams = DEFAULT_LOSS_PARAMS,
-    trace: Optional[list] = None,
-) -> SubPartition:
-    """Last in-ball state of the greedy activation walk from the center.
+    trace: Optional[tuple[list, list]] = None,
+) -> tuple[SubPartition, SubPartition]:
+    """Last in-ball states (lower, upper) of the two greedy walks from the
+    center, counted on one union-find over one pair list.
 
-    Each state is the delta-graph components of the center's active set plus
-    the inactive points activated so far, by decreasing alpha-hat. The walk
-    stops at the first state outside the ball.
+    The lower walk removes the center's active points by increasing
+    alpha-hat, the upper walk adds its inactive points by decreasing
+    alpha-hat, and each stops at the first state outside the ball. The lower
+    walk only removes points, so its states are counted in reverse: starting
+    empty, the center's active points are added back from the last in its
+    order to the first, and the counts after each addition are those of the
+    state that keeps exactly the points added. The last addition restores the
+    center, from which the upper walk adds a point only when its scan asks
+    for that state. trace, if given, collects each walk's steps.
     """
-    _check_bound_inputs(center, ps, stats, radius)
+    if not radius >= 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+    if center.n != ps.n:
+        raise ValueError(f"center has n={center.n} but point set has n={ps.n}")
+    if stats.n != ps.n:
+        raise ValueError(f"stats have n={stats.n} but point set has n={ps.n}")
     active = center.labels_array != 0
-    order = _activation_order(stats.alpha, np.flatnonzero(~active), largest_first=True)
+    lower_order = _activation_order(stats.alpha, np.flatnonzero(active), largest_first=False)
+    upper_order = _activation_order(stats.alpha, np.flatnonzero(~active), largest_first=True)
     pairs = _delta_pairs(ps.points, delta, closed=False)
     walk = _Walk(center, pairs)
-    for i in np.flatnonzero(active).tolist():
-        walk.add(i)
-    counts = walk.counts_after(order.tolist())
-    return _scan(center, pairs, stats.alpha, radius, p, trace, order, counts, switch_on=True)
-
-
-def greedy_lower_bound(
-    center: SubPartition,
-    ps: PointSet,
-    delta: float,
-    stats: CoClusteringStats,
-    radius: float,
-    p: LossParams = DEFAULT_LOSS_PARAMS,
-    trace: Optional[list] = None,
-) -> SubPartition:
-    """Last in-ball state of the greedy deactivation walk from the center.
-
-    Symmetric to the upper bound: removes the active point with the smallest
-    alpha-hat. The walk only removes points, so its states are counted in
-    reverse: starting empty, the center's active points are added back from
-    the last in the walk's order to the first, and the counts after each
-    addition are those of the state that keeps exactly the points added.
-    """
-    _check_bound_inputs(center, ps, stats, radius)
-    act = center.active_indices
-    pairs = act[_delta_pairs(ps.points[act], delta, closed=False)]
-    order = _activation_order(stats.alpha, act, largest_first=False)
-    walk = _Walk(center, pairs)
-    # counted from the empty state backwards: the t-th state keeps exactly order[t:]
-    counts = [walk.counts(), *walk.counts_after(order[:0:-1].tolist())][::-1]
-    return _scan(center, pairs, stats.alpha, radius, p, trace, order, counts, switch_on=False)
+    # the t-th lower state keeps exactly lower_order[t + 1:]; the center's own counts are dropped
+    lower_counts = [walk.counts(), *walk.counts_after(lower_order[::-1].tolist())][-2::-1]
+    lower_trace, upper_trace = trace or (None, None)
+    lower = _scan(center, pairs, stats.alpha, radius, p, lower_trace, lower_order, lower_counts, switch_on=False)
+    upper_counts = walk.counts_after(upper_order.tolist())
+    upper = _scan(center, pairs, stats.alpha, radius, p, upper_trace, upper_order, upper_counts, switch_on=True)
+    return lower, upper
 
 
 def _scan(
@@ -245,15 +233,6 @@ def _scan(
     active = center.labels_array != 0
     active[order[:taken]] = switch_on
     return SubPartition(_component_labels(center.n, pairs, active))
-
-
-def _check_bound_inputs(center: SubPartition, ps: PointSet, stats: CoClusteringStats, radius: float) -> None:
-    if not radius >= 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    if center.n != ps.n:
-        raise ValueError(f"center has n={center.n} but point set has n={ps.n}")
-    if stats.n != ps.n:
-        raise ValueError(f"stats have n={stats.n} but point set has n={ps.n}")
 
 
 @dataclass(frozen=True)
@@ -287,13 +266,13 @@ def compute_credible_ball(
     *,
     stats: CoClusteringStats,
 ) -> CredibleBall:
-    """Radius, coverage, and both greedy bounds in one pass. stats are the
-    clusterings' co-clustering stats (BalletResult.stats): their alpha-hat
-    orders the walks."""
+    """Radius, coverage, and both greedy bounds in one pass: one pair list
+    and one union-find count both walks. stats are the clusterings'
+    co-clustering stats (BalletResult.stats): their alpha-hat orders the
+    walks."""
     radius, dists = _radius_and_losses(center, clusterings, p, alpha)
     coverage = float(np.count_nonzero(dists <= radius)) / len(clusterings)
-    lower = greedy_lower_bound(center, ps, delta, stats, radius, p)
-    upper = greedy_upper_bound(center, ps, delta, stats, radius, p)
+    lower, upper = _bounds(center, ps, delta, stats, radius, p)
     return CredibleBall(
         center=center, radius=radius, alpha=alpha, coverage=coverage, lower=lower, upper=upper
     )

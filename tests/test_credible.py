@@ -10,10 +10,9 @@ import ballet.credible as credible_mod
 from ballet.credible import (
     BoundStep,
     CredibleBall,
+    _bounds,
     compute_credible_ball,
     credible_radius,
-    greedy_lower_bound,
-    greedy_upper_bound,
 )
 from ballet.levelset import PointSet, active_set_components
 from ballet.risk import precompute_stats
@@ -105,7 +104,7 @@ def test_upper_bound_radius_zero_returns_center():
     ps = line_points(0.0, 1.0, 2.0)
     stats, _ = make_stats([3, 2, 1], S=3)
     center = SubPartition([1, 0, 0])
-    out = greedy_upper_bound(center, ps, delta=1.5, stats=stats, radius=0.0)
+    out = _bounds(center, ps, delta=1.5, stats=stats, radius=0.0)[1]
     assert out == center
 
 
@@ -113,7 +112,7 @@ def test_upper_bound_large_radius_activates_everything():
     ps = line_points(0.0, 1.0, 5.0)
     stats, _ = make_stats([3, 2, 1], S=3)
     center = SubPartition([1, 0, 0])
-    out = greedy_upper_bound(center, ps, delta=1.5, stats=stats, radius=1e9)
+    out = _bounds(center, ps, delta=1.5, stats=stats, radius=1e9)[1]
     assert out == active_set_components(ps, [0, 1, 2], 1.5)
     assert out.labels == (1, 1, 2)
 
@@ -123,7 +122,7 @@ def test_upper_bound_tie_break_by_index():
     stats, _ = make_stats([2, 2, 2], S=2)  # all alpha-hat equal
     center = SubPartition([0, 0, 0])
     trace = []
-    out = greedy_upper_bound(center, ps, delta=1.0, stats=stats, radius=1e9, trace=trace)
+    out = _bounds(center, ps, delta=1.0, stats=stats, radius=1e9, trace=([], trace))[1]
     assert [step.index for step in trace] == [0, 1, 2]
     assert all(step.accepted for step in trace)
     assert out.labels == (1, 2, 3)
@@ -134,7 +133,7 @@ def test_upper_bound_orders_by_alpha_hat():
     stats, _ = make_stats([0, 4, 1, 3], S=4)
     center = SubPartition([1, 0, 0, 0])
     trace = []
-    greedy_upper_bound(center, ps, delta=1.0, stats=stats, radius=1e9, trace=trace)
+    _bounds(center, ps, delta=1.0, stats=stats, radius=1e9, trace=([], trace))
     assert [step.index for step in trace] == [1, 3, 2]
 
 
@@ -145,15 +144,16 @@ def test_upper_bound_stops_at_first_exceedance():
     # each activation of an isolated point adds (n-1) * m_ia * (1 - 1) ... the
     # distance here is activity mismatch only: 1 step -> 1.0, 2 -> 2.0, 3 -> 3.0
     trace = []
-    out = greedy_upper_bound(center, ps, delta=1.0, stats=stats, radius=2.0, trace=trace)
+    out = _bounds(center, ps, delta=1.0, stats=stats, radius=2.0, trace=([], trace))[1]
     assert out.labels == (1, 2, 0)
     assert [s.accepted for s in trace] == [True, True, False]
     assert [s.distance for s in trace] == [1.0, 2.0, 3.0]
 
 
 def test_upper_walk_adds_no_point_past_its_exit(monkeypatch):
-    """The upper walk adds the center's active points, then one point per
-    traced step: none past the first state outside the ball."""
+    """The lower walk's count adds the center's active points, then the
+    upper walk adds one point per traced step: none past the first state
+    outside the ball."""
     n = 60
     ps = line_points(*range(n))
     stats, _ = make_stats([int(c) for c in np.random.default_rng(7).integers(1, 9, n)], S=8)
@@ -163,7 +163,7 @@ def test_upper_walk_adds_no_point_past_its_exit(monkeypatch):
     monkeypatch.setattr(credible_mod._Walk, "add", lambda walk, i: (added.append(i), add(walk, i))[1])
     trace = []
     # each activation costs (n - 1) * m_ia = 29.5: the fourth leaves the ball
-    greedy_upper_bound(center, ps, delta=1.5, stats=stats, radius=100.0, trace=trace)
+    _bounds(center, ps, delta=1.5, stats=stats, radius=100.0, trace=([], trace))
     assert [s.accepted for s in trace] == [True, True, True, False]
     assert len(added) == 20 + len(trace)
     assert added[20:] == [s.index for s in trace]
@@ -173,7 +173,7 @@ def test_lower_bound_radius_zero_returns_center():
     ps = line_points(0.0, 1.0, 2.0)
     stats, _ = make_stats([3, 1, 3], S=3)
     center = SubPartition([1, 1, 1])
-    out = greedy_lower_bound(center, ps, delta=1.5, stats=stats, radius=0.0)
+    out = _bounds(center, ps, delta=1.5, stats=stats, radius=0.0)[0]
     assert out == center
 
 
@@ -181,7 +181,7 @@ def test_lower_bound_large_radius_reaches_all_noise():
     ps = line_points(0.0, 1.0, 2.0)
     stats, _ = make_stats([3, 1, 2], S=3)
     center = SubPartition([1, 1, 1])
-    out = greedy_lower_bound(center, ps, delta=1.5, stats=stats, radius=1e9)
+    out = _bounds(center, ps, delta=1.5, stats=stats, radius=1e9)[0]
     assert out.is_all_noise
 
 
@@ -192,7 +192,7 @@ def test_lower_bound_bridge_split():
     stats, _ = make_stats([9, 1, 9, 5], S=10)
     center = SubPartition([1, 1, 1, 2])
     trace = []
-    out = greedy_lower_bound(center, ps, delta=1.5, stats=stats, radius=2.5, trace=trace)
+    out = _bounds(center, ps, delta=1.5, stats=stats, radius=2.5, trace=(trace, []))[0]
     assert out.labels == (1, 0, 2, 3)
     assert [s.index for s in trace] == [1, 3]
     assert [s.accepted for s in trace] == [True, False]
@@ -210,8 +210,7 @@ def test_bound_active_set_containment_random():
         stats, draws = make_stats(counts.tolist(), S=5)
         center = active_set_components(ps, np.flatnonzero(counts >= 3), 0.8)
         radius = float(rng.uniform(0.0, 8.0))
-        lo = greedy_lower_bound(center, ps, 0.8, stats, radius)
-        up = greedy_upper_bound(center, ps, 0.8, stats, radius)
+        lo, up = _bounds(center, ps, 0.8, stats, radius)
         c_act = set(center.active_indices.tolist())
         assert set(lo.active_indices.tolist()) <= c_act
         assert set(up.active_indices.tolist()) >= c_act
@@ -246,9 +245,9 @@ def test_bounds_and_traces_match_oracle_walk():
 def assert_walk_matches_oracles(ps, delta, stats, center, radius, upper, p=LossParams()):
     """The walk's bound and trace equal both oracles': the per-toggle relabelling
     walk and the walk from first definitions, floats compared with ==."""
-    walk = greedy_upper_bound if upper else greedy_lower_bound
-    trace = []
-    got = walk(center, ps, delta, stats, radius, p, trace)
+    traces = ([], [])
+    got = _bounds(center, ps, delta, stats, radius, p, traces)[upper]
+    trace = traces[upper]
     relabelled, relabel_trace = oracle_relabel_walk(center, ps, delta, stats, radius, upper, p)
     assert got == relabelled
     assert trace == relabel_trace
@@ -311,6 +310,26 @@ def test_walks_match_both_oracles(instance):
     assert_walk_matches_oracles(ps, delta, stats, center, radius, upper, p)
 
 
+@pytest.mark.parametrize("center_kind", ["noise", "active"])
+def test_walks_match_both_oracles_from_an_extreme_center(center_kind):
+    """A center with no active point (the lower walk is empty and the upper
+    walk starts from the empty union-find) and one with every point active
+    (the upper walk is empty), at every radius the walks can stop at."""
+    rng = np.random.default_rng(11)
+    n = 14
+    ps = PointSet(rng.random((n, 2)) * 3)
+    stats = precompute_stats([random_subpartition(rng, n, max_k=3) for _ in range(5)])
+    if center_kind == "noise":
+        center = SubPartition.all_noise(n)
+    else:
+        center = SubPartition(oracle_components(ps.points, np.arange(n), 0.9))
+    for upper in (True, False):
+        _, full = oracle_relabel_walk(center, ps, 0.9, stats, 1e9, upper)
+        assert len(full) == (n if upper == (center_kind == "noise") else 0)
+        for radius in [0.0, 1e9, *(s.distance for s in full)]:
+            assert_walk_matches_oracles(ps, 0.9, stats, center, radius, upper)
+
+
 def test_walks_match_relabel_oracle_mid_size():
     """Two-Gaussian ladder-size input (n = 250, S = 30): hundreds of toggles
     and long merge chains, against the per-toggle relabelling walk."""
@@ -336,9 +355,9 @@ def test_walks_match_relabel_oracle_mid_size():
     for center in (plugin, scattered, estimate):
         for r in (credible_radius(center, draws), 1e9):
             for upper in (True, False):
-                got_trace = []
-                walk = greedy_upper_bound if upper else greedy_lower_bound
-                got = walk(center, ps, delta, stats, r, trace=got_trace)
+                traces = ([], [])
+                got = _bounds(center, ps, delta, stats, r, trace=traces)[upper]
+                got_trace = traces[upper]
                 expect, expect_trace = oracle_relabel_walk(center, ps, delta, stats, r, upper)
                 assert got == expect
                 assert got_trace == expect_trace
@@ -350,15 +369,15 @@ def test_bound_input_validation():
     ps = line_points(0.0, 1.0)
     stats, _ = make_stats([2, 1], S=2)
     center = SubPartition([1, 1])
-    for walk in (greedy_upper_bound, greedy_lower_bound):
-        for bad in (-0.1, float("nan")):
-            with pytest.raises(ValueError):
-                walk(center, ps, 1.0, stats, radius=bad)
+    for bad in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            _bounds(center, ps, 1.0, stats, radius=bad)
     # an infinite radius is valid and accepts every toggle
-    assert greedy_upper_bound(center, ps, 1.0, stats, radius=float("inf")) == center
-    assert greedy_lower_bound(center, ps, 1.0, stats, radius=float("inf")).is_all_noise
+    lower, upper = _bounds(center, ps, 1.0, stats, radius=float("inf"))
+    assert upper == center
+    assert lower.is_all_noise
     with pytest.raises(ValueError):
-        greedy_lower_bound(SubPartition([1, 1, 0]), ps, 1.0, stats, radius=1.0)
+        _bounds(SubPartition([1, 1, 0]), ps, 1.0, stats, radius=1.0)
 
 
 # -- assembled ball ------------------------------------------------------------
@@ -387,6 +406,32 @@ def test_compute_credible_ball_invariants_and_json():
     assert sorted(obj.keys()) == ["alpha", "coverage", "epsilon_star", "lower", "upper"]
     assert SubPartition.from_json_dict(obj["lower"]) == ball.lower
     assert SubPartition.from_json_dict(obj["upper"]) == ball.upper
+
+
+def test_credible_ball_builds_one_pair_list_and_one_walk(monkeypatch):
+    """Both bounds are counted on one pair list and one union-find."""
+    calls = {"pairs": 0, "walks": 0}
+    delta_pairs = credible_mod._delta_pairs
+
+    def counting_pairs(*args, **kwargs):
+        calls["pairs"] += 1
+        return delta_pairs(*args, **kwargs)
+
+    class CountingWalk(credible_mod._Walk):
+        def __init__(self, *args):
+            calls["walks"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(credible_mod, "_delta_pairs", counting_pairs)
+    monkeypatch.setattr(credible_mod, "_Walk", CountingWalk)
+    rng = np.random.default_rng(5)
+    ps = PointSet(rng.random((40, 2)) * 3)
+    draws = [active_set_components(ps, np.flatnonzero(rng.random(40) < 0.6), 0.7) for _ in range(6)]
+    center = draws[0]
+    ball = compute_credible_ball(center, ps, 0.7, draws, stats=precompute_stats(draws))
+    assert calls == {"pairs": 1, "walks": 1}
+    # both walks moved, so each was counted on that one union-find
+    assert ball.lower != center and ball.upper != center
 
 
 def test_bound_step_is_frozen():
