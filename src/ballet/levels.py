@@ -273,19 +273,14 @@ def tree_from_clusterings(
 
 # Below this many (point, draw) entries at or above the levels, summed over
 # the levels, a tree estimates its levels serially: forking and reaping a
-# worker costs as much as the smallest trees. On 2 CPUs, 3 levels (noise
-# fractions 0.2, 0.4, 0.6 of two Gaussians, 2 restarts), 2 processes took
-# 1.13x the serial time at 439 entries (n = 40, S = 8), 1.04x at 844
-# (n = 60, S = 10), 0.91x at 1309 (n = 75, S = 12), 0.80-0.89x at
-# 1953-3583 (n = 90-120, S = 15-20) and 0.67x at 12419 (n = 250, S = 30).
-# Re-measured on 2 CPUs with the one-point walk step and the blocked
-# ensemble draw, 10 alternating pairs a tree (K = 30, M' = 14), two runs:
-# the ten ladder_small trees (11.8k-12.6k entries) took 0.61-1.06x, median
-# 0.78x, pooled faster in 85 and 94 of 100 pairs; trees of 432-2027
-# entries took 1.09-1.41x (pooled faster in 0-3 of 10), and 3482 entries
-# 1.12x, then 0.92x. The break-even lies between 2k and 3.5k entries, so
-# this gate pools some trees that run slower pooled.
-_POOLED_MIN_LEVEL_ENTRIES = 1_000
+# worker costs more than the smaller trees save. On 2 CPUs, 3 levels (noise
+# fractions 0.2, 0.4, 0.6 of two Gaussians, K = 30, M' = 14, 2 restarts),
+# 10 alternating pairs a tree, three runs on fresh seeds: trees of 1.7k-3.6k
+# entries took 0.96-1.22x the serial time pooled (pooled faster in 0-5 of
+# 10), 4.5k-7.5k entries 0.84-1.08x (0-10 of 10), 8.0k 0.70x and 0.73x (8
+# and 9 of 10), and 8.2k-12.4k 0.68-0.91x (9-10 of 10). The ten
+# ladder_small trees (11.8k-12.6k entries) took 0.61-1.06x, median 0.78x.
+_POOLED_MIN_LEVEL_ENTRIES = 8_000
 
 
 def _level_estimate(state: tuple, lam: float) -> np.ndarray:

@@ -10,13 +10,16 @@ convention, for the density equivalences.
 Every component computation goes through one engine, _component_labels: a
 kd-tree pair list of the graph's edges and one active mask, or a stack of
 masks (one per posterior draw). The engine keeps only the points active in
-some mask and groups the pairs among them by first endpoint once. It then
-cuts the stack into chunks of rows, bounded by _CHUNK_ENTRIES nodes plus
-candidate pairs, and labels each chunk with one
+some mask. In a stack, the points active in every mask and the pairs between
+two of them are a shared graph that one connected_components call labels
+once; each of its components becomes one node, active in every mask. The
+engine groups the other pairs by first endpoint once, cuts the stack into
+chunks of rows, bounded by _CHUNK_ENTRIES nodes plus candidate pairs of that
+contracted graph, and labels each chunk with one
 scipy.sparse.csgraph.connected_components call on a block-diagonal CSR graph:
 each row's block holds the pairs whose two ends are active in that row. No
-graph over all n points is built, and the call's fixed cost is paid once per
-chunk, not once per mask.
+graph over all n points is built, a pair of the shared graph is walked once,
+not once per mask, and the call's fixed cost is paid once per chunk.
 """
 
 from __future__ import annotations
@@ -161,13 +164,21 @@ def _check_pair_budget(tree: cKDTree, delta: float) -> None:
 
 
 # One connected_components call labels a chunk of c rows with c * (m + E) <=
-# _CHUNK_ENTRIES (m nodes, E candidate pairs), or one row alone. A chunk's
-# temporaries peak at 25-40 bytes per entry, 24 of them per kept pair (the
-# graph and the transpose scipy builds), so about 0.5 MB here. On the 30-mask
-# ladder_small stacks (m + E ~ 2 400, 2 CPUs) a stack took 1.56 ms at this
-# bound, 1.37 ms at 2^15, 1.34 ms at 2^17 (one call) and 3.0 ms mask by mask;
-# ladder_small's peak RSS rose 0.05 MB here, 0.44 MB at 2^15, 1.95 MB at 2^17.
+# _CHUNK_ENTRIES (m nodes, E candidate pairs of the contracted graph), or one
+# row alone. A chunk's temporaries peak at 25-40 bytes per entry, 24 of them
+# per kept pair (the graph and the transpose scipy builds), so about 0.5 MB
+# here. On the 30 ladder_small stacks of seed 707 (30 masks, 2.1k-4.4k nodes
+# plus pairs before the contraction, 2 CPUs) a stack took 2.60 ms at this
+# bound, 2.19 ms at 2^15, 2.26 ms at 2^17 and 5.34 ms mask by mask; a call's
+# tracemalloc peak was up to 0.41, 0.74, 2.05 and 0.18 MB.
 _CHUNK_ENTRIES = 1 << 14
+
+
+def _graph(first: np.ndarray, second: np.ndarray, size: int) -> csr_matrix:
+    """The CSR graph on `size` nodes of the pairs (first, second), first ascending."""
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(first, minlength=size), out=indptr[1:])
+    return csr_matrix((np.ones(first.size), second, indptr), shape=(size, size))
 
 
 def _component_labels(n: int, pairs: np.ndarray, active: np.ndarray) -> np.ndarray:
@@ -175,38 +186,52 @@ def _component_labels(n: int, pairs: np.ndarray, active: np.ndarray) -> np.ndarr
     in each row, 0 for inactive points, else 1 + the component id of the point
     in the graph of the pairs whose two ends are both active in that row.
 
-    The graph is built on the m points active in some row only, indexed
-    locally, from the E pairs among them grouped by first endpoint once. A
-    chunk of rows is one block-diagonal graph: row t keeps its own pairs on
-    the local ids offset by t * m, which in row order is already the CSR
-    layout, and one connected_components call labels the chunk. Component ids
-    are unique within a row, not numbered from 1.
+    The shared graph (the points active in every row of a stack and the
+    pairs between two of them) is labelled once, and each of its components
+    becomes one node, active in every row; every other live point is a node
+    of its own. The E pairs left, with an end not active in every row, are
+    grouped by first endpoint once on the m node ids. A chunk of rows is one
+    block-diagonal graph, row t's pairs on the node ids offset by t * m (in
+    row order already the CSR layout), labelled by one connected_components
+    call. A one-row stack, or one whose rows share no pair, is not
+    contracted. Component ids are unique within a row, not numbered from 1.
     """
     active = np.asarray(active, dtype=bool)
     rows = active.reshape(-1, n)
     live = rows.any(axis=0)
+    shared = rows.all(axis=0)
+    inner = shared[pairs[:, 0]] & shared[pairs[:, 1]]
+    node = np.zeros(n, dtype=np.int32)  # each live point's node in the contracted graph
+    c = 0
+    if len(rows) > 1 and inner.any():
+        core = np.flatnonzero(shared)
+        node[core] = np.arange(core.size, dtype=np.int32)
+        first, second = node[pairs[inner, 0]], node[pairs[inner, 1]]
+        order = np.argsort(first)
+        c, node[core] = connected_components(_graph(first[order], second[order], core.size), directed=False)
+    else:
+        shared[:] = inner[:] = False
+    solo = np.flatnonzero(live & ~shared)
+    node[solo] = np.arange(c, c + solo.size, dtype=np.int32)
+    m = c + solo.size
+    on = np.ones((len(rows), m), dtype=bool)
+    on[:, c:] = rows[:, solo]
     nodes = np.flatnonzero(live)
-    m = nodes.size
-    local = np.zeros(n, dtype=np.int32)
-    local[nodes] = np.arange(m, dtype=np.int32)
-    both = live[pairs[:, 0]] & live[pairs[:, 1]]
-    first, second = local[pairs[both, 0]], local[pairs[both, 1]]
+    at = node[nodes]
+    rest = live[pairs[:, 0]] & live[pairs[:, 1]] & ~inner
+    first, second = node[pairs[rest, 0]], node[pairs[rest, 1]]
     order = np.argsort(first)
     first, second = first[order], second[order]
-    del both, order  # only the int32 ends stay alive through the chunks
-    on = rows[:, nodes]
+    del shared, inner, node, solo, rest, order  # the chunks need only the nodes and the int32 ends
     labels = np.zeros(rows.shape, dtype=np.int64)
     step = max(1, _CHUNK_ENTRIES // max(1, m + first.size))
     for lo in range(0, len(on), step):
         chunk = on[lo : lo + step]
-        size = len(chunk) * m
         kept = chunk[:, first] & chunk[:, second]
         offset = (np.arange(len(chunk), dtype=np.int32) * np.int32(m))[:, None]
-        indptr = np.zeros(size + 1, dtype=np.int32)
-        np.cumsum(np.bincount((offset + first)[kept], minlength=size), out=indptr[1:])
-        graph = csr_matrix((np.ones(indptr[-1]), (offset + second)[kept], indptr), shape=(size, size))
+        graph = _graph((offset + first)[kept], (offset + second)[kept], len(chunk) * m)
         _, comp = connected_components(graph, directed=False)
-        labels[lo : lo + len(chunk), nodes] = (comp.reshape(chunk.shape) + 1) * chunk
+        labels[lo : lo + len(chunk), nodes] = ((comp.reshape(chunk.shape) + 1) * chunk)[:, at]
     return labels.reshape(active.shape)
 
 

@@ -95,9 +95,9 @@ def draw_clusterings(
 
     Every draw's delta graph is a subgraph of the one on the union of the
     draws' active sets, so that pair list is built once, and the S x n stack
-    of active masks is labelled in one engine call on the union's points. The
-    engine makes one connected_components call per chunk of draws, so the
-    draws of a small support share a call and a survey-size draw has its own.
+    of active masks is labelled in one engine call. It labels the graph all
+    draws share (on the points active in every draw) once, one node per
+    component, then makes one connected_components call per chunk of draws.
     """
     if ensemble.n != ps.n:
         raise InfeasibleError(f"ensemble has n={ensemble.n} but point set has n={ps.n}")

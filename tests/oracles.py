@@ -144,6 +144,50 @@ def oracle_coo_component_labels(n: int, pairs: np.ndarray, active: np.ndarray) -
     return np.where(active, comp + 1, 0)
 
 
+def oracle_uncontracted_component_labels(n: int, pairs: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Reference for levelset._component_labels as it was before the shared
+    graph was contracted: every row labels the whole graph of the points
+    active in some row. Labels of the shape of `active`, one mask (n,) or a
+    stack (S, n): 0 inactive, else 1 + a component id unique within the row.
+
+    The graph is built on those m points, indexed locally, from the E pairs
+    among them grouped by first endpoint once. A chunk of rows, of up to
+    levelset._CHUNK_ENTRIES nodes plus pairs, is one block-diagonal CSR graph
+    (row t's pairs on the local ids offset by t * m) labelled by one
+    connected_components call.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    from ballet.levelset import _CHUNK_ENTRIES
+
+    active = np.asarray(active, dtype=bool)
+    rows = active.reshape(-1, n)
+    live = rows.any(axis=0)
+    nodes = np.flatnonzero(live)
+    m = nodes.size
+    local = np.zeros(n, dtype=np.int32)
+    local[nodes] = np.arange(m, dtype=np.int32)
+    both = live[pairs[:, 0]] & live[pairs[:, 1]]
+    first, second = local[pairs[both, 0]], local[pairs[both, 1]]
+    order = np.argsort(first)
+    first, second = first[order], second[order]
+    on = rows[:, nodes]
+    labels = np.zeros(rows.shape, dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // max(1, m + first.size))
+    for lo in range(0, len(on), step):
+        chunk = on[lo : lo + step]
+        size = len(chunk) * m
+        kept = chunk[:, first] & chunk[:, second]
+        offset = (np.arange(len(chunk), dtype=np.int32) * np.int32(m))[:, None]
+        indptr = np.zeros(size + 1, dtype=np.int32)
+        np.cumsum(np.bincount((offset + first)[kept], minlength=size), out=indptr[1:])
+        graph = csr_matrix((np.ones(indptr[-1]), (offset + second)[kept], indptr), shape=(size, size))
+        _, comp = connected_components(graph, directed=False)
+        labels[lo : lo + len(chunk), nodes] = (comp.reshape(chunk.shape) + 1) * chunk
+    return labels.reshape(active.shape)
+
+
 def oracle_dbscan(points: np.ndarray, eps: float, min_pts: int, include_self: bool = True, classic: bool = False):
     """DBSCAN* (or DBSCAN with borders) from the full pairwise squared-distance matrix.
 

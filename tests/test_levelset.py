@@ -28,7 +28,13 @@ from ballet.levelset import (
     unit_ball_volume,
 )
 from ballet.subpartition import SubPartition
-from oracles import oracle_components, oracle_coo_component_labels, oracle_dbscan, oracle_knn_distance
+from oracles import (
+    oracle_components,
+    oracle_coo_component_labels,
+    oracle_dbscan,
+    oracle_knn_distance,
+    oracle_uncontracted_component_labels,
+)
 
 
 def pts1d(*xs):
@@ -331,7 +337,9 @@ def mask_stacks(draw):
     every point under the open or the closed graph (so the lattice's axis
     neighbours sit exactly at delta), and a stack of up to 12 masks: each row
     empty, all active or random, over the points that are not always
-    inactive."""
+    inactive, unioned with a random core of those points that is active in
+    every row. So the shared graph the engine contracts has components of
+    several nodes, exact-delta pairs and duplicate points among them."""
     d = draw(st.integers(1, 2))
     side = draw(st.integers(2, {1: 12, 2: 5}[d]))
     grid = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), axis=-1).reshape(-1, d)
@@ -345,6 +353,7 @@ def mask_stacks(draw):
     n = len(pts)
     closed = draw(st.booleans())
     dead = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    core = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool) & ~dead
     rows = []
     for kind in draw(st.lists(st.sampled_from(["empty", "all", "random"]), min_size=1, max_size=12)):
         if kind == "empty":
@@ -353,7 +362,7 @@ def mask_stacks(draw):
             rows.append(~dead)
         else:
             rows.append(np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool) & ~dead)
-    return pts, closed, np.stack(rows)
+    return pts, closed, np.stack(rows) | core
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,8 +370,9 @@ def mask_stacks(draw):
 def test_component_engine_matches_coo_engine_and_closure(instance, rows_per_chunk):
     """However the chunk bound splits a stack (one row a call, a few nodes, a
     few rows with a partial last chunk, or the default), each row is labelled
-    as the closure and the per-mask COO engine label it, and inactive points
-    are exactly 0; so is a mask given alone, (n,) or as a one-row stack."""
+    as the closure, the per-mask COO engine and the uncontracted engine label
+    it, and inactive points are exactly 0; so is a mask given alone, (n,) or
+    as a one-row stack."""
     pts, closed, masks = instance
     n = len(pts)
     # the pairs of every point, so some touch points that no row activates
@@ -380,13 +390,28 @@ def test_component_engine_matches_coo_engine_and_closure(instance, rows_per_chun
             mp.setattr(levelset, "_CHUNK_ENTRIES", limit)
             stacked = _component_labels(n, pairs, masks)
             alone = [_component_labels(n, pairs, mask) for mask in masks]
+            uncontracted = oracle_uncontracted_component_labels(n, pairs, masks)
         assert stacked.shape == masks.shape
-        for mask, got, one, want in zip(masks, stacked, alone, expect):
+        for mask, got, one, old, want in zip(masks, stacked, alone, uncontracted, expect):
             assert np.array_equal(got != 0, mask)
+            assert SubPartition(got) == SubPartition(old)
             assert SubPartition(got) == want
             assert one.shape == (n,)
             assert np.array_equal(one != 0, mask)
             assert SubPartition(one) == want
+
+
+def _spy_calls(monkeypatch) -> list:
+    """(nodes, stored pairs) of every connected_components call the engine makes."""
+    graphs = []
+    real = levelset.connected_components
+
+    def spy(graph, directed):
+        graphs.append((graph.shape[0], graph.nnz))
+        return real(graph, directed=directed)
+
+    monkeypatch.setattr(levelset, "connected_components", spy)
+    return graphs
 
 
 @pytest.mark.parametrize(
@@ -399,27 +424,30 @@ def test_component_engine_matches_coo_engine_and_closure(instance, rows_per_chun
     ],
 )
 def test_component_engine_graph_stays_within_chunk_bound(n, delta, limit, monkeypatch):
-    """Each connected_components call holds at most _CHUNK_ENTRIES nodes plus
-    pairs, unless it labels one row; the calls cover every row once."""
+    """Each connected_components call that labels rows holds at most
+    _CHUNK_ENTRIES nodes plus pairs of the contracted graph, unless it labels
+    one row, and those calls cover every row once. At most one more call, the
+    first, labels the shared graph: the points active in every row and the
+    pairs between two of them."""
     rng = np.random.default_rng(31)
     pts = rng.uniform(size=(n, 2))
-    masks = rng.uniform(size=(40, n)) < 0.6
+    # a core of points active in every row, so that the rows share a graph
+    masks = (rng.uniform(size=(40, n)) < 0.6) | (rng.uniform(size=n) < 0.3)
     pairs = _delta_pairs(pts, delta, closed=False)
     if limit is not None:
         monkeypatch.setattr(levelset, "_CHUNK_ENTRIES", limit)
     limit = levelset._CHUNK_ENTRIES
-    live = masks.any(axis=0)
-    m = int(live.sum())
-    rows_per_call = max(1, limit // (m + int(np.count_nonzero(live[pairs[:, 0]] & live[pairs[:, 1]]))))
-    graphs = []
-    real = levelset.connected_components
-
-    def spy(graph, directed):
-        graphs.append((graph.shape[0], graph.nnz))
-        return real(graph, directed=directed)
-
-    monkeypatch.setattr(levelset, "connected_components", spy)
+    live, shared = masks.any(axis=0), masks.all(axis=0)
+    inner = shared[pairs[:, 0]] & shared[pairs[:, 1]]
+    rest = live[pairs[:, 0]] & live[pairs[:, 1]] & ~inner
+    # one node per component of the shared graph, plus every other live point
+    core = oracle_coo_component_labels(n, pairs, shared)
+    m = np.unique(core[shared]).size + int(np.count_nonzero(live & ~shared))
+    rows_per_call = max(1, limit // (m + int(rest.sum())))
+    graphs = _spy_calls(monkeypatch)
     labels = _component_labels(n, pairs, masks)
+    if inner.any():
+        assert graphs.pop(0) == (int(shared.sum()), int(inner.sum()))
     assert sum(nodes for nodes, _ in graphs) == len(masks) * m
     for nodes, edges in graphs:
         assert nodes % m == 0
@@ -427,6 +455,72 @@ def test_component_engine_graph_stays_within_chunk_bound(n, delta, limit, monkey
     assert len(graphs) == -(-len(masks) // rows_per_call)
     for mask, got in zip(masks, labels):
         assert SubPartition(got) == SubPartition(oracle_coo_component_labels(n, pairs, mask))
+
+
+def _lattice_instance(rows: int, seed: int):
+    """A 12 x 12 integer lattice, its delta = 1 closed pairs (axis neighbours
+    at exactly delta) and `rows` random masks over it."""
+    grid = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0), indexing="ij"), axis=-1).reshape(-1, 2)
+    masks = np.random.default_rng(seed).uniform(size=(rows, len(grid))) < 0.7
+    return len(grid), _delta_pairs(grid, 1.0, closed=True), masks
+
+
+def test_component_engine_zero_row_stack(monkeypatch):
+    """A stack of no rows, where every point is vacuously active in all of
+    them, labels nothing and keeps its shape."""
+    n, pairs, masks = _lattice_instance(0, 1)
+    graphs = _spy_calls(monkeypatch)
+    labels = _component_labels(n, pairs, masks)
+    assert labels.shape == (0, n)
+    assert graphs == []
+
+
+def test_component_engine_contracts_identical_rows_whole(monkeypatch):
+    """Identical rows are all shared graph: one call labels it, and the row
+    calls see its components only, with no pair left."""
+    n, pairs, masks = _lattice_instance(1, 2)
+    masks = np.repeat(masks, 6, axis=0)
+    within = masks[0][pairs[:, 0]] & masks[0][pairs[:, 1]]
+    want = SubPartition(oracle_coo_component_labels(n, pairs, masks[0]))
+    assert within.any() and want.k > 1
+    graphs = _spy_calls(monkeypatch)
+    labels = _component_labels(n, pairs, masks)
+    assert graphs[0] == (int(masks[0].sum()), int(within.sum()))
+    assert sum(nodes for nodes, _ in graphs[1:]) == len(masks) * want.k
+    assert all(edges == 0 for _, edges in graphs[1:])
+    for got in labels:
+        assert SubPartition(got) == want
+
+
+def test_component_engine_without_shared_points_makes_no_shared_call(monkeypatch):
+    """When no point is active in every row, nothing is contracted: every
+    call labels rows on all the live points."""
+    n, pairs, masks = _lattice_instance(5, 3)
+    masks[np.arange(n) % len(masks), np.arange(n)] = False
+    live = masks.any(axis=0)
+    assert not masks.all(axis=0).any()
+    graphs = _spy_calls(monkeypatch)
+    labels = _component_labels(n, pairs, masks)
+    assert sum(nodes for nodes, _ in graphs) == len(masks) * int(live.sum())
+    assert all(nodes % int(live.sum()) == 0 for nodes, _ in graphs)
+    for got, old in zip(labels, oracle_uncontracted_component_labels(n, pairs, masks)):
+        assert SubPartition(got) == SubPartition(old)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_component_engine_labels_one_row_in_one_call(stacked, monkeypatch):
+    """One mask, alone or as a one-row stack (DBSCAN*, the plugin, a level
+    set, the ball's bounds), is labelled by exactly one call, although all of
+    it is shared graph."""
+    n, pairs, masks = _lattice_instance(1, 4)
+    mask = masks[0]
+    within = mask[pairs[:, 0]] & mask[pairs[:, 1]]
+    assert within.any()
+    graphs = _spy_calls(monkeypatch)
+    got = _component_labels(n, pairs, masks if stacked else mask)
+    assert graphs == [(int(mask.sum()), int(within.sum()))]
+    assert got.shape == (masks.shape if stacked else (n,))
+    assert SubPartition(got.reshape(n)) == SubPartition(oracle_coo_component_labels(n, pairs, mask))
 
 
 # -- DBSCAN -------------------------------------------------------------------
