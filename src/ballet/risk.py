@@ -8,7 +8,7 @@ precompute_stats builds the (point, draw) entries of the support
 {i : alpha_i > 0}, grouped into draw cells, once, and CoClusteringStats holds
 them, with no dense label matrix. Every risk count reads them: _risk_counts
 for a whole candidate (the risk of an estimate, and the search's all-noise
-candidate and the seeds its bound keeps), and the search's engine for point
+candidate and the draws its bound keeps), and the search's engine for point
 moves. A never-active point pairs with nothing, and it is noise-optimal in
 every candidate evaluation, which keeps the search exact while skipping it.
 
@@ -50,11 +50,10 @@ The search's restarts, its independent work, run on util.fork_map's
 processes, one per CPU (at most one per restart), from _POOLED_MIN_ENTRIES
 (point, draw) entries times restarts. The workers inherit the engine, the
 draw cells and the restarts' generators at the fork; only counts, support
-labels and pass-cap warnings come back. The seed candidates are counted
-after the pool, in the calling process, and only those that could still
-win: a seed's risk is at least that of its two noise counts alone
-(_noise_counts, O(n)), so a seed whose noise terms alone cost more than the
-all-noise state or a restart is never the pick, and its pairs go uncounted.
+labels and pass-cap warnings come back. The draw clusterings are counted
+after the pool, in the calling process, and only those whose two noise
+counts alone (_draw_noise_counts), a lower bound on the risk, cost no more
+than the all-noise state and every restart: the others cannot win.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,7 +188,9 @@ def _risk_counts(stats: CoClusteringStats, labels: np.ndarray) -> np.ndarray:
     candidate (a) and the reverse (b). They come from the (point, draw)
     entries of the stats: only the entries of multi-point cells pair
     within a draw cell, so the pairs together in a draw, and together in
-    both, count over those.
+    both, count over those. Every weight and float term of the loss is
+    nonnegative, so the risk of [missed, extra, 0, 0] is at most the risk of
+    the full counts: the search's bound on a draw (_draw_noise_counts).
     """
     cand = labels[stats.support]
     act = cand > 0
@@ -199,24 +200,21 @@ def _risk_counts(stats: CoClusteringStats, labels: np.ndarray) -> np.ndarray:
     h[act] = inv + 1
     he = h[stats.point]
     hit = he > 0
+    on = int(np.count_nonzero(hit))
     shared = hit & (stats.cell >= 0)
     cell = stats.cell[shared]
     together_draw = _pairs(np.bincount(cell))
     together_cand = _pairs(np.bincount(stats.draws[hit] * H + he[hit]))
     together_both = _pairs(np.unique(cell * H + he[shared], return_counts=True)[1])
     split, joined = together_draw - together_both, together_cand - together_both
-    return np.array([*_noise_counts(stats, labels), split, joined])
+    return np.array([stats.point.size - on, stats.S * int(np.count_nonzero(labels)) - on, split, joined])
 
 
-def _noise_counts(stats: CoClusteringStats, labels: np.ndarray) -> tuple[int, int]:
-    """The first two _risk_counts of full-length labels, (missed, extra), in O(n).
-
-    The loss weighs every count with a nonnegative weight and adds the
-    nonnegative float terms, so the risk of [missed, extra, 0, 0] is at most
-    the risk of the full counts: the search's bound on a seed candidate.
-    """
-    on = int(stats.n_active @ (labels[stats.support] > 0))
-    return int(stats.n_active.sum()) - on, stats.S * int(np.count_nonzero(labels)) - on
+def _draw_noise_counts(stats: CoClusteringStats) -> tuple[np.ndarray, np.ndarray]:
+    """_risk_counts' (missed, extra) of each draw's own labels: draw s keeps active the
+    points of its entries, whose n_active sum to on[s] (in floats, exact below 2^53)."""
+    on = np.bincount(stats.draws, weights=stats.n_active[stats.point], minlength=stats.S).astype(np.int64)
+    return stats.point.size - on, stats.S * np.bincount(stats.draws, minlength=stats.S) - on
 
 
 def empirical_risk(c: SubPartition, stats: CoClusteringStats, p: LossParams = DEFAULT_LOSS_PARAMS) -> float:
@@ -797,7 +795,6 @@ def search(
     stats: CoClusteringStats,
     p: LossParams = DEFAULT_LOSS_PARAMS,
     cfg: SearchConfig = SearchConfig(),
-    seeds: Optional[Sequence[SubPartition]] = None,
 ) -> SubPartition:
     """Best-risk sub-partition across restarts; deterministic given cfg.seed.
 
@@ -805,18 +802,15 @@ def search(
     SALSO's runs start from a sequential allocation), runs sweetening passes
     (single-point reassignments, strict improvement only) until a full pass
     makes no move, then zealous attempts (destroy one cell, noise included,
-    reallocate its members incrementally, keep on strict improvement). The
-    seeds, such as the draw clusterings, are candidates only: they and the
-    all-noise state are evaluated directly, so the result never does worse
-    than any of them. A restart whose last allowed sweetening pass still
-    moved a point emits a SearchPassCapWarning.
-
-    A seed is bounded before it is counted. Its risk is at least that of its
-    two noise counts alone (_noise_counts), an O(n) count. When that bound
-    exceeds the lower of the all-noise risk and every restart's, the seed's
-    risk is above the best candidate's, so it cannot be the pick, and its
-    pair counts are skipped. This is exact: a seed whose bound ties the best
-    is counted, and one that ties the best risk still wins by order.
+    reallocate its members incrementally, keep on strict improvement). A
+    restart whose last allowed sweetening pass still moved a point emits a
+    SearchPassCapWarning. The all-noise state and the draw clusterings of
+    the stats are candidates too, so the result never does worse than any
+    of them. A draw is counted, from its labels rebuilt from its entries,
+    only when the risk of its two noise counts alone (_draw_noise_counts), a
+    lower bound on its risk, does not exceed the lower of the all-noise risk
+    and every restart's: a draw it skips cannot be the pick, and one that
+    ties the best still wins by order.
 
     Each restart tracks the integer counts its risk weighs from the priced
     decisions: the incremental assignment, the sweetening moves, and each
@@ -834,36 +828,35 @@ def search(
 
     The restarts alone run on min(cpu_count(), n_restarts) processes
     (util.fork_map): this one and workers it forks, once the restarts'
-    (point, draw) entries reach _POOLED_MIN_ENTRIES. The seeds the bound
+    (point, draw) entries reach _POOLED_MIN_ENTRIES. The draws the bound
     keeps are counted after the pool, in this process, so a search opens
     one pool at most. The restarts run serially below the gate, with one
     worker, without the fork start method, and inside a pool task or child
     process (such as a level of build_cluster_tree or a replicate of
     run_simulation_study), whose parent already uses the CPUs. Each restart
     draws from its own generator only, the best is picked here with a
-    strict <, in the order all-noise, seeds, restarts, and fork_map emits
+    strict <, in the order all-noise, draws, restarts, and fork_map emits
     the restarts' warnings in restart order: the labels and warnings do not
     depend on the worker count. A worker that dies (killed by a signal or
     the OOM killer) raises InfeasibleError once every worker is reaped.
     """
     engine = _Engine(stats, p)  # reads the stats' cells in place, so a fork pool's workers inherit both
-    seed_list = list(seeds) if seeds is not None else []
-    for s in seed_list:
-        if s.n != stats.n:
-            raise ValueError(f"seed clustering has n={s.n}, stats have n={stats.n}")
-
     rngs = spawn_rngs(cfg.seed, cfg.n_restarts)
     workers = _search_workers(stats.point.size, cfg)
     restarts = fork_map(_restart, _Work(engine, cfg), list(enumerate(rngs)), workers, "search")
     best_sp = SubPartition.all_noise(stats.n)
     best_risk = engine.risk(_risk_counts(stats, best_sp.labels_array))
     bound = min([best_risk] + [engine.risk(counts) for counts, _ in restarts])
-    for s in seed_list:
-        if engine.risk(np.array([*_noise_counts(stats, s.labels_array), 0, 0])) > bound:
+    for s, noise in enumerate(zip(*_draw_noise_counts(stats))):
+        if engine.risk(np.array([*noise, 0, 0])) > bound:
             continue  # its noise terms alone cost more than the all-noise state or a restart
-        risk = engine.risk(_risk_counts(stats, s.labels_array))
+        e = np.flatnonzero(stats.draws == s)
+        cell = stats.cell[e]  # its labels: one id per draw cell, a fresh one per point alone in its cluster
+        labels = np.zeros(stats.n, dtype=np.int64)
+        labels[stats.support[stats.point[e]]] = np.where(cell < 0, stats.size.size + np.arange(e.size), cell) + 1
+        risk = engine.risk(_risk_counts(stats, labels))
         if risk < best_risk:
-            best_risk, best_sp = risk, s
+            best_risk, best_sp = risk, SubPartition(labels)
     for counts, labels in restarts:
         if engine.risk(counts) < best_risk:
             best_risk, best_sp = engine.risk(counts), SubPartition(_full_labels(stats, labels))
@@ -903,7 +896,7 @@ def ballet_estimate(
     """Full point-estimate pipeline: draw clusterings, stats, risk search."""
     clusterings = draw_clusterings(ps, ensemble, lam, delta)
     stats = precompute_stats(clusterings)
-    est = search(stats, p, cfg, seeds=clusterings)
+    est = search(stats, p, cfg)
     return BalletResult(
         estimate=est,
         risk=empirical_risk(est, stats, p),

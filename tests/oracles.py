@@ -442,16 +442,17 @@ def oracle_risk_counts(draws, labels) -> np.ndarray:
     return np.array([missed, extra, together_draw - together_both, together_cand - together_both])
 
 
-def oracle_search(draws, p, cfg, seeds=None):
+def oracle_search(draws, p, cfg):
     """The risk search priced one point at a time: the reference for risk.search.
 
     Unlike the rest of this module it drives the package's search engine,
     on the stats of the draws, through oracle_candidate_costs and move only,
     and recounts the risk from the draws by oracle_risk_counts after every
-    restart and zealous attempt. It also renumbers the ids 1..k before each
-    sweetening pass, which the search does not. So it checks that block
-    pricing, the tracked risk and the ids' numbering leave every decision
-    unchanged.
+    restart and zealous attempt. It counts every draw exactly, with no
+    bound, as a candidate after the all-noise one. It also renumbers the
+    ids 1..k before each sweetening pass, which the search does not. So it
+    checks that block pricing, the tracked risk, the ids' numbering and the
+    bound on the draws leave every decision unchanged.
     """
     from ballet.risk import _Engine, _full_labels, precompute_stats
     from ballet.subpartition import SubPartition, _weighted_loss
@@ -464,13 +465,12 @@ def oracle_search(draws, p, cfg, seeds=None):
 
     engine = _Engine(stats, p)
     u = stats.support.size
-    seed_list = list(seeds) if seeds is not None else []
     best_sp = SubPartition.all_noise(stats.n)
     best_risk = scaled_risk(best_sp.labels_array)
-    for s in seed_list:
-        r = scaled_risk(s.labels_array)
+    for d in draws:
+        r = scaled_risk(d.labels_array)
         if r < best_risk:
-            best_sp, best_risk = s, r
+            best_sp, best_risk = d, r
     for rng in spawn_rngs(cfg.seed, cfg.n_restarts):
         engine.reset(np.full(u, -1))
         for i in rng.permutation(u).tolist():

@@ -156,7 +156,7 @@ def test_criterion_04_search_optimality_small_instances():
         n = int(rng.integers(2, 8))
         draws = [random_subpartition(rng, n, max_k=3) for _ in range(20)]
         stats = precompute_stats(draws)
-        est = search(stats, cfg=SearchConfig(n_restarts=32, seed=trial), seeds=draws)
+        est = search(stats, cfg=SearchConfig(n_restarts=32, seed=trial))
         got = empirical_risk(est, stats)
         brute = min(empirical_risk(c, stats) for c in enumerate_subpartitions(n))
         assert got >= brute - 1e-12, f"search risk {got} below brute-force minimum {brute}"
@@ -217,7 +217,7 @@ def test_criterion_06_credible_ball_coverage():
         S = int(rng.integers(30, 61))
         draws = [random_subpartition(rng, n) for _ in range(S)]
         stats = precompute_stats(draws)
-        center = search(stats, cfg=SearchConfig(n_restarts=8, seed=trial), seeds=draws)
+        center = search(stats, cfg=SearchConfig(n_restarts=8, seed=trial))
         dists = np.array([ia_binder_loss(center, c) for c in draws])
         for alpha in (0.05, 0.25):
             eps_star = credible_radius(center, draws, alpha=alpha)

@@ -350,7 +350,7 @@ def test_walks_match_relabel_oracle_mid_size():
     labels = rng.choice(np.arange(9), size=ps.n, p=[0.5, 0.3] + [0.2 / 7] * 7)
     scattered = SubPartition(labels)
     # the search's estimate, the center compute_credible_ball is given
-    estimate = ballet.search(stats, cfg=ballet.SearchConfig(n_restarts=2, n_zealous_attempts=2), seeds=draws)
+    estimate = ballet.search(stats, cfg=ballet.SearchConfig(n_restarts=2, n_zealous_attempts=2))
     steps = 0
     for center in (plugin, scattered, estimate):
         for r in (credible_radius(center, draws), 1e9):

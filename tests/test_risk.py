@@ -708,7 +708,7 @@ def test_engine_table_stays_linear_in_draw_entries(monkeypatch):
         sizes.append(self.T.size)
 
     monkeypatch.setattr(risk_mod._Engine, "reset", recording_reset)
-    est = search(stats, cfg=SearchConfig(n_restarts=4, n_zealous_attempts=4), seeds=draws)
+    est = search(stats, cfg=SearchConfig(n_restarts=4, n_zealous_attempts=4))
     assert est.k >= m // 2
     assert len(sizes) > 4 and max(sizes) <= bound
     engine = engine_at(stats, alone)  # u clusters: the widest table
@@ -750,7 +750,7 @@ def test_sweetening_passes_start_within_the_table(monkeypatch):
     S = 6
     for _ in range(3):
         draws = random_draws(rng, 40, S, max_k=8)
-        search(precompute_stats(draws), cfg=SearchConfig(n_restarts=6, n_zealous_attempts=2), seeds=draws)
+        search(precompute_stats(draws), cfg=SearchConfig(n_restarts=6, n_zealous_attempts=2))
     assert len(starts) > 3 * 6 * 2
     for width, t_size, live, u in starts:
         assert all(0 < h < width for h in live)
@@ -779,7 +779,7 @@ def test_search_finds_brute_force_optimum_on_small_instances():
         S = int(rng.integers(1, 7))
         draws = random_draws(rng, n, S)
         stats = precompute_stats(draws)
-        est = search(stats, cfg=cfg, seeds=draws)
+        est = search(stats, cfg=cfg)
         r = empirical_risk(est, stats)
         target = brute_force_min(draws)
         assert r >= target - 1e-12
@@ -788,30 +788,41 @@ def test_search_finds_brute_force_optimum_on_small_instances():
     assert hits >= trials - 1
 
 
+def restarts_alone(stats, p, cfg):
+    """The search's restarts, run serially, without the all-noise and draw
+    candidates: each restart's risk and full-length labels, in restart order."""
+    engine = risk_mod._Engine(stats, p)
+    work = risk_mod._Work(engine, cfg)
+    rngs = risk_mod.spawn_rngs(cfg.seed, cfg.n_restarts)
+    runs = [risk_mod._restart(work, i, rng) for i, rng in enumerate(rngs)]
+    return [(engine.risk(c) / stats.S, SubPartition(risk_mod._full_labels(stats, labels))) for c, labels in runs]
+
+
 def test_search_never_above_draws_or_all_noise():
-    """The draws are candidates only: the search with them as seeds has the
-    lower risk of the search without them and the best draw, and when the
-    search without them is strictly lower, its labels."""
+    """The draws are candidates only: the search has the lower risk of its
+    restarts alone and the best draw, and when the restarts alone are
+    strictly lower, the first best restart's labels."""
     rng = np.random.default_rng(18)
     for _ in range(20):
         n = int(rng.integers(3, 30))
         draws = random_draws(rng, n, int(rng.integers(2, 9)))
         stats = precompute_stats(draws)
         cfg = SearchConfig(n_restarts=4, seed=0)
-        est = search(stats, cfg=cfg, seeds=draws)
-        alone = search(stats, cfg=cfg)
+        est = search(stats, cfg=cfg)
+        alone_risk, alone = min(restarts_alone(stats, LossParams(), cfg), key=lambda run: run[0])
+        assert alone_risk == empirical_risk(alone, stats)
         r = empirical_risk(est, stats)
         best_draw = min(empirical_risk(d, stats) for d in draws)
-        assert r == min(empirical_risk(alone, stats), best_draw)
+        assert r == min(alone_risk, best_draw)
         assert r <= empirical_risk(SubPartition.all_noise(n), stats)
-        if empirical_risk(alone, stats) < best_draw:
+        if alone_risk < best_draw:
             assert est == alone
 
 
 def test_search_two_draw_fixture():
     draws = two_draw_fixture()
     stats = precompute_stats(draws)
-    est = search(stats, cfg=SearchConfig(seed=1), seeds=draws)
+    est = search(stats, cfg=SearchConfig(seed=1))
     assert empirical_risk(est, stats) == 0.25
 
 
@@ -820,27 +831,21 @@ def test_search_deterministic():
     draws = random_draws(rng, 10, 6)
     stats = precompute_stats(draws)
     cfg = SearchConfig(n_restarts=6, seed=42)
-    a = search(stats, cfg=cfg, seeds=draws)
-    b = search(stats, cfg=cfg, seeds=draws)
+    a = search(stats, cfg=cfg)
+    b = search(stats, cfg=cfg)
     assert a.labels == b.labels
 
 
-def test_search_counts_a_seed_active_off_the_support():
-    # point 3 is noise in every draw; a seed that clusters it pays m_ia (n - 1)
-    # in each draw, so the draw itself (risk 0) is the estimate
+def test_risk_counts_a_candidate_active_off_the_support():
+    # point 3 is noise in every draw; a candidate that clusters it pays m_ia
+    # (n - 1) in each draw, so the draw itself (risk 0) is the estimate
     draw = SubPartition([1, 1, 2, 0])
     wide = SubPartition([1, 1, 2, 2])
     stats = precompute_stats([draw, draw])
     assert empirical_risk(wide, stats) == 1.5
-    assert risk_mod._noise_counts(stats, wide.labels_array) == (0, 2)
-    est = search(stats, cfg=SearchConfig(n_restarts=2, seed=0), seeds=[wide, draw])
+    assert risk_mod._risk_counts(stats, wide.labels_array).tolist() == [0, 2, 0, 0]
+    est = search(stats, cfg=SearchConfig(n_restarts=2, seed=0))
     assert est == draw and empirical_risk(est, stats) == 0.0
-
-
-def test_search_seed_size_mismatch():
-    stats = precompute_stats(two_draw_fixture())
-    with pytest.raises(ValueError):
-        search(stats, seeds=[SubPartition([1, 0, 0])])
 
 
 def test_search_all_noise_draws():
@@ -889,11 +894,9 @@ EQUAL_INEXACT = LossParams(a=0.7, b=0.3, m_ai=0.3, m_ia=0.3)
 @st.composite
 def search_instances(draw):
     """Small draw sets (S in 1, 2, 3, 4, 7, 8; few labels, so exact ties
-    abound), with no seeds, the draws, or the draws and a seed active
-    everywhere (off the support too), under the default, a dyadic
-    non-metric and two non-dyadic losses. With S even, a point active in S/2 draws
-    costs as much in noise as active_base, under the default loss and under
-    EQUAL_INEXACT."""
+    abound), under the default, a dyadic non-metric and two non-dyadic
+    losses. With S even, a point active in S/2 draws costs as much in noise
+    as active_base, under the default loss and under EQUAL_INEXACT."""
     n = draw(st.integers(2, 24))
     S = draw(st.sampled_from([1, 2, 3, 4, 7, 8]))
     k = draw(st.integers(1, 4))
@@ -915,12 +918,11 @@ def search_instances(draw):
         n_zealous_attempts=draw(st.integers(0, 4)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
-    seeds = draw(st.sampled_from([None, draws, draws + [SubPartition([1] * n)]]))
-    return draws, p, cfg, seeds
+    return draws, p, cfg
 
 
 def zealous_win():
-    """A search (S = 3, n = 12, default loss, no seeds) whose best state comes
+    """A search (S = 3, n = 12, default loss) whose best state comes
     from an accepted zealous attempt. A bound that rejects too much, priced
     with the destroyed cell still counted or from each member's kept cost
     instead of its cheapest, rejects that attempt and returns other labels."""
@@ -930,16 +932,16 @@ def zealous_win():
         [2, 2, 2, 1, 2, 0, 2, 1, 1, 0, 2, 1],
     ]
     cfg = SearchConfig(n_restarts=3, n_sweeten_passes=1, n_zealous_attempts=4, seed=3575949398)
-    return [SubPartition(r) for r in rows], LossParams(), cfg, None
+    return [SubPartition(r) for r in rows], LossParams(), cfg
 
 
 def test_accepted_zealous_attempt_wins_the_search():
     """The restarts' generators draw the same states up to the zealous
     attempts, so a lower risk with them than without is an accepted attempt's."""
-    draws, p, cfg, seeds = zealous_win()
+    draws, p, cfg = zealous_win()
     stats = precompute_stats(draws)
-    walked = search(stats, p, cfg, seeds)
-    unwalked = search(stats, p, replace(cfg, n_zealous_attempts=0), seeds)
+    walked = search(stats, p, cfg)
+    unwalked = search(stats, p, replace(cfg, n_zealous_attempts=0))
     assert empirical_risk(walked, stats, p) < empirical_risk(unwalked, stats, p)
 
 
@@ -954,24 +956,29 @@ def test_accepted_zealous_attempt_wins_the_search():
             LossParams(a=0.1, b=1.3, m_ai=0.9, m_ia=0.7),
         ]
     ),
+    st.integers(-1, 7),
 )
-def test_noise_count_bound_never_exceeds_the_risk(inst, p):
-    """The bound the search puts on a seed, the risk of its two noise counts
-    alone, is at most its risk, under dyadic and non-dyadic losses, for the
-    drawn candidate (points active off the support), the all-noise one and
-    one active everywhere; and the noise counts are _risk_counts' first two."""
-    draws, labels, _ = inst
+def test_noise_count_bound_never_exceeds_the_risk(inst, p, quiet):
+    """The bound the search puts on each draw, the risk of its two noise
+    counts alone, counted for all S draws at once, is at most the draw's
+    risk, under dyadic and non-dyadic losses; and the two counts are
+    _risk_counts' first two for the draw's labels. The draws hold
+    single-point clusters, S may be 1, and draw `quiet` (if any) is all
+    noise, so a stack may be all noise."""
+    draws, _, _ = inst
+    draws = [SubPartition.all_noise(d.n) if s == quiet else d for s, d in enumerate(draws)]
     stats = precompute_stats(draws)
     engine = risk_mod._Engine(stats, p)
-    for cand in (labels, np.zeros(stats.n, dtype=np.int64), np.ones(stats.n, dtype=np.int64)):
-        counts = risk_mod._risk_counts(stats, cand)
-        noise = risk_mod._noise_counts(stats, cand)
-        assert list(noise) == counts[:2].tolist()
-        assert engine.risk(np.array([*noise, 0, 0])) <= engine.risk(counts)
+    missed, extra = risk_mod._draw_noise_counts(stats)
+    assert missed.shape == extra.shape == (stats.S,)
+    for s, d in enumerate(draws):
+        counts = risk_mod._risk_counts(stats, d.labels_array)
+        assert [missed[s], extra[s]] == counts[:2].tolist()
+        assert engine.risk(np.array([missed[s], extra[s], 0, 0])) <= engine.risk(counts)
 
 
 # draw 0 (risk 11 / S) beats the restarts (12 / S) and survives the bound
-# (8), while draw 1 is cut (14 > 12): a seed that is counted and wins
+# (8), while draw 1 is cut (14 > 12): a draw that is counted and wins
 SEED_WINS = (
     [SubPartition(r) for r in ([1, 1, 0, 1, 1], [1, 0, 2, 2, 0], [1, 1, 0, 0, 2])],
     LossParams(),
@@ -980,6 +987,41 @@ SEED_WINS = (
 # draw 0 splits and joins no pair, so its bound is its risk, 1 / S, which ties
 # the restarts' [1, 1, 0]: it is counted, and wins by coming first
 SEED_TIES = ([SubPartition([1, 1, 2]), SubPartition([1, 1, 0])], LossParams(), SearchConfig(n_restarts=2, seed=0))
+
+
+def test_search_picks_a_draw_that_beats_the_restarts():
+    """search(stats) counts the draws of its stats with no more input: on
+    SEED_WINS it returns draw 0 (risk 11 / S), which the restarts alone
+    miss (12 / S)."""
+    draws, p, cfg = SEED_WINS
+    stats = precompute_stats(draws)
+    assert search(stats, p, cfg) == draws[0]
+    assert empirical_risk(draws[0], stats, p) == 11 / 3
+    assert min(risk for risk, _ in restarts_alone(stats, p, cfg)) == 12 / 3
+
+
+def test_search_counts_each_draw_as_its_own_clustering(monkeypatch):
+    """Each draw the bound keeps is counted from labels rebuilt from its
+    entries, and those labels are the draw's clustering: each point alone
+    in its cluster keeps an id of its own. With S = 1 the one draw is
+    always counted (its bound is 0)."""
+    counted = []
+    risk_counts = risk_mod._risk_counts
+
+    def recording(stats, labels):
+        counted.append(SubPartition(labels))
+        return risk_counts(stats, labels)
+
+    monkeypatch.setattr(risk_mod, "_risk_counts", recording)
+    rng = np.random.default_rng(51)
+    cases = [[SubPartition([1, 2, 3, 3, 0, 4])]] + [random_draws(rng, 12, S, max_k=8) for S in (1, 1, 2, 3, 5)]
+    for draws in cases:
+        counted.clear()
+        search(precompute_stats(draws), cfg=SearchConfig(n_restarts=1, seed=0))
+        assert counted[0].is_all_noise
+        assert all(c in draws for c in counted[1:])
+        if len(draws) == 1:
+            assert counted[1:] == draws
 
 
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
@@ -1025,15 +1067,15 @@ def test_search_matches_per_point_oracle():
     @settings(max_examples=150, deadline=None)
     @given(search_instances())
     @example(zealous_win())
-    @example((*SEED_WINS, SEED_WINS[0]))
-    @example((*SEED_TIES, SEED_TIES[0]))
+    @example(SEED_WINS)
+    @example(SEED_TIES)
     # point 0 is active in S/2 draws, so under EQUAL_INEXACT its noise cost
     # equals active_base and it is walked, whatever the drawn instances hold
-    @example(([SubPartition([1, 1, 0]), SubPartition([0, 1, 1])], EQUAL_INEXACT, SearchConfig(n_restarts=1), None))
+    @example(([SubPartition([1, 1, 0]), SubPartition([0, 1, 1])], EQUAL_INEXACT, SearchConfig(n_restarts=1)))
     def check(instance):
-        draws, p, cfg, seeds = instance
+        draws, p, cfg = instance
         stats = precompute_stats(draws)
-        assert search(stats, p, cfg, seeds).labels == oracle_search(draws, p, cfg, seeds).labels
+        assert search(stats, p, cfg).labels == oracle_search(draws, p, cfg).labels
 
     # a low threshold, so both rows of N and counted members price
     with pytest.MonkeyPatch.context() as mp:
@@ -1271,7 +1313,7 @@ def test_tracked_risk_equals_recount(monkeypatch):
 
         monkeypatch.setattr(risk_mod, "_zealous", checked)
         cfg = SearchConfig(n_restarts=4, n_sweeten_passes=2, n_zealous_attempts=6, seed=trial)
-        search(stats, params[trial % 3], cfg, seeds=draws if trial % 2 else None)
+        search(stats, params[trial % 3], cfg)
     assert len(checks) >= 100
 
 
@@ -1283,7 +1325,7 @@ def test_pass_cap_warning():
     # points, so each restart stops at its cap
     cfg = SearchConfig(n_restarts=2, n_sweeten_passes=1, n_zealous_attempts=0, seed=1)
     with pytest.warns(SearchPassCapWarning) as caught:
-        search(stats, cfg=cfg, seeds=draws)
+        search(stats, cfg=cfg)
     assert any("restart 1 " in str(w.message) for w in caught)
 
 
@@ -1292,17 +1334,17 @@ def test_no_pass_cap_warning_by_default():
     draws = random_draws(rng, 30, 5, max_k=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error", SearchPassCapWarning)
-        search(precompute_stats(draws), seeds=draws)
+        search(precompute_stats(draws))
 
 
 # -- fork pool -----------------------------------------------------------------
 
 
-def labels_and_cap_warnings(stats, p, cfg, seeds):
+def labels_and_cap_warnings(stats, p, cfg):
     """A search's labels and the SearchPassCapWarning messages it emitted, in order."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        labels = search(stats, p, cfg, seeds).labels
+        labels = search(stats, p, cfg).labels
     return labels, [str(w.message) for w in caught if issubclass(w.category, SearchPassCapWarning)]
 
 
@@ -1317,12 +1359,12 @@ def test_pooled_search_matches_serial(monkeypatch):
     @given(search_instances())
     @example(zealous_win())
     def check(instance):
-        draws, p, cfg, seeds = instance
+        draws, p, cfg = instance
         stats = precompute_stats(draws)
         runs = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(risk_mod, "cpu_count", lambda: cpus)
-            runs.append(labels_and_cap_warnings(stats, p, cfg, seeds))
+            runs.append(labels_and_cap_warnings(stats, p, cfg))
             assert no_child_left()
         assert runs[1] == runs[0] and runs[2] == runs[0]
         capped.append(len(runs[0][1]))
@@ -1347,17 +1389,17 @@ def test_pooled_search_reads_results_in_restart_order(monkeypatch):
         return restart(*args, **kwargs)
 
     monkeypatch.setattr(risk_mod, "_restart", even_ones_late)
-    serial = labels_and_cap_warnings(stats, LossParams(), cfg, draws)
+    serial = labels_and_cap_warnings(stats, LossParams(), cfg)
     monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
     monkeypatch.setattr(risk_mod, "cpu_count", lambda: 4)
-    assert labels_and_cap_warnings(stats, LossParams(), cfg, draws) == serial
+    assert labels_and_cap_warnings(stats, LossParams(), cfg) == serial
     assert len(serial[1]) >= 2
 
 
-def test_pooled_search_counts_the_seeds_after_the_pool(monkeypatch):
-    """With the gate at 0 and 2 CPUs, a search whose seeds survive the bound,
+def test_pooled_search_counts_the_draws_after_the_pool(monkeypatch):
+    """With the gate at 0 and 2 CPUs, a search whose draws survive the bound,
     one winning outright and one by order, gives the serial labels: its one
-    pool's tasks are the restarts alone, the seeds are counted after it, and
+    pool's tasks are the restarts alone, the draws are counted after it, and
     no child process outlives the call."""
     monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
     fork_map = risk_mod.fork_map
@@ -1372,12 +1414,13 @@ def test_pooled_search_counts_the_seeds_after_the_pool(monkeypatch):
     for draws, p, cfg in (SEED_WINS, SEED_TIES):
         stats = precompute_stats(draws)
         monkeypatch.setattr(risk_mod, "cpu_count", lambda: 1)
-        serial = labels_and_cap_warnings(stats, p, cfg, draws)
-        assert serial[0] == draws[0].labels != search(stats, p, cfg).labels  # the seed wins
+        serial = labels_and_cap_warnings(stats, p, cfg)
+        assert serial[0] == draws[0].labels  # the draw wins
+        assert all(labels != draws[0] for _, labels in restarts_alone(stats, p, cfg))  # no restart reaches it
         monkeypatch.setattr(risk_mod, "cpu_count", lambda: 2)
-        assert labels_and_cap_warnings(stats, p, cfg, draws) == serial and no_child_left()
+        assert labels_and_cap_warnings(stats, p, cfg) == serial and no_child_left()
     assert opened == [2, 2]  # one pool per pooled search, none for a serial one
-    assert tasks == [[0, 1]] * 6  # restarts 0 and 1, in every search
+    assert tasks == [[0, 1]] * 4  # restarts 0 and 1, in every search
 
 
 def test_search_pool_gate(monkeypatch):
@@ -1392,7 +1435,7 @@ def test_search_pool_gate(monkeypatch):
     labels = []
     for gate in (work + 1, work):
         monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", gate)
-        labels.append(search(stats, cfg=cfg, seeds=draws).labels)
+        labels.append(search(stats, cfg=cfg).labels)
     assert opened == [2] and labels[0] == labels[1]
 
 
@@ -1403,7 +1446,7 @@ def test_search_pools_only_with_several_cpus(monkeypatch):
     monkeypatch.setattr(risk_mod, "_POOLED_MIN_ENTRIES", 0)
     opened = record_pools(monkeypatch)
     draws = random_draws(np.random.default_rng(47), 30, 5, max_k=4)
-    search(precompute_stats(draws), cfg=SearchConfig(n_restarts=4), seeds=draws)
+    search(precompute_stats(draws), cfg=SearchConfig(n_restarts=4))
     cpus = risk_mod.cpu_count()
     assert opened == ([min(cpus, 4)] if cpus > 1 else [])
     assert no_child_left()
@@ -1417,14 +1460,14 @@ def test_search_in_a_child_process_opens_no_pool(monkeypatch):
     draws = random_draws(np.random.default_rng(48), 30, 5, max_k=4)
     stats = precompute_stats(draws)
     cfg = SearchConfig(n_restarts=4)
-    expected = search(stats, cfg=cfg, seeds=draws).labels
+    expected = search(stats, cfg=cfg).labels
 
     def refuse(*args, **kwargs):
         raise AssertionError("a search in a child process opened a pool")
 
     def child():
         util_mod._fork_lanes = refuse  # in the child's memory only
-        sys.exit(0 if search(stats, cfg=cfg, seeds=draws).labels == expected else 1)
+        sys.exit(0 if search(stats, cfg=cfg).labels == expected else 1)
 
     proc = multiprocessing.get_context("fork").Process(target=child)
     proc.start()
@@ -1444,7 +1487,7 @@ def test_dead_pool_worker_is_an_infeasible_error(monkeypatch):
     monkeypatch.setattr(risk_mod, "_restart", die_in_a_worker)
     draws = random_draws(np.random.default_rng(49), 30, 5, max_k=4)
     with pytest.raises(InfeasibleError, match="search worker"):
-        search(precompute_stats(draws), cfg=SearchConfig(n_restarts=4), seeds=draws)
+        search(precompute_stats(draws), cfg=SearchConfig(n_restarts=4))
     assert no_child_left()
 
 
@@ -1457,11 +1500,11 @@ def test_pool_tasks_run_their_searches_serially(monkeypatch):
     draws = random_draws(np.random.default_rng(50), 30, 5, max_k=4)
     stats = precompute_stats(draws)
     cfg = SearchConfig(n_restarts=4)
-    expected = search(stats, cfg=cfg, seeds=draws).labels
+    expected = search(stats, cfg=cfg).labels
     assert opened == [2]
 
     def search_and_count(_, k):
-        return search(stats, cfg=cfg, seeds=draws).labels, len(opened)
+        return search(stats, cfg=cfg).labels, len(opened)
 
     runs = util_mod.fork_map(search_and_count, None, [(k,) for k in range(4)], 2, "test")
     assert opened == [2, 2] and runs == [(expected, 2)] * 4 and no_child_left()
