@@ -1,10 +1,12 @@
 """Credible-ball radius and greedy lattice bounds around a point estimate.
 
 The radius is an order statistic of the losses from the center to the draw
-clusterings. The bounds walk the activity lattice greedily: the upper bound
-activates inactive points by decreasing posterior activity probability, the
-lower bound deactivates active points by increasing activity probability,
-and each stops just before the state would leave the ball. A state is the
+clusterings, weighed from the per-draw counts of their co-clustering stats
+(risk._risk_counts), the counts whose mean loss is the risk. The bounds
+walk the activity lattice greedily: the upper bound activates inactive
+points by decreasing posterior activity probability, the lower bound
+deactivates active points by increasing activity probability, and each
+stops just before the state would leave the ball. A state is the
 delta-graph components of its active set. One pair list of the graph and
 one union-find, which also tracks the loss's integer counts, count both
 walks, so a toggle costs its merges, not a relabelling of the graph. The
@@ -23,8 +25,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .levelset import PointSet, _component_labels, _delta_pairs
-from .risk import CoClusteringStats
-from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _weighted_loss, ia_binder_loss
+from .risk import CoClusteringStats, _risk_counts, precompute_stats
+from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _weighted_loss
 from .util import order_statistic_ceil
 
 __all__ = [
@@ -55,23 +57,31 @@ def credible_radius(
     """Smallest radius whose Monte-Carlo coverage reaches 1 - alpha.
 
     This is the ceil((1 - alpha) * S)-th smallest loss from the center to the
-    draw clusterings.
+    draw clusterings, counted from their co-clustering stats as
+    compute_credible_ball counts it.
     """
-    return _radius_and_losses(center, clusterings, p, alpha)[0]
+    return _radius_and_losses(center, precompute_stats(clusterings), p, alpha)[0]
 
 
 def _radius_and_losses(
     center: SubPartition,
-    clusterings: Sequence[SubPartition],
+    stats: CoClusteringStats,
     p: LossParams,
     alpha: float,
 ) -> tuple[float, np.ndarray]:
-    """The credible radius and the losses from the center to each draw."""
+    """The credible radius and the losses from the center to each draw of stats.
+
+    A draw's row of _risk_counts counts its loss to the center; the loss
+    from the center to the draw weighs the same integers with the roles
+    swapped, in the slots (extra, missed, joined, split)."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if len(clusterings) == 0:
-        raise ValueError("need at least one draw clustering")
-    dists = np.asarray([ia_binder_loss(center, c, p) for c in clusterings])
+    if center.n != stats.n:
+        raise ValueError(f"center has n={center.n} but stats have n={stats.n}")
+    rows = _risk_counts(stats, center.labels_array).tolist()
+    dists = np.array(
+        [_weighted_loss(stats.n, extra, missed, joined, split, p) for missed, extra, split, joined in rows]
+    )
     return float(order_statistic_ceil(dists, 1.0 - alpha)), dists
 
 
@@ -268,10 +278,13 @@ def compute_credible_ball(
 ) -> CredibleBall:
     """Radius, coverage, and both greedy bounds in one pass: one pair list
     and one union-find count both walks. stats are the clusterings'
-    co-clustering stats (BalletResult.stats): their alpha-hat orders the
-    walks."""
-    radius, dists = _radius_and_losses(center, clusterings, p, alpha)
-    coverage = float(np.count_nonzero(dists <= radius)) / len(clusterings)
+    co-clustering stats (BalletResult.stats): the radius and coverage are
+    counted from their draw cells, and their alpha-hat orders the walks.
+    The clusterings' labels are not read, but they must be its S draws."""
+    if len(clusterings) != stats.S or any(c.n != stats.n for c in clusterings):
+        raise ValueError(f"clusterings must be the stats' {stats.S} draws of {stats.n} points")
+    radius, dists = _radius_and_losses(center, stats, p, alpha)
+    coverage = float(np.count_nonzero(dists <= radius)) / stats.S
     lower, upper = _bounds(center, ps, delta, stats, radius, p)
     return CredibleBall(
         center=center, radius=radius, alpha=alpha, coverage=coverage, lower=lower, upper=upper

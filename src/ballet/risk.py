@@ -6,11 +6,12 @@ contingency count: how many members of a candidate cluster fall in each
 cluster of each draw. So the only pair data kept is the draw cells:
 precompute_stats builds the (point, draw) entries of the support
 {i : alpha_i > 0}, grouped into draw cells, once, and CoClusteringStats holds
-them, with no dense label matrix. Every risk count reads them: _risk_counts
-for a whole candidate (the risk of an estimate, and the search's all-noise
-candidate and the draws its bound keeps), and the search's engine for point
-moves. A never-active point pairs with nothing, and it is noise-optimal in
-every candidate evaluation, which keeps the search exact while skipping it.
+them, with no dense label matrix. Every count of a candidate against the
+draws reads them: _risk_counts for a whole candidate, one row per draw (the
+risk of an estimate, the draws the search's bound keeps, and the credible
+ball's radius and coverage), and the search's engine for point moves. A
+never-active point pairs with nothing, and it is noise-optimal in every
+candidate evaluation, which keeps the search exact while skipping it.
 
 Risks and search costs are computed in units of 1/S, as integer counts times
 the loss weights. They are exact for dyadic weights (the defaults), so equal
@@ -116,10 +117,10 @@ class CoClusteringStats:
     entries where a point is active, grouped by point: point i's are
     ptr[i] : ptr[i + 1], n_active[i] of them, in draw order. cell is each
     entry's draw cell of two or more points (-1 if the point is alone in
-    its draw cluster); a cell c has size[c] members, members[start[c] :
-    start[c] + size[c]]. n_shared[i] counts point i's entries in such
-    cells. Every risk count reads these arrays; they are read-only, so the
-    search's engines and a fork pool's workers share them.
+    its draw cluster); a cell c, in draw cell_draw[c], has size[c] members,
+    members[start[c] : start[c] + size[c]]. n_shared[i] counts point i's
+    entries in such cells. Every risk count reads these arrays; they are
+    read-only, so the search's engines and a fork pool's workers share them.
     """
 
     n: int
@@ -131,6 +132,7 @@ class CoClusteringStats:
     n_active: np.ndarray
     ptr: np.ndarray
     cell: np.ndarray
+    cell_draw: np.ndarray
     size: np.ndarray
     start: np.ndarray
     members: np.ndarray
@@ -151,7 +153,7 @@ def precompute_stats(clusterings: Sequence[SubPartition]) -> CoClusteringStats:
     L = L[:, support]  # the S x u draw labels on the support, kept only here
     point, draws = np.nonzero(L.T)
     G = int(L.max(initial=0)) + 1
-    _, cell, size = np.unique(draws * G + L[draws, point], return_inverse=True, return_counts=True)
+    keys, cell, size = np.unique(draws * G + L[draws, point], return_inverse=True, return_counts=True)
     multi = size > 1
     cell = np.where(multi[cell], (np.cumsum(multi) - 1)[cell], -1)
     size = size[multi]
@@ -165,6 +167,7 @@ def precompute_stats(clusterings: Sequence[SubPartition]) -> CoClusteringStats:
         n_active=n_active,
         ptr=np.concatenate([[0], np.cumsum(n_active)]),
         cell=cell,
+        cell_draw=keys[multi] // G,
         size=size,
         start=np.cumsum(size) - size,
         members=point[shared][np.argsort(cell[shared], kind="stable")],
@@ -179,19 +182,21 @@ def precompute_stats(clusterings: Sequence[SubPartition]) -> CoClusteringStats:
 
 
 def _risk_counts(stats: CoClusteringStats, labels: np.ndarray) -> np.ndarray:
-    """The counts the risk of full-length labels weighs, summed over draws.
+    """The counts the loss from each draw to full-length labels weighs, one int64 row per draw.
 
-    [missed, extra, split, joined]: draw-active points the candidate leaves
-    as noise (weight m_ai); candidate-active points counted in each draw
-    where they are inactive (m_ia; an off-support point in all S); and,
-    over pairs active in both, pairs together in the draw but apart in the
+    Row s is [missed, extra, split, joined]: points active in draw s that
+    the candidate leaves as noise (weight m_ai); candidate-active points
+    inactive in draw s (m_ia; an off-support point in every draw); and,
+    over pairs active in both, pairs together in draw s but apart in the
     candidate (a) and the reverse (b). They come from the (point, draw)
-    entries of the stats: only the entries of multi-point cells pair
-    within a draw cell, so the pairs together in a draw, and together in
-    both, count over those. Every weight and float term of the loss is
-    nonnegative, so the risk of [missed, extra, 0, 0] is at most the risk of
-    the full counts: the search's bound on a draw (_draw_noise_counts).
+    entries of the stats: only the entries of multi-point cells pair within
+    a draw cell, so the pairs together in a draw, and together in both,
+    count over those, booked to the cell's draw by float bincounts (exact:
+    a draw's pairs are below 2^53). Every weight and float term of the loss
+    is nonnegative, so the risk of [missed, extra, 0, 0] is at most the risk
+    of the full counts: the search's bound on a draw (_draw_noise_counts).
     """
+    S = stats.S
     cand = labels[stats.support]
     act = cand > 0
     ids, inv = np.unique(cand[act], return_inverse=True)
@@ -200,19 +205,23 @@ def _risk_counts(stats: CoClusteringStats, labels: np.ndarray) -> np.ndarray:
     h[act] = inv + 1
     he = h[stats.point]
     hit = he > 0
-    on = int(np.count_nonzero(hit))
+    missed, on = np.bincount(stats.draws * 2 + hit, minlength=2 * S).reshape(S, 2).T
     shared = hit & (stats.cell >= 0)
     cell = stats.cell[shared]
-    together_draw = _pairs(np.bincount(cell))
-    together_cand = _pairs(np.bincount(stats.draws[hit] * H + he[hit]))
-    together_both = _pairs(np.unique(cell * H + he[shared], return_counts=True)[1])
-    split, joined = together_draw - together_both, together_cand - together_both
-    return np.array([stats.point.size - on, stats.S * int(np.count_nonzero(labels)) - on, split, joined])
+    in_cell = np.bincount(cell, minlength=stats.size.size)
+    together_draw = np.bincount(stats.cell_draw, weights=in_cell * (in_cell - 1) // 2, minlength=S)
+    in_cand = np.bincount(stats.draws[hit] * H + he[hit], minlength=S * H).reshape(S, H)
+    together_cand = (in_cand * (in_cand - 1) // 2).sum(axis=1)
+    keys, in_both = np.unique(cell * H + he[shared], return_counts=True)
+    together_both = np.bincount(stats.cell_draw[keys // H], weights=in_both * (in_both - 1) // 2, minlength=S)
+    split = together_draw.astype(np.int64) - together_both.astype(np.int64)
+    joined = together_cand - together_both.astype(np.int64)
+    return np.stack([missed, int(np.count_nonzero(labels)) - on, split, joined], axis=1)
 
 
 def _draw_noise_counts(stats: CoClusteringStats) -> tuple[np.ndarray, np.ndarray]:
-    """_risk_counts' (missed, extra) of each draw's own labels: draw s keeps active the
-    points of its entries, whose n_active sum to on[s] (in floats, exact below 2^53)."""
+    """The (missed, extra) columns of _risk_counts for each draw's own labels: draw s keeps
+    active the points of its entries, whose n_active sum to on[s] (in floats, exact below 2^53)."""
     on = np.bincount(stats.draws, weights=stats.n_active[stats.point], minlength=stats.S).astype(np.int64)
     return stats.point.size - on, stats.S * np.bincount(stats.draws, minlength=stats.S) - on
 
@@ -221,7 +230,7 @@ def empirical_risk(c: SubPartition, stats: CoClusteringStats, p: LossParams = DE
     """Posterior expected IA-Binder loss of candidate c: the mean per-draw loss."""
     if c.n != stats.n:
         raise ValueError(f"candidate has n={c.n} but stats have n={stats.n}")
-    return _weighted_loss(stats.n, *_risk_counts(stats, c.labels_array).tolist(), p) / stats.S
+    return _weighted_loss(stats.n, *_risk_counts(stats, c.labels_array).sum(axis=0).tolist(), p) / stats.S
 
 
 # -- search -------------------------------------------------------------------
@@ -249,14 +258,6 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """The ranges starts[j] .. starts[j] + lens[j] - 1, concatenated."""
     ends = np.cumsum(lens)
     return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if ends.size else 0)
-
-
-class _Prices(NamedTuple):
-    """A priced block (see _Engine.price)."""
-
-    ids: np.ndarray
-    costs: np.ndarray
-    keep: np.ndarray
 
 
 class _Layout(NamedTuple):
@@ -458,13 +459,13 @@ class _Engine:
         mstart = np.concatenate([[0], np.cumsum(lens)])[np.concatenate([[0], np.cumsum(n_cells)])]
         return _Layout(order, self._price_rows[_ranges(first, n_rows)], bounds, members, mstart)
 
-    def price(self, lay: _Layout, j: int, end: int) -> _Prices:
+    def price(self, lay: _Layout, j: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         """Costs of lay.order[j:end], each priced as if unassigned, against the current state.
 
-        Row r of costs is the point's row of _costs, over the live ids, and
-        keep[r] the cost of its own cell (noise if unassigned). A cluster
-        the point is alone in costs what a new cluster costs, and the new
-        cluster comes first on ties, as if that cluster were gone.
+        Returns (costs, keep): row r of costs is the point's row of _costs,
+        over the live ids, and keep[r] the cost of its own cell (noise if
+        unassigned). A cluster the point is alone in costs what a new cluster
+        costs, and the new cluster comes first on ties, as if it were gone.
         """
         W = self.sizes.size
         points = lay.order[j:end]
@@ -488,7 +489,7 @@ class _Engine:
         if own.size:
             keep = keep.copy()
             keep[own] = costs[own, 2 + np.searchsorted(ids, cur[own])]
-        return _Prices(ids, costs, keep)
+        return costs, keep
 
     def _costs(
         self, points: np.ndarray | int, n1: np.ndarray, both: np.ndarray, ids: np.ndarray, total: np.ndarray | int
@@ -513,7 +514,7 @@ class _Engine:
 
     def step(self, lay: _Layout, j: int, delta: np.ndarray) -> bool:
         """Decide lay.order[j] alone and apply the decision, adding its change
-        in _risk_counts to delta; returns whether the state changed.
+        in the summed _risk_counts to delta; returns whether the state changed.
 
         The point is priced as price() prices it (one take of its rows of T,
         summed into n1 and both, one count of its narrow-cell members, and
@@ -556,11 +557,11 @@ class _Engine:
         return int(ids[pick - 2])
 
     def risk(self, counts: np.ndarray) -> float:
-        """S times the risk of a state with these _risk_counts: the loss summed over draws."""
+        """S times the risk of a state whose _risk_counts sum to counts: the loss summed over draws."""
         return _weighted_loss(self._n, *counts.tolist(), self.p)
 
     def point_counts(self, i: int, h: int, n1: np.ndarray, both: np.ndarray, total: int) -> np.ndarray:
-        """The _risk_counts that point i, priced with counts n1 (summing to
+        """The summed _risk_counts that point i, priced with counts n1 (summing to
         total) and both, adds with label h (0 noise)."""
         d = int(self._n_active[i])
         if h == 0:
@@ -569,7 +570,7 @@ class _Engine:
         return np.array([0, self._S - d, total - n1h, both_h - n1h])
 
     def removal_counts(self, members: np.ndarray) -> np.ndarray:
-        """The _risk_counts lost when members, the whole of one cell, are unassigned.
+        """The summed _risk_counts lost when members, the whole of one cell, are unassigned.
 
         Only the draw cells holding a member lose pairs, so they are counted
         from the members' own (point, draw) entries: the members in each
@@ -607,7 +608,7 @@ def _walk(engine: _Engine, order: np.ndarray) -> tuple[bool, np.ndarray]:
     only to a strictly cheaper cell than its own. The points are all
     unassigned or all assigned.
 
-    Returns whether a point changed cell and the change in _risk_counts.
+    Returns whether a point changed cell and the change in the summed _risk_counts.
     A point no cluster can take (not engine.can_join) decides noise in any
     state, and noise keeps the state, so it is not walked: an unassigned one
     goes to noise first, its noise counts added in one sum, and one already
@@ -617,7 +618,7 @@ def _walk(engine: _Engine, order: np.ndarray) -> tuple[bool, np.ndarray]:
     next block starts after it. The block size doubles while blocks end
     without a move and halves after one. A block of one point, and the point
     that ends a longer one, is decided and moved by engine.step, which
-    prices it alone and books its change in _risk_counts.
+    prices it alone and books its change in the summed _risk_counts.
     """
     unassigned = order.size > 0 and engine.labels[order[0]] < 0
     moved, delta = False, np.zeros(4, dtype=np.int64)
@@ -637,8 +638,8 @@ def _walk(engine: _Engine, order: np.ndarray) -> tuple[bool, np.ndarray]:
         j = pos - first
         end = j + 1 if size == 1 else lay.capped(j, min(lay.order.size, j + size), engine.sizes.size)
         if end > j + 1:
-            priced = engine.price(lay, j, end)
-            change = (priced.costs.min(axis=1) < priced.keep).nonzero()[0]
+            costs, keep = engine.price(lay, j, end)
+            change = (costs.min(axis=1) < keep).nonzero()[0]
             r = int(change[0]) if change.size else end - j
             if unassigned:  # the points before r go to noise
                 run = lay.order[j : j + r]
@@ -669,7 +670,7 @@ def _cheapest(engine: _Engine, members: np.ndarray) -> float:
     j = 0
     while j < lay.order.size:
         end = lay.capped(j, lay.order.size, engine.sizes.size)
-        total += float(engine.price(lay, j, end).costs.min(axis=1).sum())
+        total += float(engine.price(lay, j, end)[0].min(axis=1).sum())
         j = end
     return total
 
@@ -690,7 +691,7 @@ def _zealous(engine: _Engine, members: np.ndarray, counts: np.ndarray) -> np.nda
     risk, the attempt is rejected unwalked: the cell's column of T, its size
     and its members' labels are put back. A walked attempt that is rejected
     is undone by rebuilding the state from its labels, which renumbers the
-    ids in their order. Takes and returns the _risk_counts of the state.
+    ids in their order. Takes and returns the summed _risk_counts of the state.
     """
     snapshot = engine.labels.copy()
     target = int(snapshot[members[0]])
@@ -713,18 +714,12 @@ def _zealous(engine: _Engine, members: np.ndarray, counts: np.ndarray) -> np.nda
     return counts
 
 
-def _full_labels(stats: CoClusteringStats, labels_sup: np.ndarray) -> np.ndarray:
-    full = np.zeros(stats.n, dtype=np.int64)
-    full[stats.support] = labels_sup
-    return full
-
-
 def _restart(work: _Work, i: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Restart i of search, drawing from rng only.
 
     It starts from an incremental assignment in random order, then runs the
     sweetening passes and the zealous attempts. Returns the restart's
-    _risk_counts and its support labels, and emits a SearchPassCapWarning
+    summed _risk_counts and its support labels, and emits a SearchPassCapWarning
     when its last allowed sweetening pass still moved a point.
     """
     engine, cfg = work.engine, work.cfg
@@ -806,11 +801,14 @@ def search(
     restart whose last allowed sweetening pass still moved a point emits a
     SearchPassCapWarning. The all-noise state and the draw clusterings of
     the stats are candidates too, so the result never does worse than any
-    of them. A draw is counted, from its labels rebuilt from its entries,
-    only when the risk of its two noise counts alone (_draw_noise_counts), a
-    lower bound on its risk, does not exceed the lower of the all-noise risk
-    and every restart's: a draw it skips cannot be the pick, and one that
-    ties the best still wins by order.
+    of them. The all-noise state misses every (point, draw) entry and
+    counts nothing else, so its counts are read off the stats. A draw is
+    counted, from its labels rebuilt from its entries, only when the risk
+    of its two noise counts alone (_draw_noise_counts), a lower bound on its
+    risk, does not exceed the lower of the all-noise risk and every
+    restart's: a draw it skips cannot be the pick, and one that ties the
+    best still wins by order. Each candidate is kept as its risk and
+    support labels; only the pick is made a SubPartition.
 
     Each restart tracks the integer counts its risk weighs from the priced
     decisions: the incremental assignment, the sweetening moves, and each
@@ -844,8 +842,7 @@ def search(
     rngs = spawn_rngs(cfg.seed, cfg.n_restarts)
     workers = _search_workers(stats.point.size, cfg)
     restarts = fork_map(_restart, _Work(engine, cfg), list(enumerate(rngs)), workers, "search")
-    best_sp = SubPartition.all_noise(stats.n)
-    best_risk = engine.risk(_risk_counts(stats, best_sp.labels_array))
+    best_risk, best = engine.risk(np.array([stats.point.size, 0, 0, 0])), np.zeros(stats.support.size, np.int64)
     bound = min([best_risk] + [engine.risk(counts) for counts, _ in restarts])
     for s, noise in enumerate(zip(*_draw_noise_counts(stats))):
         if engine.risk(np.array([*noise, 0, 0])) > bound:
@@ -854,13 +851,15 @@ def search(
         cell = stats.cell[e]  # its labels: one id per draw cell, a fresh one per point alone in its cluster
         labels = np.zeros(stats.n, dtype=np.int64)
         labels[stats.support[stats.point[e]]] = np.where(cell < 0, stats.size.size + np.arange(e.size), cell) + 1
-        risk = engine.risk(_risk_counts(stats, labels))
+        risk = engine.risk(_risk_counts(stats, labels).sum(axis=0))
         if risk < best_risk:
-            best_risk, best_sp = risk, SubPartition(labels)
+            best_risk, best = risk, labels[stats.support]
     for counts, labels in restarts:
         if engine.risk(counts) < best_risk:
-            best_risk, best_sp = engine.risk(counts), SubPartition(_full_labels(stats, labels))
-    return best_sp
+            best_risk, best = engine.risk(counts), labels
+    full = np.zeros(stats.n, dtype=np.int64)
+    full[stats.support] = best
+    return SubPartition(full)
 
 
 def plugin_estimate(

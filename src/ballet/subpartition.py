@@ -96,16 +96,15 @@ class SubPartition:
     """Immutable allocation vector; 0 = noise, 1..k = clusters (canonical order).
 
     The canonical int64 label array is the one representation; the labels
-    tuple is built when asked for, and the hash is that of the array's bytes.
+    tuple, and the hash of the array's bytes, are computed when asked for.
     """
 
-    __slots__ = ("_array", "_hash")
+    __slots__ = ("_array",)
 
     def __init__(self, labels: Iterable[int]):
         arr = _canonical_labels(labels)
         arr.setflags(write=False)
         object.__setattr__(self, "_array", arr)
-        object.__setattr__(self, "_hash", hash(arr.tobytes()))
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("SubPartition is immutable")
@@ -116,7 +115,7 @@ class SubPartition:
 
     @classmethod
     def all_noise(cls, n: int) -> "SubPartition":
-        return cls([0] * n)
+        return cls(np.zeros(n, dtype=np.int64))
 
     @property
     def labels(self) -> tuple[int, ...]:
@@ -134,25 +133,13 @@ class SubPartition:
     def k(self) -> int:
         return int(self._array.max(initial=0))
 
-    @property
-    def active_indices(self) -> np.ndarray:
-        return np.flatnonzero(self._array != 0)
-
-    @property
-    def is_all_noise(self) -> bool:
-        return bool((self._array == 0).all())
-
-    def clusters(self) -> list[frozenset[int]]:
-        """Clusters as index sets, ordered by cluster id."""
-        return [frozenset(np.flatnonzero(self._array == h).tolist()) for h in range(1, self.k + 1)]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SubPartition):
             return NotImplemented
-        return self._hash == other._hash and np.array_equal(self._array, other._array)
+        return np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._array.tobytes())
 
     def __repr__(self) -> str:
         return f"SubPartition({self._array.tolist()!r})"

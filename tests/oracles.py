@@ -290,7 +290,7 @@ def oracle_relabel_walk(center, ps, delta, stats, radius, upper: bool, p=None, c
         order = _activation_order(stats.alpha, np.flatnonzero(~active), largest_first=True)
         pairs = _delta_pairs(ps.points, delta, closed_edges)
     else:
-        act = center.active_indices
+        act = np.flatnonzero(center.labels_array)
         pairs = act[_delta_pairs(ps.points[act], delta, closed_edges)]
         order = _activation_order(stats.alpha, act, largest_first=False)
     best = center
@@ -305,6 +305,18 @@ def oracle_relabel_walk(center, ps, delta, stats, radius, upper: bool, p=None, c
             break
         best = cand
     return best, trace
+
+
+def oracle_radius_and_losses(center, draws, p, alpha) -> tuple:
+    """The credible radius and the losses from the center to each draw, as
+    the ball counted them before the co-clustering stats: one full-length
+    ia_binder_loss(center, draw) per draw. Like oracle_relabel_walk it
+    drives package code (the loss); it checks the per-draw counts."""
+    from ballet.subpartition import ia_binder_loss
+    from ballet.util import order_statistic_ceil
+
+    dists = np.asarray([ia_binder_loss(center, d, p) for d in draws])
+    return float(order_statistic_ceil(dists, 1.0 - alpha)), dists
 
 
 def oracle_canonical_labels(labels) -> tuple:
@@ -362,8 +374,7 @@ def oracle_candidate_costs(engine, i):
     id ids[t]. Pricing one point per call is the reference for the block
     pricing risk.search does.
     """
-    priced = engine.price(engine.layout(np.array([i])), 0, 1)
-    return priced.ids, priced.costs[0]
+    return engine.live_ids(), engine.price(engine.layout(np.array([i])), 0, 1)[0][0]
 
 
 def oracle_best_assignment(engine, i):
@@ -454,11 +465,16 @@ def oracle_search(draws, p, cfg):
     checks that block pricing, the tracked risk, the ids' numbering and the
     bound on the draws leave every decision unchanged.
     """
-    from ballet.risk import _Engine, _full_labels, precompute_stats
+    from ballet.risk import _Engine, precompute_stats
     from ballet.subpartition import SubPartition, _weighted_loss
     from ballet.util import spawn_rngs
 
     stats = precompute_stats(draws)
+
+    def full_labels(labels_sup):
+        full = np.zeros(stats.n, dtype=np.int64)
+        full[stats.support] = labels_sup
+        return full
 
     def scaled_risk(labels):
         return _weighted_loss(stats.n, *oracle_risk_counts(draws, labels).tolist(), p)
@@ -494,7 +510,7 @@ def oracle_search(draws, p, cfg):
                 engine.move(i, label)
             if not moved:
                 break
-        risk = scaled_risk(_full_labels(stats, engine.labels))
+        risk = scaled_risk(full_labels(engine.labels))
         for _ in range(cfg.n_zealous_attempts):
             cells = [0] + engine.live_ids().tolist()
             target = cells[int(rng.integers(len(cells)))]
@@ -505,14 +521,14 @@ def oracle_search(draws, p, cfg):
             engine.reset(np.where(snapshot == target, -1, snapshot))
             for i in rng.permutation(members).tolist():
                 engine.move(i, oracle_best_assignment(engine, i)[0])
-            new_risk = scaled_risk(_full_labels(stats, engine.labels))
+            new_risk = scaled_risk(full_labels(engine.labels))
             if new_risk < risk:
                 risk = new_risk
             else:
                 engine.reset(snapshot)
         if risk < best_risk:
             best_risk = risk
-            best_sp = SubPartition(_full_labels(stats, engine.labels))
+            best_sp = SubPartition(full_labels(engine.labels))
     return best_sp
 
 

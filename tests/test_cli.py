@@ -429,8 +429,9 @@ def test_bounds_output(moons_dir, moons_cfg):
     lower = SubPartition.from_json_dict(ball["lower"])
     upper = SubPartition.from_json_dict(ball["upper"])
     assert center.n == lower.n == upper.n == 300
-    assert len(np.intersect1d(center.active_indices, upper.active_indices)) == center.active_indices.size
-    assert len(np.intersect1d(lower.active_indices, center.active_indices)) == lower.active_indices.size
+    lo, c, up = (np.flatnonzero(x.labels_array) for x in (lower, center, upper))
+    assert len(np.intersect1d(c, up)) == c.size
+    assert len(np.intersect1d(lo, c)) == lo.size
 
 
 def test_plugin_output(moons_dir, moons_cfg):

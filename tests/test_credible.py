@@ -19,7 +19,20 @@ from ballet.risk import precompute_stats
 from ballet.subpartition import LossParams, SubPartition, ia_binder_loss
 from ballet.util import canonical_json, order_statistic_ceil
 
-from oracles import oracle_components, oracle_greedy_walk, oracle_relabel_walk, random_subpartition
+from oracles import (
+    oracle_components,
+    oracle_greedy_walk,
+    oracle_radius_and_losses,
+    oracle_relabel_walk,
+    random_subpartition,
+)
+
+# the default loss, an asymmetric one, and a non-dyadic symmetric one
+BALL_LOSSES = (
+    LossParams(),
+    LossParams(a=1.0, b=0.7, m_ai=0.9, m_ia=0.3),
+    LossParams(a=0.3, b=0.3, m_ai=0.3, m_ia=0.3),
+)
 
 
 def make_stats(activity_counts, S, cluster_together=True):
@@ -182,7 +195,7 @@ def test_lower_bound_large_radius_reaches_all_noise():
     stats, _ = make_stats([3, 1, 2], S=3)
     center = SubPartition([1, 1, 1])
     out = _bounds(center, ps, delta=1.5, stats=stats, radius=1e9)[0]
-    assert out.is_all_noise
+    assert not out.labels_array.any()
 
 
 def test_lower_bound_bridge_split():
@@ -211,9 +224,9 @@ def test_bound_active_set_containment_random():
         center = active_set_components(ps, np.flatnonzero(counts >= 3), 0.8)
         radius = float(rng.uniform(0.0, 8.0))
         lo, up = _bounds(center, ps, 0.8, stats, radius)
-        c_act = set(center.active_indices.tolist())
-        assert set(lo.active_indices.tolist()) <= c_act
-        assert set(up.active_indices.tolist()) >= c_act
+        c_act = set(np.flatnonzero(center.labels_array).tolist())
+        assert set(np.flatnonzero(lo.labels_array).tolist()) <= c_act
+        assert set(np.flatnonzero(up.labels_array).tolist()) >= c_act
         assert ia_binder_loss(center, lo) <= radius
         assert ia_binder_loss(center, up) <= radius
 
@@ -375,7 +388,7 @@ def test_bound_input_validation():
     # an infinite radius is valid and accepts every toggle
     lower, upper = _bounds(center, ps, 1.0, stats, radius=float("inf"))
     assert upper == center
-    assert lower.is_all_noise
+    assert not lower.labels_array.any()
     with pytest.raises(ValueError):
         _bounds(SubPartition([1, 1, 0]), ps, 1.0, stats, radius=1.0)
 
@@ -400,8 +413,8 @@ def test_compute_credible_ball_invariants_and_json():
     assert ball.coverage >= 0.75
     assert ia_binder_loss(center, ball.lower) <= ball.radius
     assert ia_binder_loss(center, ball.upper) <= ball.radius
-    assert set(ball.lower.active_indices.tolist()) <= set(center.active_indices.tolist())
-    assert set(ball.upper.active_indices.tolist()) >= set(center.active_indices.tolist())
+    lo, c, up = (set(np.flatnonzero(x.labels_array).tolist()) for x in (ball.lower, center, ball.upper))
+    assert lo <= c <= up
     obj = json.loads(canonical_json(ball.to_json_dict()))
     assert sorted(obj.keys()) == ["alpha", "coverage", "epsilon_star", "lower", "upper"]
     assert SubPartition.from_json_dict(obj["lower"]) == ball.lower
@@ -432,6 +445,45 @@ def test_credible_ball_builds_one_pair_list_and_one_walk(monkeypatch):
     assert calls == {"pairs": 1, "walks": 1}
     # both walks moved, so each was counted on that one union-find
     assert ball.lower != center and ball.upper != center
+
+
+def test_ball_radius_and_coverage_match_the_per_draw_loss_oracle():
+    """compute_credible_ball counts the radius and the coverage from the
+    stats' per-draw counts, bit for bit as one ia_binder_loss(center, draw)
+    per draw gives them: under asymmetric and non-dyadic losses, with the
+    center active at points no draw activates, all-noise draws, and S = 1."""
+    rng = np.random.default_rng(32)
+    for trial in range(300):
+        n = int(rng.integers(1, 25))
+        S = [1, 1, 2, 3, 5, 8][trial % 6]
+        ps = PointSet(rng.random((n, 2)))
+        dead = rng.random(n) < 0.2  # active in no draw
+        draws = []
+        for _ in range(S):
+            labels = np.where(dead, 0, rng.integers(0, 5, size=n))
+            draws.append(SubPartition(np.zeros(n, dtype=np.int64) if rng.random() < 0.2 else labels))
+        center = random_subpartition(rng, n)
+        stats = precompute_stats(draws)
+        alpha = float(rng.choice([0.05, 0.25, 0.5, 0.9]))
+        for p in BALL_LOSSES:
+            ball = compute_credible_ball(center, ps, 0.3, draws, alpha, p, stats=stats)
+            radius, dists = oracle_radius_and_losses(center, draws, p, alpha)
+            assert ball.radius == radius
+            assert ball.coverage == np.count_nonzero(dists <= radius) / S
+            assert credible_radius(center, draws, p, alpha) == radius
+
+
+def test_ball_rejects_clusterings_that_are_not_the_stats_draws():
+    rng = np.random.default_rng(33)
+    ps = PointSet(rng.random((6, 2)))
+    draws = [random_subpartition(rng, 6) for _ in range(3)]
+    stats = precompute_stats(draws)
+    center = draws[0]
+    for bad in (draws[:2], draws + [draws[0]], [], [SubPartition(list(d.labels) + [1]) for d in draws]):
+        with pytest.raises(ValueError):
+            compute_credible_ball(center, ps, 0.3, bad, stats=stats)
+    with pytest.raises(ValueError):
+        compute_credible_ball(SubPartition([1] * 7), ps, 0.3, draws, stats=stats)
 
 
 def test_bound_step_is_frozen():

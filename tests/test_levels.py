@@ -186,7 +186,7 @@ def test_tree_nested_levels_three_modes():
     tree = tree_from_clusterings(levels, [surrogate_cluster(ps, dens, lam, 0.5) for lam in levels])
     assert [c.k for c in tree.clusterings] == [3, 2, 1]
     # active sets nest as the level rises
-    acts = [set(c.active_indices.tolist()) for c in tree.clusterings]
+    acts = [set(np.flatnonzero(c.labels_array).tolist()) for c in tree.clusterings]
     assert acts[2] <= acts[1] <= acts[0]
     # every lower-row cluster overlaps exactly one upper-row cluster
     for e_level in (1, 2):

@@ -246,7 +246,7 @@ def test_surrogate_hand_example():
 def test_surrogate_lambda_above_max_all_noise():
     ps = pts1d(0.0, 0.1, 1.0)
     got = surrogate_cluster(ps, [1.0, 1.0, 1.0], lam=2.0, delta=0.2)
-    assert got.is_all_noise
+    assert not got.labels_array.any()
 
 
 def test_surrogate_strict_edges_at_exact_delta():
@@ -299,7 +299,7 @@ def test_surrogate_monotone_in_lambda_active_sets():
     dens = rng.uniform(size=120)
     prev_active = None
     for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
-        active = set(surrogate_cluster(ps, dens, lam, 0.1).active_indices.tolist())
+        active = set(np.flatnonzero(surrogate_cluster(ps, dens, lam, 0.1).labels_array).tolist())
         if prev_active is not None:
             assert active <= prev_active
         prev_active = active
@@ -535,7 +535,7 @@ def test_dbscan_star_single_cluster():
 
 def test_dbscan_star_min_pts_above_n_all_noise():
     ps = pts1d(0, 1, 2)
-    assert dbscan_star(ps, eps=10.0, min_pts=4).is_all_noise
+    assert not dbscan_star(ps, eps=10.0, min_pts=4).labels_array.any()
 
 
 def test_dbscan_classic_border_joins_nearest_cluster():
@@ -564,8 +564,8 @@ def test_dbscan_star_clusters_contained_in_classic():
         min_pts = int(rng.integers(2, 6))
         star = dbscan_star(ps, eps, min_pts)
         classic = dbscan_classic(ps, eps, min_pts)
-        for cluster in star.clusters():
-            targets = {classic.labels[i] for i in cluster}
+        for h in range(1, star.k + 1):
+            targets = set(classic.labels_array[star.labels_array == h].tolist())
             assert len(targets) == 1 and 0 not in targets
 
 

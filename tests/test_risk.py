@@ -191,7 +191,7 @@ def test_draw_clusterings_match_oracle_draw_by_draw():
     # no point active in any draw: all noise, and delta is still validated
     e = DensityDrawEnsemble(np.zeros((2, 4)))
     ps = PointSet(np.zeros((4, 1)))
-    assert all(c.is_all_noise for c in draw_clusterings(ps, e, 0.5, 1.0))
+    assert not any(c.labels_array.any() for c in draw_clusterings(ps, e, 0.5, 1.0))
     with pytest.raises(ValueError):
         draw_clusterings(ps, e, 0.5, 0.0)
 
@@ -675,14 +675,18 @@ def count_instances(draw):
 @given(count_instances())
 def test_risk_counts_match_dense_recount(inst):
     """The risk counts from the draw cells equal the recount from the dense
-    label matrix of the draws, for the drawn candidate (raw ids with gaps, points
-    active off the support) and the all-noise one; and the risk is the mean
-    draw loss, bit for bit under the default loss."""
+    label matrix of the draws, draw by draw and in total, for the drawn
+    candidate (raw ids with gaps, points active off the support) and the
+    all-noise one; and the risk is the mean draw loss, bit for bit under
+    the default loss."""
     draws, labels, p = inst
     stats = precompute_stats(draws)
     S, n = stats.S, stats.n
     for cand in (labels, np.zeros(n, dtype=np.int64)):
-        assert risk_mod._risk_counts(stats, cand).tolist() == oracle_risk_counts(draws, cand).tolist()
+        rows = risk_mod._risk_counts(stats, cand)
+        assert rows.shape == (S, 4) and rows.dtype == np.int64
+        assert rows.tolist() == [oracle_risk_counts([d], cand).tolist() for d in draws]
+        assert rows.sum(axis=0).tolist() == oracle_risk_counts(draws, cand).tolist()
         c = SubPartition(cand)
         mean_loss = math.fsum(ia_binder_loss(d, c, p) for d in draws) / S
         if p == LossParams():
@@ -795,7 +799,9 @@ def restarts_alone(stats, p, cfg):
     work = risk_mod._Work(engine, cfg)
     rngs = risk_mod.spawn_rngs(cfg.seed, cfg.n_restarts)
     runs = [risk_mod._restart(work, i, rng) for i, rng in enumerate(rngs)]
-    return [(engine.risk(c) / stats.S, SubPartition(risk_mod._full_labels(stats, labels))) for c, labels in runs]
+    full = np.zeros((len(runs), stats.n), dtype=np.int64)
+    full[:, stats.support] = [labels for _, labels in runs]
+    return [(engine.risk(c) / stats.S, SubPartition(row)) for (c, _), row in zip(runs, full)]
 
 
 def test_search_never_above_draws_or_all_noise():
@@ -843,7 +849,7 @@ def test_risk_counts_a_candidate_active_off_the_support():
     wide = SubPartition([1, 1, 2, 2])
     stats = precompute_stats([draw, draw])
     assert empirical_risk(wide, stats) == 1.5
-    assert risk_mod._risk_counts(stats, wide.labels_array).tolist() == [0, 2, 0, 0]
+    assert risk_mod._risk_counts(stats, wide.labels_array).tolist() == [[0, 1, 0, 0], [0, 1, 0, 0]]
     est = search(stats, cfg=SearchConfig(n_restarts=2, seed=0))
     assert est == draw and empirical_risk(est, stats) == 0.0
 
@@ -851,7 +857,7 @@ def test_risk_counts_a_candidate_active_off_the_support():
 def test_search_all_noise_draws():
     stats = precompute_stats([SubPartition.all_noise(5) for _ in range(3)])
     est = search(stats, cfg=SearchConfig(seed=0))
-    assert est.is_all_noise
+    assert not est.labels_array.any()
     assert empirical_risk(est, stats) == 0.0
 
 
@@ -935,6 +941,7 @@ def zealous_win():
     return [SubPartition(r) for r in rows], LossParams(), cfg
 
 
+@pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
 def test_accepted_zealous_attempt_wins_the_search():
     """The restarts' generators draw the same states up to the zealous
     attempts, so a lower risk with them than without is an accepted attempt's."""
@@ -962,7 +969,7 @@ def test_noise_count_bound_never_exceeds_the_risk(inst, p, quiet):
     """The bound the search puts on each draw, the risk of its two noise
     counts alone, counted for all S draws at once, is at most the draw's
     risk, under dyadic and non-dyadic losses; and the two counts are
-    _risk_counts' first two for the draw's labels. The draws hold
+    the first two of _risk_counts summed for the draw's labels. The draws hold
     single-point clusters, S may be 1, and draw `quiet` (if any) is all
     noise, so a stack may be all noise."""
     draws, _, _ = inst
@@ -972,7 +979,7 @@ def test_noise_count_bound_never_exceeds_the_risk(inst, p, quiet):
     missed, extra = risk_mod._draw_noise_counts(stats)
     assert missed.shape == extra.shape == (stats.S,)
     for s, d in enumerate(draws):
-        counts = risk_mod._risk_counts(stats, d.labels_array)
+        counts = risk_mod._risk_counts(stats, d.labels_array).sum(axis=0)
         assert [missed[s], extra[s]] == counts[:2].tolist()
         assert engine.risk(np.array([missed[s], extra[s], 0, 0])) <= engine.risk(counts)
 
@@ -1000,11 +1007,27 @@ def test_search_picks_a_draw_that_beats_the_restarts():
     assert min(risk for risk, _ in restarts_alone(stats, p, cfg)) == 12 / 3
 
 
+def test_search_prices_the_all_noise_state_as_missing_every_entry():
+    """The all-noise candidate's counts are read off the stats: it misses
+    each of the 4 (point, draw) entries, at m_ai (n - 1) = 2.7 each, so its
+    risk is 5.4 over S = 2 draws. [1, 1, 2, 2] keeps both draws' clusters
+    and is active at 4 points where a draw is not, at m_ia (n - 1) = 0.9
+    each: risk 1.8, and it wins. Priced at m_ia, the all-noise state would
+    tie it and win by coming first."""
+    p = LossParams(a=1.0, b=0.7, m_ai=0.9, m_ia=0.3)
+    stats = precompute_stats([SubPartition([1, 1, 0, 0]), SubPartition([0, 0, 1, 1])])
+    est = search(stats, p, SearchConfig(n_restarts=1, seed=0))
+    assert est == SubPartition([1, 1, 2, 2])
+    assert empirical_risk(est, stats, p) == pytest.approx(1.8)
+    assert empirical_risk(SubPartition.all_noise(4), stats, p) == pytest.approx(5.4)
+
+
 def test_search_counts_each_draw_as_its_own_clustering(monkeypatch):
     """Each draw the bound keeps is counted from labels rebuilt from its
     entries, and those labels are the draw's clustering: each point alone
-    in its cluster keeps an id of its own. With S = 1 the one draw is
-    always counted (its bound is 0)."""
+    in its cluster keeps an id of its own. Only draws are counted: the
+    all-noise state's counts are read off the stats. With S = 1 the one
+    draw is always counted (its bound is 0)."""
     counted = []
     risk_counts = risk_mod._risk_counts
 
@@ -1018,10 +1041,9 @@ def test_search_counts_each_draw_as_its_own_clustering(monkeypatch):
     for draws in cases:
         counted.clear()
         search(precompute_stats(draws), cfg=SearchConfig(n_restarts=1, seed=0))
-        assert counted[0].is_all_noise
-        assert all(c in draws for c in counted[1:])
+        assert all(c in draws for c in counted)
         if len(draws) == 1:
-            assert counted[1:] == draws
+            assert counted == draws
 
 
 @pytest.mark.filterwarnings("ignore::ballet.errors.SearchPassCapWarning")
@@ -1125,15 +1147,16 @@ def test_step_decides_as_a_priced_block_and_books_the_recount(monkeypatch):
             order = rng.permutation(u)
             j = int(np.flatnonzero(order == i)[0])
             lay = engine.layout(order)
-            priced = engine.price(lay, j, j + 1)
-            costs, cur = priced.costs[0], int(engine.labels[i])
+            ids = engine.live_ids()
+            costs, keep = engine.price(lay, j, j + 1)
+            costs, keep, cur = costs[0], keep[0], int(engine.labels[i])
             pick = int(costs.argmin())
-            change = cur < 0 or costs[pick] < priced.keep[0]
+            change = cur < 0 or costs[pick] < keep
             ref = copy.deepcopy(engine)
             if change:
                 if cur >= 0:
                     ref.move(i, -1)
-                ref.move(i, ref.label_of(pick, priced.ids))
+                ref.move(i, ref.label_of(pick, ids))
             before = recount(draws, engine.labels)
             delta = np.zeros(4, dtype=np.int64)
             changed = engine.step(lay, j, delta)

@@ -52,11 +52,11 @@ def test_negative_labels_rejected():
 
 def test_active_noise_indices():
     sp = SubPartition([0, 1, 0, 2, 2])
-    assert sp.active_indices.tolist() == [1, 3, 4]
+    assert np.flatnonzero(sp.labels_array).tolist() == [1, 3, 4]
     assert np.flatnonzero(sp.labels_array == 0).tolist() == [0, 2]
-    assert not sp.is_all_noise
-    assert SubPartition.all_noise(3).is_all_noise
-    assert sp.clusters() == [frozenset({1}), frozenset({3, 4})]
+    assert sp.labels_array.any()
+    assert SubPartition.all_noise(3).labels == (0, 0, 0)
+    assert [np.flatnonzero(sp.labels_array == h).tolist() for h in range(1, sp.k + 1)] == [[1], [3, 4]]
 
 
 @given(labels_strategy)
