@@ -3,7 +3,7 @@
 Sub-partitions (clusters plus a noise group) induced by density level sets,
 an expected-loss-minimizing point estimate over posterior density draws,
 credible-ball uncertainty bounds, a histogram-mixture density model, level
-selection heuristics, persistence across levels, DBSCAN baselines, and a
+selection heuristics, persistence across levels, a DBSCAN* baseline, and a
 replication harness for synthetic studies.
 """
 
@@ -65,7 +65,6 @@ from .levelset import (
     PointSet,
     active_set_components,
     adaptive_delta,
-    dbscan_classic,
     dbscan_star,
     default_k_dbscan,
     default_k_levelset,

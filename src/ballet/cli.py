@@ -374,9 +374,8 @@ def _emit(cfg: RunConfig, name: str, schema: str, fields: dict,
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.json"
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump({"schema": schema, "provenance": provenance, **fields}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    text = json.dumps({"schema": schema, "provenance": provenance, **fields}, sort_keys=True, indent=2)
+    path.write_text(text + "\n", encoding="ascii")
     if labels is not None:
         labels.to_csv(out / f"{name}_labels.csv")
     print(path)

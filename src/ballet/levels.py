@@ -16,8 +16,8 @@ import numpy as np
 
 from .density import DensityDrawEnsemble
 from .errors import ConfigError, InfeasibleError
-from .levelset import PointSet
-from .risk import SearchConfig, _search_workers, ballet_estimate, plugin_estimate
+from .levelset import PointSet, _mask_components
+from .risk import SearchConfig, _search_workers, ballet_estimate
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition
 from .util import _ceil_count, cpu_count, fork_map, order_statistic_ceil
 
@@ -215,7 +215,7 @@ class ClusterTree:
     def to_json_dict(self) -> dict:
         return {
             "levels": list(self.levels),
-            "clusterings": [list(c.labels) for c in self.clusterings],
+            "clusterings": [c.labels_array.tolist() for c in self.clusterings],
             "nodes": [[i, cid] for i, cid in self.nodes()],
             "edges": [
                 {"level": e.level, "parent": e.parent, "child": e.child, "weight": e.weight}
@@ -301,17 +301,20 @@ def build_cluster_tree(
     """Estimate one clustering of the draw ensemble per level (estimator
     "ballet" or "plugin") and link overlaps across rows.
 
-    With "ballet", each level's ballet_estimate is one task on
-    min(cpu_count(), levels) processes (util.fork_map): this one and workers
-    it forks, once the levels' (point, draw) entries at or above their
-    level, summed, reach _POOLED_MIN_LEVEL_ENTRIES. The workers inherit the
-    points, the ensemble and the config at the fork, and the levels'
-    searches run serially; only each level's labels and warnings come back,
-    so the tree and its warnings do not depend on the worker count. The
-    levels are estimated serially below that size, when some level's
-    search would run on a pool of its own (see search), on one CPU, without
-    the fork start method, and inside a child process. A worker that dies
-    (killed by a signal or the OOM killer) raises InfeasibleError once
+    With "plugin", the levels' masks of the posterior mean are labelled in
+    one levelset._mask_components call: the levels are nested, so the pair
+    list is the lowest level's and the highest level's active set is the
+    graph every row shares. With "ballet", each level's ballet_estimate is
+    one task on min(cpu_count(), levels) processes (util.fork_map): this one
+    and workers it forks, once the levels' (point, draw) entries at or above
+    their level, summed, reach _POOLED_MIN_LEVEL_ENTRIES. The workers
+    inherit the points, the ensemble and the config at the fork, and the
+    levels' searches run serially; only each level's labels and warnings
+    come back, so the tree and its warnings do not depend on the worker
+    count. The levels are estimated serially below that size, when some
+    level's search would run on a pool of its own (see search), on one CPU,
+    without the fork start method, and inside a child process. A worker that
+    dies (killed by a signal or the OOM killer) raises InfeasibleError once
     every worker is reaped.
     """
     if estimator not in ("ballet", "plugin"):
@@ -322,7 +325,10 @@ def build_cluster_tree(
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("levels must be strictly increasing")
     if estimator == "plugin":
-        return tree_from_clusterings(lams, [plugin_estimate(ps, ensemble, lam, delta) for lam in lams])
+        if ensemble.n != ps.n:
+            raise InfeasibleError(f"ensemble has n={ensemble.n} but point set has n={ps.n}")
+        masks = ensemble.posterior_mean() >= np.array(lams)[:, None]
+        return tree_from_clusterings(lams, [SubPartition(row) for row in _mask_components(ps, masks, delta)])
     entries = [int(np.count_nonzero(ensemble.values >= lam)) for lam in lams]
     # a level whose search pools its own restarts keeps every CPU busy, and
     # as one task it can outlast all the others: on two Gaussians (n = 2000,

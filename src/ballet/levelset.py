@@ -1,4 +1,4 @@
-"""Point sets, the delta-neighborhood graph, level-set surrogate clustering, and DBSCAN.
+"""Point sets, the delta-neighborhood graph, level-set surrogate clustering, and DBSCAN*.
 
 The surrogate clustering of a density at level lambda activates the points with
 density >= lambda and groups them by connected components of the delta-
@@ -7,19 +7,20 @@ is a level set of a k-NN or uniform-kernel density under the closed (<= eps)
 graph, so surrogate_cluster and active_set_components also take that
 convention, for the density equivalences.
 
-Every component computation goes through one engine, _component_labels: a
-kd-tree pair list of the graph's edges and one active mask, or a stack of
-masks (one per posterior draw). The engine keeps only the points active in
-some mask. In a stack, the points active in every mask and the pairs between
-two of them are a shared graph that one connected_components call labels
-once; each of its components becomes one node, active in every mask. The
-engine groups the other pairs by first endpoint once, cuts the stack into
-chunks of rows, bounded by _CHUNK_ENTRIES nodes plus candidate pairs of that
-contracted graph, and labels each chunk with one
-scipy.sparse.csgraph.connected_components call on a block-diagonal CSR graph:
-each row's block holds the pairs whose two ends are active in that row. No
-graph over all n points is built, a pair of the shared graph is walked once,
-not once per mask, and the call's fixed cost is paid once per chunk.
+One mask, or a stack of masks (the posterior draws at one level, or a
+ladder of levels), goes to its components by one path, _mask_components:
+one kd-tree pair list on the points some mask holds, then one call of the
+engine, _component_labels. In a stack, the points active in every mask and
+the pairs between two of them are a shared graph that one
+connected_components call labels once; each of its components becomes one
+node, active in every mask. The engine groups the other pairs by first
+endpoint once, cuts the stack into chunks of rows, bounded by
+_CHUNK_ENTRIES nodes plus candidate pairs of that contracted graph, and
+labels each chunk with one connected_components call on a block-diagonal
+CSR graph: each row's block holds the pairs whose two ends are active in
+that row. No graph over all n points is built, a pair of the shared graph
+is walked once, not once per mask, and the call's fixed cost is paid once
+per chunk.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "active_set_components",
     "surrogate_cluster",
     "dbscan_star",
-    "dbscan_classic",
 ]
 
 
@@ -253,18 +253,28 @@ def _active_indices(active: Sequence[int], n: int) -> np.ndarray:
     return act.astype(np.int64, copy=False)
 
 
+def _mask_components(ps: PointSet, masks: np.ndarray, delta: float, closed: bool = False) -> np.ndarray:
+    """_component_labels of one mask (n,) or a stack of masks (S, n) under the
+    strict (or closed) delta graph. Each row's graph is a subgraph of the one
+    on the union of the rows' points, so that pair list is built once, and
+    the engine labels the graph all rows share (on the points active in
+    every row) once, then one connected_components call per chunk of rows."""
+    union = np.flatnonzero(masks.reshape(-1, ps.n).any(axis=0))
+    pairs = union[_delta_pairs(ps.points[union], delta, closed)]
+    return _component_labels(ps.n, pairs, masks)
+
+
 def active_set_components(
     ps: PointSet,
     active: Sequence[int],
     delta: float,
     closed_edges: bool = False,
 ) -> SubPartition:
-    """Sub-partition whose clusters are the delta-graph components of `active`."""
-    act = _active_indices(active, ps.n)
+    """Sub-partition whose clusters are the delta-graph components of `active`,
+    a sequence of point indices, labelled by _mask_components."""
     mask = np.zeros(ps.n, dtype=bool)
-    mask[act] = True
-    pairs = act[_delta_pairs(ps.points[act], delta, closed_edges)]
-    return SubPartition(_component_labels(ps.n, pairs, mask))
+    mask[_active_indices(active, ps.n)] = True
+    return SubPartition(_mask_components(ps, mask, delta, closed_edges))
 
 
 @dataclass(frozen=True)
@@ -354,33 +364,10 @@ def dbscan_star(ps: PointSet, eps: float, min_pts: int) -> SubPartition:
     Core points have at least min_pts dataset points, the point itself
     included, in their closed eps-ball.
     """
-    return SubPartition(_dbscan_star_labels(ps, eps, min_pts)[1])
-
-
-def _dbscan_star_labels(ps: PointSet, eps: float, min_pts: int) -> tuple[np.ndarray, np.ndarray]:
-    """The closed eps-graph's pairs and the DBSCAN* labels they give."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be a positive int, got {min_pts}")
     pairs = _delta_pairs(ps.points, eps, closed=True)
     counts = np.bincount(pairs.ravel(), minlength=ps.n) + 1
-    return pairs, _component_labels(ps.n, pairs, counts >= min_pts)
-
-
-def dbscan_classic(ps: PointSet, eps: float, min_pts: int) -> SubPartition:
-    """DBSCAN with border points: each non-core point within eps of a core point
-    joins the cluster of its nearest core point (ties: smallest core index)."""
-    pairs, labels = _dbscan_star_labels(ps, eps, min_pts)
-    # each edge in both directions, kept where it runs from a non-core point to a core point
-    point = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    core = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    keep = (labels[point] == 0) & (labels[core] != 0)
-    point, core = point[keep], core[keep]
-    diff = ps.points[core] - ps.points[point]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((core, d2, point))
-    border, first = np.unique(point[order], return_index=True)
-    labels[border] = labels[core[order][first]]
-    return SubPartition(labels)
-
+    return SubPartition(_component_labels(ps.n, pairs, counts >= min_pts))

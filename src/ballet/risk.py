@@ -68,7 +68,7 @@ import numpy as np
 
 from .density import DensityDrawEnsemble
 from .errors import InfeasibleError, SearchPassCapWarning
-from .levelset import PointSet, _component_labels, _delta_pairs, surrogate_cluster
+from .levelset import PointSet, _mask_components, surrogate_cluster
 from .subpartition import DEFAULT_LOSS_PARAMS, LossParams, SubPartition, _pairs, _weighted_loss
 from .util import cpu_count, fork_map, spawn_rngs
 
@@ -91,20 +91,11 @@ def draw_clusterings(
     lam: float,
     delta: float,
 ) -> list[SubPartition]:
-    """Per-draw level-lambda surrogate clusterings of the ensemble.
-
-    Every draw's delta graph is a subgraph of the one on the union of the
-    draws' active sets, so that pair list is built once, and the S x n stack
-    of active masks is labelled in one engine call. It labels the graph all
-    draws share (on the points active in every draw) once, one node per
-    component, then makes one connected_components call per chunk of draws.
-    """
+    """Per-draw level-lambda surrogate clusterings of the ensemble: the S x n
+    stack of active masks, labelled together by levelset._mask_components."""
     if ensemble.n != ps.n:
         raise InfeasibleError(f"ensemble has n={ensemble.n} but point set has n={ps.n}")
-    active = ensemble.values >= lam
-    union = np.flatnonzero(active.any(axis=0))
-    pairs = union[_delta_pairs(ps.points[union], delta, closed=False)]
-    return [SubPartition(row) for row in _component_labels(ps.n, pairs, active)]
+    return [SubPartition(row) for row in _mask_components(ps, ensemble.values >= lam, delta)]
 
 
 @dataclass(frozen=True, eq=False)

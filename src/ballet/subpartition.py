@@ -160,8 +160,7 @@ class SubPartition:
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
-            for v in self._array.tolist():
-                fh.write(f"{v}\n")
+            fh.write("".join(f"{v}\n" for v in self._array.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "SubPartition":

@@ -188,29 +188,17 @@ def oracle_uncontracted_component_labels(n: int, pairs: np.ndarray, active: np.n
     return labels.reshape(active.shape)
 
 
-def oracle_dbscan(points: np.ndarray, eps: float, min_pts: int, include_self: bool = True, classic: bool = False):
-    """DBSCAN* (or DBSCAN with borders) from the full pairwise squared-distance matrix.
+def oracle_dbscan(points: np.ndarray, eps: float, min_pts: int, include_self: bool = True):
+    """DBSCAN* from the full pairwise squared-distance matrix.
 
     Core: at least min_pts points within the closed eps-ball (self counted
     when include_self). Clusters: closed-eps components of the core points.
-    With classic=True each non-core point within eps of a core point joins
-    the nearest core's cluster, ties to the smallest core index.
     """
     n = len(points)
     d2 = np.array([[float(((points[j] - points[i]) ** 2).sum()) for j in range(n)] for i in range(n)])
-    within = d2 <= eps * eps
-    counts = within.sum(axis=1) - (0 if include_self else 1)
+    counts = (d2 <= eps * eps).sum(axis=1) - (0 if include_self else 1)
     core = [i for i in range(n) if counts[i] >= min_pts]
-    labels = oracle_components(points, np.asarray(core, dtype=int), eps, closed=True)
-    if classic:
-        star = labels.copy()
-        for i in range(n):
-            if star[i] != 0:
-                continue
-            near = [(d2[i, j], j) for j in core if within[i, j]]
-            if near:
-                labels[i] = star[min(near)[1]]
-    return labels
+    return oracle_components(points, np.asarray(core, dtype=int), eps, closed=True)
 
 
 def oracle_loss_counts(labels1, labels2) -> tuple:

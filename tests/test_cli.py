@@ -309,7 +309,6 @@ def test_radius_joining_most_points_exit_5(tmp_path, monkeypatch):
     def no_pair_list(*args, **kwargs):
         raise AssertionError("a pair list was built")
 
-    monkeypatch.setattr(risk_mod, "_delta_pairs", no_pair_list)
     monkeypatch.setattr(levelset_mod, "_delta_pairs", no_pair_list)
     data = tmp_path / "points.csv"
     points = np.random.default_rng(0).uniform(size=(20000, 2))
@@ -345,7 +344,6 @@ def test_study_delta_past_the_pair_budget_exit_5(tmp_path, monkeypatch, capsys):
     def no_pair_list(*args, **kwargs):
         raise AssertionError("a pair list was built")
 
-    monkeypatch.setattr(risk_mod, "_delta_pairs", no_pair_list)
     monkeypatch.setattr(levelset_mod, "_delta_pairs", no_pair_list)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"S": 4}}))

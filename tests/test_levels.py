@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ballet.levels as levels_mod
+import ballet.levelset as levelset_mod
 import ballet.risk as risk_mod
 import ballet.util as util_mod
 from ballet.density import DensityDrawEnsemble, HistogramMixtureConfig, build_ensemble
@@ -27,7 +28,7 @@ from ballet.levels import (
     tree_from_clusterings,
 )
 from ballet.levelset import PointSet, surrogate_cluster
-from ballet.risk import SearchConfig
+from ballet.risk import SearchConfig, plugin_estimate
 from ballet.subpartition import LossParams, SubPartition
 from ballet.util import _ceil_count, canonical_json
 from oracles import planted_knee_curve
@@ -315,6 +316,37 @@ def test_tree_from_ensemble_with_both_estimators():
     assert len(tree_ballet.levels) == 2
     assert tree_plugin.clusterings[0].k >= 1
     assert tree_ballet.clusterings[0].k >= 1
+
+
+def test_plugin_tree_equals_per_level_plugin_estimates(monkeypatch):
+    """A plugin tree labels all its levels in one engine call, as the
+    plugin estimates label them level by level, levels at a posterior-mean
+    value included; an ensemble of another n is plugin_estimate's
+    InfeasibleError."""
+    calls = []
+    real = levelset_mod._component_labels
+
+    def spy(n, pairs, active):
+        calls.append(np.shape(active))
+        return real(n, pairs, active)
+
+    monkeypatch.setattr(levelset_mod, "_component_labels", spy)
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        pts = np.concatenate([rng.normal(c, 0.3, (20, 2)) for c in (0.0, 2.0, 5.0)])
+        ps = PointSet(pts)
+        ensemble = build_ensemble(ps, HistogramMixtureConfig(K=4, M_prime=6), S=8, seed=trial)
+        values = np.unique(ensemble.posterior_mean())
+        lams = np.sort(rng.choice(values, size=int(rng.integers(2, 6)), replace=False)).tolist()
+        delta = float(rng.uniform(0.3, 1.0))
+        calls.clear()
+        tree = build_cluster_tree(ps, ensemble, lams, delta, estimator="plugin")
+        assert calls == [(len(lams), len(pts))]
+        assert len({tuple(sp.labels) for sp in tree.clusterings}) > 1
+        want = tree_from_clusterings(lams, [plugin_estimate(ps, ensemble, lam, delta) for lam in lams])
+        assert tree == want
+    with pytest.raises(InfeasibleError, match="ensemble has n=60 but point set has n=59"):
+        build_cluster_tree(PointSet(pts[:-1]), ensemble, lams, delta, estimator="plugin")
 
 
 # -- the tree's fork pool -------------------------------------------------------

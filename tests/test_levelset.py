@@ -18,9 +18,9 @@ from ballet.levelset import (
     _component_labels,
     _delta_pairs,
     _knn_distance_at,
+    _mask_components,
     active_set_components,
     adaptive_delta,
-    dbscan_classic,
     dbscan_star,
     default_k_dbscan,
     default_k_levelset,
@@ -401,6 +401,28 @@ def test_component_engine_matches_coo_engine_and_closure(instance, rows_per_chun
             assert SubPartition(one) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(mask_stacks(), st.booleans())
+def test_mask_components_labels_each_row_as_the_closure(instance, ladder):
+    """One pair list on the points some row holds and one engine call label
+    every row of a stack as the closure labels that row alone, under the
+    open and the closed graph; so is a mask given alone. As a ladder, the
+    rows are the nested level sets of the stack's activation counts, lowest
+    level first: the first row is the union and the last the shared set."""
+    pts, closed, masks = instance
+    if ladder:
+        masks = masks.sum(axis=0) >= np.arange(1, len(masks) + 1)[:, None]
+    ps = PointSet(pts)
+    got = _mask_components(ps, masks, 1.0, closed)
+    assert got.shape == masks.shape
+    for mask, row in zip(masks, got):
+        assert np.array_equal(row != 0, mask)
+        assert SubPartition(row) == SubPartition(oracle_components(pts, np.flatnonzero(mask), 1.0, closed=closed))
+    one = _mask_components(ps, masks[-1], 1.0, closed)
+    assert one.shape == (len(pts),)
+    assert SubPartition(one) == SubPartition(got[-1])
+
+
 def _spy_calls(monkeypatch) -> list:
     """(nodes, stored pairs) of every connected_components call the engine makes."""
     graphs = []
@@ -538,37 +560,6 @@ def test_dbscan_star_min_pts_above_n_all_noise():
     assert not dbscan_star(ps, eps=10.0, min_pts=4).labels_array.any()
 
 
-def test_dbscan_classic_border_joins_nearest_cluster():
-    # dense cluster at 0..0.2, border point at 0.5 within eps of core 0.2
-    ps = pts1d(0.0, 0.1, 0.2, 0.5)
-    star = dbscan_star(ps, eps=0.35, min_pts=3)
-    classic = dbscan_classic(ps, eps=0.35, min_pts=3)
-    assert star == SubPartition([1, 1, 1, 0])
-    assert classic == SubPartition([1, 1, 1, 1])
-
-
-def test_dbscan_classic_equals_star_without_borders():
-    rng = np.random.default_rng(8)
-    pts = np.concatenate([rng.normal(0, 0.05, size=(30, 2)), rng.normal(3, 0.05, size=(30, 2))])
-    ps = PointSet(pts)
-    # every point is core at this eps, so no border points exist
-    assert dbscan_classic(ps, 0.5, 3) == dbscan_star(ps, 0.5, 3)
-
-
-def test_dbscan_star_clusters_contained_in_classic():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        pts = rng.uniform(size=(80, 2))
-        ps = PointSet(pts)
-        eps = float(rng.uniform(0.05, 0.15))
-        min_pts = int(rng.integers(2, 6))
-        star = dbscan_star(ps, eps, min_pts)
-        classic = dbscan_classic(ps, eps, min_pts)
-        for h in range(1, star.k + 1):
-            targets = set(classic.labels_array[star.labels_array == h].tolist())
-            assert len(targets) == 1 and 0 not in targets
-
-
 def test_dbscan_matches_pairwise_oracle():
     rng = np.random.default_rng(10)
     for trial in range(12):
@@ -582,19 +573,6 @@ def test_dbscan_matches_pairwise_oracle():
         min_pts = int(rng.integers(1, 7))
         star = dbscan_star(ps, eps, min_pts)
         assert star == SubPartition(oracle_dbscan(pts, eps, min_pts))
-        classic = dbscan_classic(ps, eps, min_pts)
-        assert classic == SubPartition(oracle_dbscan(pts, eps, min_pts, classic=True))
-
-
-def test_dbscan_classic_equidistant_border_joins_smallest_core_index():
-    left = [0.0, 0.125, 0.25, 0.375, 0.5]
-    right = [1.5, 1.625, 1.75, 1.875, 2.0]
-    # the point at 1.0 is a border point exactly 0.5 from the cores at 0.5 and 1.5
-    for xs, expect in ((left + [1.0] + right, [1] * 6 + [2] * 5), (right + [1.0] + left, [1] * 6 + [2] * 5)):
-        ps = pts1d(*xs)
-        assert dbscan_star(ps, 0.5, 4) == SubPartition([1] * 5 + [0] + [2] * 5)
-        assert dbscan_classic(ps, 0.5, 4) == SubPartition(expect)
-        assert dbscan_classic(ps, 0.5, 4) == SubPartition(oracle_dbscan(ps.points, 0.5, 4, classic=True))
 
 
 def test_dbscan_param_validation():
