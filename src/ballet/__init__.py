@@ -63,7 +63,6 @@ from .levels import (
 from .levelset import (
     AdaptiveDeltaConfig,
     PointSet,
-    active_set_components,
     adaptive_delta,
     dbscan_star,
     default_k_dbscan,

@@ -365,9 +365,7 @@ def dbscan_parameters(ps: PointSet, cfg: DbscanStudyConfig) -> tuple[int, float]
         raise ConfigError(f"min_pts={k} out of range for n={ps.n}")
     tree, eps = cKDTree(ps.points), cfg.eps
     if eps is None:
-        # MinPts = 1 counts the point itself only, at distance 0
-        radii = _knn_distance_at(tree, np.arange(ps.n), k - 1) if k > 1 else np.zeros(ps.n)
-        eps = order_statistic_ceil(radii, 1.0 - cfg.nu)
+        eps = order_statistic_ceil(_knn_distance_at(tree, ps.points, k), 1.0 - cfg.nu)
         if not eps > 0:
             raise ConfigError(
                 f"resolved Eps={eps} is not positive (min_pts={k} too small for the data)"

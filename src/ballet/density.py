@@ -33,7 +33,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConfigError, DataIOError, NumericError
-from .levelset import PointSet, _read_rows, _write_rows, unit_ball_volume
+from .levelset import PointSet, _knn_distance_at, _read_rows, _write_rows, unit_ball_volume
 from .util import canonical_json, cpu_count, spawn_rngs
 
 __all__ = [
@@ -548,9 +548,7 @@ class KnnDensity:
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X2 = np.atleast_2d(np.asarray(X, dtype=np.float64))
         scalar = np.asarray(X).ndim == 1
-        dists, _ = self._tree.query(X2, k=self.k)
-        dk = dists if self.k == 1 else dists[:, -1]
-        dk = np.atleast_1d(np.asarray(dk, dtype=np.float64))
+        dk = _knn_distance_at(self._tree, X2, self.k)
         with np.errstate(divide="ignore"):
             out = self.k / (self._norm * dk ** self.d)
         return float(out[0]) if scalar else out

@@ -4,8 +4,8 @@ The surrogate clustering of a density at level lambda activates the points with
 density >= lambda and groups them by connected components of the delta-
 neighborhood graph, whose edges join points strictly closer than delta. DBSCAN*
 is a level set of a k-NN or uniform-kernel density under the closed (<= eps)
-graph, so surrogate_cluster and active_set_components also take that
-convention, for the density equivalences.
+graph, so surrogate_cluster also takes that convention, for the density
+equivalences.
 
 One mask, or a stack of masks (the posterior draws at one level, or a
 ladder of levels), goes to its components by one path, _mask_components:
@@ -45,7 +45,6 @@ __all__ = [
     "default_k_levelset",
     "default_k_dbscan",
     "adaptive_delta",
-    "active_set_components",
     "surrogate_cluster",
     "dbscan_star",
 ]
@@ -264,19 +263,6 @@ def _mask_components(ps: PointSet, masks: np.ndarray, delta: float, closed: bool
     return _component_labels(ps.n, pairs, masks)
 
 
-def active_set_components(
-    ps: PointSet,
-    active: Sequence[int],
-    delta: float,
-    closed_edges: bool = False,
-) -> SubPartition:
-    """Sub-partition whose clusters are the delta-graph components of `active`,
-    a sequence of point indices, labelled by _mask_components."""
-    mask = np.zeros(ps.n, dtype=bool)
-    mask[_active_indices(active, ps.n)] = True
-    return SubPartition(_mask_components(ps, mask, delta, closed_edges))
-
-
 @dataclass(frozen=True)
 class AdaptiveDeltaConfig:
     """k-NN order (default ceil(ln n)) and tail fraction gamma for delta-hat."""
@@ -297,23 +283,25 @@ class AdaptiveDeltaConfig:
         return k
 
 
-# Below this many query points a kd-tree query on a second thread only adds
-# start-up: on 2 CPUs, 2 workers took 1.0-1.3x the time of 1 at 500 queries
-# (n = 2000 to 40 000; 2-7x at n = 250) and 0.6-1.1x from 2000 queries up.
+# Below this many query rows a second thread only adds start-up. One-column
+# sky-survey queries (k = ceil(ln n) + 1), 2 CPUs, 2 workers against 1 over 10
+# alternating pairs, median (pairs faster), at 500, 1000, 2000, 4000 rows: n = 2000
+# 1.25x (0/10), 1.05x (2/10), 0.97x (8/10), 0.93x (10/10); n = 40 000 1.24x (0/10),
+# 1.17x (0/10), 1.07x (3/10), 1.03x (2/10); 0.58x (10/10) at all 40 000 rows, k = 16.
 _THREADED_MIN_QUERIES = 2000
 
 
-def _knn_distance_at(tree: cKDTree, at: np.ndarray, k: int) -> np.ndarray:
-    """Distance from the points indexed by `at` to their k-th nearest other
-    point of the kd-tree, 1 <= k <= n-1. From _THREADED_MIN_QUERIES points up the
-    kd-tree query runs on every CPU of the process; each query point is
-    answered alone, so the distances do not depend on the thread count."""
-    if not 1 <= k <= tree.n - 1:
-        raise ValueError(f"k={k} out of range for n={tree.n} (need 1 <= k <= n-1)")
-    workers = cpu_count() if len(at) >= _THREADED_MIN_QUERIES else 1
-    # column 0 is the point itself (distance 0); ties only shift equal values
-    dist, _ = tree.query(tree.data[at], k=k + 1, workers=workers)
-    return np.asarray(dist[:, k], dtype=np.float64)
+def _knn_distance_at(tree: cKDTree, X: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each row of X to its k-th nearest data point of the
+    kd-tree, 1 <= k <= n, a data point counting as its own first neighbour.
+    The query asks for that one column only, so it holds O(len(X)) memory.
+    From _THREADED_MIN_QUERIES rows up it runs on every CPU of the process;
+    each row is answered alone, so the distances do not depend on the thread
+    count."""
+    if not 1 <= k <= tree.n:
+        raise ValueError(f"k={k} out of range for n={tree.n} (need 1 <= k <= n)")
+    workers = cpu_count() if len(X) >= _THREADED_MIN_QUERIES else 1
+    return tree.query(X, k=[k], workers=workers)[0][:, 0]
 
 
 def adaptive_delta(ps: PointSet, active: Sequence[int], cfg: AdaptiveDeltaConfig = AdaptiveDeltaConfig()) -> float:
@@ -329,7 +317,8 @@ def adaptive_delta(ps: PointSet, active: Sequence[int], cfg: AdaptiveDeltaConfig
     if act.size == 0:
         raise ValueError("active set must be nonempty")
     k = cfg.resolve_k(ps.n)
-    delta = order_statistic_ceil(_knn_distance_at(cKDTree(ps.points), act, k), 1.0 - cfg.gamma)
+    knn = _knn_distance_at(cKDTree(ps.points), ps.points[act], k + 1)  # the point itself is the first
+    delta = order_statistic_ceil(knn, 1.0 - cfg.gamma)
     if not delta > 0:
         raise ConfigError(
             f"adaptive delta is {delta}: with k={k} and gamma={cfg.gamma}, at least a 1 - gamma share of the "
@@ -355,7 +344,7 @@ def surrogate_cluster(
         raise ValueError(f"density vector has shape {dens.shape}, expected ({ps.n},)")
     if np.isnan(dens).any():
         raise ValueError("density values must not be NaN")
-    return active_set_components(ps, np.flatnonzero(dens >= lam), delta, closed_edges)
+    return SubPartition(_mask_components(ps, dens >= lam, delta, closed_edges))
 
 
 def dbscan_star(ps: PointSet, eps: float, min_pts: int) -> SubPartition:

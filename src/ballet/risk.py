@@ -747,7 +747,7 @@ class _Work(NamedTuple):
 
 
 # Below this many (point, draw) entries times restarts a search runs its
-# restarts serially; the pool runs only the restarts, never a seed's count.
+# restarts serially; the pool runs only the restarts, never the draws' count.
 # Set on a ProcessPoolExecutor, which took 10-20 ms to open and shut: on 2
 # CPUs, 2 workers took 1.03-1.3x the serial time at 14k-27k entry-restarts
 # and 0.93-0.97x at 34k-44k (sky surveys, n = 300-500, S = 100), 0.6-0.9x

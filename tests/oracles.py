@@ -9,6 +9,7 @@ oracle_build_ensemble) say so, and say which part of it they check.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 def oracle_ia_binder_loss(labels1, labels2, a=1.0, b=1.0, m_ai=0.5, m_ia=0.5) -> float:
@@ -94,6 +95,14 @@ def oracle_knn_distance(points: np.ndarray, k: int) -> np.ndarray:
         d[i] = np.inf
         out[i] = np.sort(d)[k - 1]
     return out
+
+
+def oracle_knn_full_query(points: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
+    """k-th nearest data point of each row of X, a data point counting as its
+    own first neighbour, read off the last column of the full n x k kd-tree
+    query (scipy's, not the package's one-column query)."""
+    dist, _ = cKDTree(points).query(np.atleast_2d(X), k=k)
+    return dist.reshape(len(dist), -1)[:, -1]
 
 
 def oracle_components(points: np.ndarray, active: np.ndarray, delta: float, closed: bool = False):

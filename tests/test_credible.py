@@ -14,7 +14,7 @@ from ballet.credible import (
     compute_credible_ball,
     credible_radius,
 )
-from ballet.levelset import PointSet, active_set_components
+from ballet.levelset import PointSet, surrogate_cluster
 from ballet.risk import precompute_stats
 from ballet.subpartition import LossParams, SubPartition, ia_binder_loss
 from ballet.util import canonical_json, order_statistic_ceil
@@ -126,7 +126,7 @@ def test_upper_bound_large_radius_activates_everything():
     stats, _ = make_stats([3, 2, 1], S=3)
     center = SubPartition([1, 0, 0])
     out = _bounds(center, ps, delta=1.5, stats=stats, radius=1e9)[1]
-    assert out == active_set_components(ps, [0, 1, 2], 1.5)
+    assert out == surrogate_cluster(ps, [1, 1, 1], 1, 1.5)
     assert out.labels == (1, 1, 2)
 
 
@@ -221,7 +221,7 @@ def test_bound_active_set_containment_random():
         ps = PointSet(pts)
         counts = rng.integers(0, 6, n)
         stats, draws = make_stats(counts.tolist(), S=5)
-        center = active_set_components(ps, np.flatnonzero(counts >= 3), 0.8)
+        center = surrogate_cluster(ps, counts >= 3, 1, 0.8)
         radius = float(rng.uniform(0.0, 8.0))
         lo, up = _bounds(center, ps, 0.8, stats, radius)
         c_act = set(np.flatnonzero(center.labels_array).tolist())
@@ -403,8 +403,8 @@ def test_compute_credible_ball_invariants_and_json():
     draws = []
     for s in range(8):
         active = rng.random(30) > 0.2
-        draws.append(active_set_components(ps, np.flatnonzero(active), 1.0))
-    center = active_set_components(ps, np.arange(30), 1.0)
+        draws.append(surrogate_cluster(ps, active, 1, 1.0))
+    center = surrogate_cluster(ps, np.ones(30), 1, 1.0)
     ball = compute_credible_ball(center, ps, 1.0, draws, alpha=0.25, stats=precompute_stats(draws))
     assert isinstance(ball, CredibleBall)
     assert ball.radius == credible_radius(center, draws, alpha=0.25)
@@ -439,7 +439,7 @@ def test_credible_ball_builds_one_pair_list_and_one_walk(monkeypatch):
     monkeypatch.setattr(credible_mod, "_Walk", CountingWalk)
     rng = np.random.default_rng(5)
     ps = PointSet(rng.random((40, 2)) * 3)
-    draws = [active_set_components(ps, np.flatnonzero(rng.random(40) < 0.6), 0.7) for _ in range(6)]
+    draws = [surrogate_cluster(ps, rng.random(40) < 0.6, 1, 0.7) for _ in range(6)]
     center = draws[0]
     ball = compute_credible_ball(center, ps, 0.7, draws, stats=precompute_stats(draws))
     assert calls == {"pairs": 1, "walks": 1}

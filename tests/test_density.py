@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from oracles import (
     oracle_bin_indices,
     oracle_build_ensemble,
     oracle_collapsed_sample_at_data,
+    oracle_knn_full_query,
     oracle_sample_at_data,
 )
 
@@ -543,6 +545,33 @@ def test_knn_density_scaling_homogeneity():
     f1 = knn_density(PointSet(pts), k=4)
     f2 = knn_density(PointSet(pts * 2.0), k=4)
     assert np.array_equal(f1(queries) / 4.0, f2(queries * 2.0))
+
+
+def test_knn_density_matches_full_query_oracle():
+    rng = np.random.default_rng(18)
+    for d in (1, 2, 3):
+        pts = np.round(rng.random((40, d)) * 4)  # lattice points: duplicates and exact ties
+        ps = PointSet(pts)
+        off = np.concatenate([pts[:10] + 0.5, rng.random((10, d)) * 4])  # rows off the data
+        for k in (1, 2, 7, ps.n):
+            with np.errstate(divide="ignore"):
+                expect = k / (ps.n * unit_ball_volume(d) * oracle_knn_full_query(pts, off, k) ** d)
+            f = knn_density(ps, k)
+            assert np.array_equal(f(off), expect)
+            assert f(off[0]) == expect[0]
+
+
+def test_knn_density_query_memory_is_one_column():
+    # the full n x k query peaks at 32 MB here; one column needs O(n)
+    pts = np.random.default_rng(19).random((2000, 2))
+    f = knn_density(PointSet(pts), 1000)
+    tracemalloc.start()
+    try:
+        f(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_knn_density_validation():

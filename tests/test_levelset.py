@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from ballet.levelset import (
     _delta_pairs,
     _knn_distance_at,
     _mask_components,
-    active_set_components,
     adaptive_delta,
     dbscan_star,
     default_k_dbscan,
@@ -33,6 +33,7 @@ from oracles import (
     oracle_coo_component_labels,
     oracle_dbscan,
     oracle_knn_distance,
+    oracle_knn_full_query,
     oracle_uncontracted_component_labels,
 )
 
@@ -121,46 +122,72 @@ def test_delta_pairs_rejects_bad_delta():
 
 def test_knn_distance_hand_example():
     ps = pts1d(0, 1, 3, 7)
-    assert _knn_distance_at(cKDTree(ps.points), np.arange(ps.n), 1).tolist() == [1, 1, 2, 4]
+    # the second nearest data point: each point is its own first
+    assert _knn_distance_at(cKDTree(ps.points), ps.points, 2).tolist() == [1, 1, 2, 4]
+    assert _knn_distance_at(cKDTree(ps.points), ps.points, 1).tolist() == [0, 0, 0, 0]
 
 
 def test_knn_distance_farthest_and_duplicates():
     ps = pts1d(0, 1, 3, 7)
-    assert _knn_distance_at(cKDTree(ps.points), np.arange(ps.n), 3).tolist() == [7, 6, 4, 7]  # farthest other point
+    assert _knn_distance_at(cKDTree(ps.points), ps.points, 4).tolist() == [7, 6, 4, 7]  # farthest other point
     dup = pts1d(2, 2, 5)
-    assert _knn_distance_at(cKDTree(dup.points), np.arange(dup.n), 1).tolist() == [0, 0, 3]
+    assert _knn_distance_at(cKDTree(dup.points), dup.points, 2).tolist() == [0, 0, 3]
 
 
-def test_knn_distance_matches_oracle():
+def test_knn_distance_matches_oracle(monkeypatch):
     rng = np.random.default_rng(42)
-    for d in (1, 2, 3):
-        pts = rng.normal(size=(60, d))
-        ps = PointSet(pts)
-        for k in (1, 3, 59):
-            assert np.array_equal(_knn_distance_at(cKDTree(ps.points), np.arange(ps.n), k), oracle_knn_distance(pts, k))
+    monkeypatch.setattr(levelset, "_THREADED_MIN_QUERIES", 1)
+    for workers in (1, 2):
+        monkeypatch.setattr(levelset, "cpu_count", lambda: workers)
+        for d in (1, 2, 3):
+            pts = rng.normal(size=(60, d))
+            tree = cKDTree(pts)
+            for k in (1, 3, 59):
+                assert np.array_equal(_knn_distance_at(tree, pts, k + 1), oracle_knn_distance(pts, k))
+            # lattice points: duplicates at distance 0 and exact distance ties,
+            # queried at the data and at rows off it, k up to n
+            lat = lattice_points(rng, d, {1: 12, 2: 5, 3: 3}[d], 6)
+            off = lat[: len(lat) // 2] + rng.choice([0.5, -0.5, 0.25], size=(len(lat) // 2, d))
+            tree = cKDTree(lat)
+            for k in (1, 2, 3, 5, len(lat) - 1, len(lat)):
+                for X in (lat, off):
+                    assert np.array_equal(_knn_distance_at(tree, X, k), oracle_knn_full_query(lat, X, k))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_knn_distance_same_on_any_thread_count(workers, monkeypatch):
-    # the query runs on cpu_count() threads from _THREADED_MIN_QUERIES points up
+    # the query runs on cpu_count() threads from _THREADED_MIN_QUERIES rows up
     rng = np.random.default_rng(44)
     pts = rng.normal(size=(500, 2))
     pts[250:] = pts[:250]  # duplicates: ties at distance 0
     ps = PointSet(pts)
     at = rng.choice(ps.n, size=300, replace=False)
-    serial = _knn_distance_at(cKDTree(ps.points), at, 7)
+    serial = _knn_distance_at(cKDTree(ps.points), ps.points[at], 8)
     monkeypatch.setattr(levelset, "cpu_count", lambda: workers)
     monkeypatch.setattr(levelset, "_THREADED_MIN_QUERIES", 1)
-    assert np.array_equal(_knn_distance_at(cKDTree(ps.points), at, 7), serial)
+    assert np.array_equal(_knn_distance_at(cKDTree(ps.points), ps.points[at], 8), serial)
     assert np.array_equal(serial, oracle_knn_distance(pts, 7)[at])
 
 
 def test_knn_distance_range_errors():
     ps = pts1d(0, 1, 2)
     with pytest.raises(ValueError):
-        _knn_distance_at(cKDTree(ps.points), np.arange(ps.n), 0)
+        _knn_distance_at(cKDTree(ps.points), ps.points, 0)
     with pytest.raises(ValueError):
-        _knn_distance_at(cKDTree(ps.points), np.arange(ps.n), 3)
+        _knn_distance_at(cKDTree(ps.points), ps.points, 4)
+
+
+def test_knn_distance_memory_is_one_column():
+    # the full n x k query peaks at 32 MB here; one column needs O(n)
+    pts = np.random.default_rng(45).random((2000, 2))
+    tree = cKDTree(pts)
+    tracemalloc.start()
+    try:
+        _knn_distance_at(tree, pts, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_default_k_values():
@@ -212,8 +239,6 @@ def test_bad_active_input_is_a_value_error(bad):
     ps = pts1d(0, 1, 3, 7)
     with pytest.raises(ValueError):
         adaptive_delta(ps, bad, AdaptiveDeltaConfig(k=1))
-    with pytest.raises(ValueError):
-        active_set_components(ps, bad, 1.5)
 
 
 def test_active_duplicates_count_once():
@@ -221,7 +246,6 @@ def test_active_duplicates_count_once():
     cfg = AdaptiveDeltaConfig(k=1, gamma=0.5)
     # distances 1 and 4: the 1st smallest of two, not the 2nd of (1, 4, 4, 4)
     assert adaptive_delta(ps, [3, 3, 3, 0], cfg) == adaptive_delta(ps, [0, 3], cfg) == 1.0
-    assert active_set_components(ps, [2, 0, 0, 1, 2], 1.5) == active_set_components(ps, [0, 1, 2], 1.5)
 
 
 def test_adaptive_delta_config_validation():
@@ -287,9 +311,6 @@ def test_components_at_exact_delta_ties():
             for closed in (False, True):
                 expect = oracle_components(pts, np.flatnonzero(dens >= 0.3), 1.0, closed=closed)
                 assert surrogate_cluster(ps, dens, 0.3, 1.0, closed_edges=closed) == SubPartition(expect)
-                active = rng.permutation(np.flatnonzero(dens >= 0.5))
-                expect = oracle_components(pts, np.sort(active), 1.0, closed=closed)
-                assert active_set_components(ps, active, 1.0, closed_edges=closed) == SubPartition(expect)
 
 
 def test_surrogate_monotone_in_lambda_active_sets():
@@ -327,8 +348,8 @@ def test_surrogate_input_validation():
 def test_neighborhood_graph_strict_and_components():
     ps = pts1d(0.0, 0.1, 0.2, 1.0)
     assert _delta_pairs(ps.points, 0.15, closed=False).tolist() == [[0, 1], [1, 2]]
-    assert active_set_components(ps, [0, 1, 2, 3], delta=0.15) == SubPartition([1, 1, 1, 2])
-    assert active_set_components(ps, [0, 2, 3], delta=0.15) == SubPartition([1, 0, 2, 3])
+    assert surrogate_cluster(ps, [1, 1, 1, 1], 1, delta=0.15) == SubPartition([1, 1, 1, 2])
+    assert surrogate_cluster(ps, [1, 0, 1, 1], 1, delta=0.15) == SubPartition([1, 0, 2, 3])
 
 
 @st.composite
