@@ -15,7 +15,7 @@ from .bench import (
     EvalReport,
     SkySurveySpec,
     StudyResult,
-    dbscan_parameters,
+    dbscan_baseline,
     evaluate,
     generate_noisy_circles,
     generate_sky_survey,

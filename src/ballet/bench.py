@@ -1,7 +1,7 @@
 """Synthetic benchmarks: the sky-survey generator on its fixed mixture design,
 enclosing-ellipse detection metrics, and the replication harness comparing
 the posterior point estimate, its credible-ball bounds, the plugin surrogate,
-and DBSCAN*."""
+and DBSCAN*, whose parameters and clustering come from one call, dbscan_baseline."""
 
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .levelset import (
     PointSet,
     _check_pair_budget,
     _knn_distance_at,
+    _dbscan_from_knn,
     adaptive_delta,
     dbscan_star,
     default_k_dbscan,
@@ -49,7 +50,7 @@ __all__ = [
     "evaluate",
     "BalletStudyConfig",
     "DbscanStudyConfig",
-    "dbscan_parameters",
+    "dbscan_baseline",
     "run_study_replicate",
     "run_simulation_study",
     "StudyResult",
@@ -350,28 +351,24 @@ class DbscanStudyConfig:
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
 
 
-def dbscan_parameters(ps: PointSet, cfg: DbscanStudyConfig) -> tuple[int, float]:
-    """(MinPts, Eps) for the baseline.
-
-    Eps is the ceil((1 - nu) * n)-th smallest of the distances from each point
-    to its MinPts-th nearest dataset point, a data point counting as its own
-    first neighbor -- the same inclusive convention as the core-point test;
-    the k-NN query runs on every CPU of the process from 2000 query points
-    up. An Eps, given or resolved, whose graph would not fit the pair budget
-    is an InfeasibleError; one kd-tree serves the k-NN query and the count.
-    """
+def dbscan_baseline(ps: PointSet, cfg: DbscanStudyConfig) -> tuple[int, float, SubPartition]:
+    """(MinPts, Eps, DBSCAN* clustering) of the baseline. Eps is the ceil((1 - nu) n)-th
+    smallest distance from a point to its MinPts-th nearest dataset point (itself the
+    first, as in the core test), a k-NN column that also picks the core points on the one
+    kd-tree; a given Eps runs dbscan_star. An Eps, given or resolved, past the pair budget
+    is an InfeasibleError before any pair is listed."""
     k = default_k_dbscan(ps.n) if cfg.min_pts is None else int(cfg.min_pts)
     if not 1 <= k <= ps.n:
         raise ConfigError(f"min_pts={k} out of range for n={ps.n}")
-    tree, eps = cKDTree(ps.points), cfg.eps
-    if eps is None:
-        eps = order_statistic_ceil(_knn_distance_at(tree, ps.points, k), 1.0 - cfg.nu)
-        if not eps > 0:
-            raise ConfigError(
-                f"resolved Eps={eps} is not positive (min_pts={k} too small for the data)"
-            )
-    _check_pair_budget(tree, eps)
-    return k, float(eps)
+    tree = cKDTree(ps.points)
+    if cfg.eps is not None:
+        _check_pair_budget(tree, cfg.eps)
+        return k, float(cfg.eps), dbscan_star(ps, cfg.eps, k)
+    knn = _knn_distance_at(tree, ps.points, k)
+    eps = order_statistic_ceil(knn, 1.0 - cfg.nu)
+    if not eps > 0:
+        raise ConfigError(f"resolved Eps={eps} is not positive (min_pts={k} too small for the data)")
+    return k, eps, _dbscan_from_knn(ps, tree, knn, eps, k)
 
 
 def _rep_seeds(master_seed: int, reps: int) -> list[tuple[int, int, int]]:
@@ -411,8 +408,7 @@ def run_study_replicate(
         stats=result.stats,
     )
     plug = plugin_estimate(ps, ensemble, lam, delta)
-    min_pts, eps = dbscan_parameters(ps, dbscan)
-    db = dbscan_star(ps, eps, min_pts)
+    min_pts, eps, db = dbscan_baseline(ps, dbscan)
 
     row: dict = {
         "lambda": float(lam),

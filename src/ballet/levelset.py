@@ -20,7 +20,8 @@ labels each chunk with one connected_components call on a block-diagonal
 CSR graph: each row's block holds the pairs whose two ends are active in
 that row. No graph over all n points is built, a pair of the shared graph
 is walked once, not once per mask, and the call's fixed cost is paid once
-per chunk.
+per chunk. DBSCAN* at an Eps resolved from the MinPts-NN column reads its
+core points off that column (_dbscan_from_knn) and lists pairs among them only.
 """
 
 from __future__ import annotations
@@ -360,3 +361,28 @@ def dbscan_star(ps: PointSet, eps: float, min_pts: int) -> SubPartition:
     pairs = _delta_pairs(ps.points, eps, closed=True)
     counts = np.bincount(pairs.ravel(), minlength=ps.n) + 1
     return SubPartition(_component_labels(ps.n, pairs, counts >= min_pts))
+
+
+def _dbscan_from_knn(ps: PointSet, tree: cKDTree, knn: np.ndarray, eps: float, min_pts: int) -> SubPartition:
+    """dbscan_star(ps, eps, min_pts), its core points read off knn, each point's distance
+    to its min_pts-th nearest (itself the first) in tree, a kd-tree of ps. Below eps (1 - 1e-9)
+    a point is core, past r = eps (1 + 1e-9) it is not, and in between the exact rule decides,
+    in chunks of about _CHUNK_ENTRIES candidates. A point past r has at most min_pts - 1
+    points within r: that bounds the pairs, and _check_pair_budget counts them only past it."""
+    n, d = ps.points.shape
+    r = eps * (1 + 1e-9)
+    near = knn <= r
+    ordered = int(cKDTree(ps.points[near]).count_neighbors(tree, r)) + (n - near.sum()) * (min_pts - 1)
+    if (ordered - n) // 2 * (49 + 8 * d) > _PAIR_BUDGET_BYTES:
+        _check_pair_budget(tree, eps)
+    core = knn < eps * (1 - 1e-9)
+    band = np.flatnonzero(near & ~core)
+    sizes = tree.query_ball_point(ps.points[band], r, return_length=True)
+    cuts = np.flatnonzero(np.diff((np.cumsum(sizes) - sizes) // _CHUNK_ENTRIES, prepend=-1))
+    for lo, hi in zip(cuts, [*cuts[1:], band.size]):
+        at = band[lo:hi]
+        ij = cKDTree(ps.points[at]).sparse_distance_matrix(tree, r, output_type="ndarray")
+        diff = ps.points[ij["j"]] - ps.points[at[ij["i"]]]
+        within = np.einsum("ij,ij->i", diff, diff) <= eps * eps
+        core[at] = np.bincount(ij["i"][within], minlength=hi - lo) >= min_pts
+    return SubPartition(_mask_components(ps, core, eps, closed=True))

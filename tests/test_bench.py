@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ballet.bench as bench_mod
 from ballet.bench import (
@@ -13,7 +15,7 @@ from ballet.bench import (
     BalletStudyConfig,
     DbscanStudyConfig,
     SkySurveySpec,
-    dbscan_parameters,
+    dbscan_baseline,
     evaluate,
     generate_noisy_circles,
     generate_sky_survey,
@@ -23,10 +25,11 @@ from ballet.bench import (
 from ballet.density import HistogramMixtureConfig, build_ensemble
 from ballet.errors import ConfigError, InfeasibleError, SearchPassCapWarning
 from ballet.levels import LevelSpec, resolve_level
-from ballet.levelset import PointSet, adaptive_delta
+from ballet.levelset import PointSet, adaptive_delta, dbscan_star
 from ballet.risk import SearchConfig, ballet_estimate
 from ballet.subpartition import LossParams, SubPartition
-from ballet.util import fork_map
+from ballet.util import fork_map, order_statistic_ceil
+from oracles import oracle_dbscan, oracle_knn_full_query
 from pools import die_in_a_worker, no_child_left, record_pools
 
 
@@ -230,31 +233,67 @@ def line_points(xs):
 def test_dbscan_parameters_order_statistic():
     ps = line_points([0.0, 1.0, 3.0, 6.0])
     # k=2 with self as first neighbor: radii are nearest-other distances 1,1,2,3
-    assert dbscan_parameters(ps, DbscanStudyConfig(nu=0.25)) == (2, 2.0)
-    assert dbscan_parameters(ps, DbscanStudyConfig(nu=0.5)) == (2, 1.0)
-    assert dbscan_parameters(ps, DbscanStudyConfig(nu=0.0)) == (2, 3.0)
-    assert dbscan_parameters(ps, DbscanStudyConfig(nu=0.25, eps=0.7)) == (2, 0.7)
-    assert dbscan_parameters(ps, DbscanStudyConfig(nu=0.25, min_pts=3))[1] == 3.0
+    assert dbscan_baseline(ps, DbscanStudyConfig(nu=0.25))[:2] == (2, 2.0)
+    assert dbscan_baseline(ps, DbscanStudyConfig(nu=0.5))[:2] == (2, 1.0)
+    assert dbscan_baseline(ps, DbscanStudyConfig(nu=0.0))[:2] == (2, 3.0)
+    assert dbscan_baseline(ps, DbscanStudyConfig(nu=0.25, eps=0.7))[:2] == (2, 0.7)
+    assert dbscan_baseline(ps, DbscanStudyConfig(nu=0.25, min_pts=3))[1] == 3.0
 
 
 def test_dbscan_parameters_default_min_pts():
     ps = line_points(np.linspace(0, 1, 40))
-    k, _ = dbscan_parameters(ps, DbscanStudyConfig(nu=0.1))
+    k, _, _ = dbscan_baseline(ps, DbscanStudyConfig(nu=0.1))
     assert k == int(np.ceil(np.log2(40)))
 
 
 def test_dbscan_parameters_errors():
     ps = line_points([0.0, 1.0, 2.0])
     with pytest.raises(ConfigError):
-        dbscan_parameters(ps, DbscanStudyConfig(min_pts=1))  # radii all zero
+        dbscan_baseline(ps, DbscanStudyConfig(min_pts=1))  # radii all zero
     with pytest.raises(ConfigError):
-        dbscan_parameters(ps, DbscanStudyConfig(min_pts=7))
+        dbscan_baseline(ps, DbscanStudyConfig(min_pts=7))
     with pytest.raises(ConfigError):
         DbscanStudyConfig(nu=1.0)
     with pytest.raises(ConfigError):
         DbscanStudyConfig(min_pts=0)
     with pytest.raises(ConfigError):
         DbscanStudyConfig(eps=-0.5)
+
+
+@st.composite
+def lattice_surveys(draw):
+    """Integer-lattice points with exact duplicates, times a scale, so many
+    k-NN distances tie, exactly or to a rounding, at the resolved Eps; a
+    MinPts from 2 to n."""
+    n = draw(st.integers(2, 40))
+    coords = draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 0.1, 0.3, 1 / 3]))
+    return np.asarray(coords, dtype=float) * scale, draw(st.integers(2, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_surveys(), st.floats(0.0, 0.99))
+@example((np.array([[0.0, 0.0], [2.0, 3.0]]), 2), 0.5)  # sqrt(13)^2 < 13: Eps's own pair is out
+@example((np.array([[0, 1], [0, 3], [0, 3], [1, 2]]) * 0.1, 2), 0.0)
+def test_dbscan_baseline_is_dbscan_star_at_the_resolved_eps(instance, nu):
+    """The resolved-Eps clustering is dbscan_star's at that Eps, its core
+    points are the pairwise oracle's, and Eps is the order statistic of the
+    full k-NN query's last column. The oracle counts core points by
+    d2 <= eps^2, the program's rule, but joins them by sqrt(d2) <= eps, which
+    a rounding can tell apart (0.1 (1, 2) against 0.1 (0, 3), at Eps
+    0.1 sqrt(2)), so its clusters are compared through dbscan_star's, which
+    test_dbscan_matches_pairwise_oracle pins to the oracle off such ties."""
+    pts, min_pts = instance
+    ps = PointSet(pts)
+    ref_eps = order_statistic_ceil(oracle_knn_full_query(pts, pts, min_pts), 1.0 - nu)
+    if not ref_eps > 0:
+        with pytest.raises(ConfigError, match="is not positive"):
+            dbscan_baseline(ps, DbscanStudyConfig(nu=nu, min_pts=min_pts))
+        return
+    k, eps, got = dbscan_baseline(ps, DbscanStudyConfig(nu=nu, min_pts=min_pts))
+    assert (k, eps) == (min_pts, ref_eps)
+    assert np.array_equal(got.labels_array == 0, oracle_dbscan(pts, eps, min_pts) == 0)
+    assert got == dbscan_star(ps, eps, min_pts)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,22 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+artifact_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.lists(st.integers(), max_size=8) | st.lists(st.integers(0, 3) | st.booleans(), max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(st.dictionaries(st.text(max_size=4), artifact_values, max_size=4))
+def test_artifact_text_is_json_dumps_indented(fields):
+    """The artifact writer's text is json.dumps(sort_keys=True, indent=2)'s
+    to the byte, int lists (empty ones included) written by one join."""
+    assert cli._dumps(fields) == json.dumps(fields, sort_keys=True, indent=2)
+
+
 config_places = [(key,) for key in (
     "data", "ensemble", "model", "level", "delta", "loss", "search",
     "alpha", "min_pts", "eps", "out", "seed", "typo")] + [
@@ -334,6 +350,56 @@ def test_radius_joining_most_points_exit_5(tmp_path, monkeypatch):
     for argv in runs:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 5
     assert not (tmp_path / "out").exists()
+
+
+def test_resolved_eps_counts_the_pairs_only_when_its_bound_passes_the_budget(tmp_path, monkeypatch, capsys):
+    """A resolved Eps bounds the closed-Eps graph's pairs from its k-NN column
+    (the exact count of the points within r = Eps (1 + 1e-9) of their MinPts-th
+    neighbour, MinPts - 1 for each other point) and counts them in full only
+    when that bound passes the budget. So a budget the bound passes and the
+    count fits runs to the end, and one the count passes exits 5 before any
+    pair list is built."""
+    from scipy.spatial import cKDTree
+
+    from ballet.util import order_statistic_ceil
+
+    points = np.random.default_rng(3).uniform(size=(3000, 2))
+    data = tmp_path / "points.csv"
+    PointSet(points).to_csv(data)
+    n, k = len(points), int(np.ceil(np.log2(len(points))))
+    tree = cKDTree(points)
+    knn = tree.query(points, k=k)[0][:, -1]
+    eps = order_statistic_ceil(knn, 1.0 - 0.9)
+    r = eps * (1 + 1e-9)
+    near = knn <= r
+    exact = (int(tree.count_neighbors(tree, r)) - n) // 2
+    bound = (int(cKDTree(points[near]).count_neighbors(tree, r)) + (n - near.sum()) * (k - 1) - n) // 2
+    assert bound > exact
+    full_counts = []
+    count = levelset_mod._check_pair_budget
+    monkeypatch.setattr(levelset_mod, "_check_pair_budget", lambda *a: full_counts.append(a) or count(*a))
+    argv = ["dbscan", "--data", str(data), "--nu", "0.9"]
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+    assert full_counts == []
+    monkeypatch.setattr(levelset_mod, "_PAIR_BUDGET_BYTES", exact * (49 + 8 * 2))
+    assert main(argv + ["--out", str(tmp_path / "bound_over")]) == 0
+    assert len(full_counts) == 1
+    for name in ("dbscan.json", "dbscan_labels.csv"):
+        assert (tmp_path / "bound_over" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+    d = json.loads((tmp_path / "default" / "dbscan.json").read_text())
+    assert d["eps"] == eps
+    star = levelset_mod.dbscan_star(PointSet(points), eps, k)
+    assert SubPartition(d["clustering"]["labels"]) == star
+
+    def no_pair_list(*args, **kwargs):
+        raise AssertionError("a pair list was built")
+
+    monkeypatch.setattr(levelset_mod, "_delta_pairs", no_pair_list)
+    monkeypatch.setattr(levelset_mod, "_PAIR_BUDGET_BYTES", exact * (49 + 8 * 2) - 1)
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "count_over")]) == 5
+    assert f"joins {exact} of the" in capsys.readouterr().err
+    assert not (tmp_path / "count_over").exists()
 
 
 def test_study_delta_past_the_pair_budget_exit_5(tmp_path, monkeypatch, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import ballet.levelset as levelset
-from ballet.errors import ConfigError
+from ballet.errors import ConfigError, InfeasibleError
 from ballet.levelset import (
     AdaptiveDeltaConfig,
     PointSet,
@@ -20,6 +20,7 @@ from ballet.levelset import (
     _delta_pairs,
     _knn_distance_at,
     _mask_components,
+    _dbscan_from_knn,
     adaptive_delta,
     dbscan_star,
     default_k_dbscan,
@@ -603,6 +604,88 @@ def test_dbscan_param_validation():
     with pytest.raises(ValueError):
         dbscan_star(ps, 1.0, 0)
 
+
+
+class _ListingTree(cKDTree):
+    """A kd-tree that records how many candidates each of its rows finds in
+    each sparse_distance_matrix call."""
+
+    listed: list = []
+
+    def sparse_distance_matrix(self, other, max_distance, **kwargs):
+        found = super().sparse_distance_matrix(other, max_distance, **kwargs)
+        self.listed.append(np.bincount(found["i"], minlength=self.n).tolist())
+        return found
+
+
+@st.composite
+def tied_points(draw):
+    """Integer-lattice points (exact duplicates included) times a scale, so
+    that many k-NN distances tie, exactly or to a rounding, at the resolved
+    Eps; and a MinPts from 1 to n."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 40))
+    coords = draw(st.lists(st.lists(st.integers(0, 4), min_size=d, max_size=d), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 0.1, 0.3, 1 / 3, 7.0]))
+    return np.asarray(coords, dtype=float) * scale, draw(st.integers(1, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_points(), st.integers(0, 39), st.sampled_from([1, 3, None]))
+def test_dbscan_from_knn_is_dbscan_star(instance, rank, limit):
+    """At an Eps that is one of the k-NN distances, the core points read off
+    the k-NN column are dbscan_star's (at least min_pts points, the point
+    itself included, with d2 <= eps^2), and so are the clusters. Each chunk
+    of the band lists at most _CHUNK_ENTRIES candidates plus one point's."""
+    pts, min_pts = instance
+    ps = PointSet(pts)
+    tree = cKDTree(pts)
+    knn = _knn_distance_at(tree, pts, min_pts)
+    eps = float(np.sort(knn)[rank % len(knn)])
+    if not eps > 0:
+        return
+    _ListingTree.listed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(levelset, "cKDTree", _ListingTree)
+        if limit is not None:
+            mp.setattr(levelset, "_CHUNK_ENTRIES", limit)
+        got = _dbscan_from_knn(ps, tree, knn, eps, min_pts)
+        limit = levelset._CHUNK_ENTRIES
+    diff = pts[:, None, :] - pts[None, :, :]
+    counts = (np.einsum("ijk,ijk->ij", diff, diff) <= eps * eps).sum(axis=1)
+    assert np.array_equal(got.labels_array != 0, counts >= min_pts)
+    assert got == dbscan_star(ps, eps, min_pts)
+    for sizes in _ListingTree.listed:
+        assert sum(sizes[:-1]) < limit
+
+
+def test_dbscan_from_knn_rejects_the_point_at_eps_the_closed_rule_rejects():
+    """sqrt(13)^2 rounds below 13: the two points that define Eps are not
+    within Eps of each other, so neither is core, though their k-NN
+    distance is Eps."""
+    pts = np.array([[0.0, 0.0], [2.0, 3.0]])
+    tree = cKDTree(pts)
+    knn = _knn_distance_at(tree, pts, 2)
+    eps = float(knn[0])
+    assert eps * eps < 13.0
+    assert not _dbscan_from_knn(PointSet(pts), tree, knn, eps, 2).labels_array.any()
+
+
+def test_dbscan_from_knn_counts_a_point_at_exactly_r_in_the_budget(monkeypatch):
+    """Two points whose k-NN distance is exactly r = eps (1 + 1e-9), the
+    radius the pair budget counts at, are candidates: their pair counts, so
+    a budget one byte short of the two pairs fails."""
+    r = 1.0 * (1 + 1e-9)
+    pts = np.array([[0.0], [r], [100.0], [101.0]])
+    tree = cKDTree(pts)
+    knn = _knn_distance_at(tree, pts, 2)
+    assert knn.tolist() == [r, r, 1.0, 1.0]
+    pair_bytes = 49 + 8 * 1
+    monkeypatch.setattr(levelset, "_PAIR_BUDGET_BYTES", 2 * pair_bytes)
+    assert _dbscan_from_knn(PointSet(pts), tree, knn, 1.0, 2).labels_array.tolist() == [0, 0, 1, 1]
+    monkeypatch.setattr(levelset, "_PAIR_BUDGET_BYTES", 2 * pair_bytes - 1)
+    with pytest.raises(InfeasibleError, match="joins 2 of the 6 point pairs"):
+        _dbscan_from_knn(PointSet(pts), tree, knn, 1.0, 2)
 
 # -- constants ----------------------------------------------------------------
 
